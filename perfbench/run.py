@@ -8,10 +8,12 @@ Run from the repository root::
 Each workload runs the real ``python -m repro`` CLI (default flags,
 telemetry on) in child processes through ``perfbench/probe.py``, each
 with a fresh ``--out`` store root, until ``--seconds`` have passed (at
-least three times).  ``--seed`` is passed to the CLI's ``--seed``.  The
-last line of standard output is one JSON object: ``correct``,
-``attempted``, ``failed`` and ``metrics`` — the end-to-end metrics with
-``--trace 0``, the per-layer metrics with ``--trace 1``.  The exit code
+least three times).  ``--seed`` is passed to the CLI's ``--seed``.
+Timings are divided by the CPU speed that ``perfbench/speed.py``
+samples meanwhile, so they read in reference seconds.  The last line of
+standard output is one JSON object: ``correct``, ``attempted``,
+``failed`` and ``metrics`` — the end-to-end metrics with ``--trace 0``,
+the per-layer metrics with ``--trace 1``.  The exit code
 is 1 when any correctness check fails.  See ``perfbench/README.md``.
 """
 
@@ -22,19 +24,21 @@ import hashlib
 import json
 import os
 import platform
-import shutil
 import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from importlib import metadata
+
+from speed import REFERENCE_UNIT_S
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 PROBE = os.path.join(HERE, "probe.py")
-TMP_ROOT = os.path.join(ROOT, ".perfbench_tmp")
+SPEED = os.path.join(HERE, "speed.py")
 
 #: The E2 split-vote-with-resets grid both E2 workloads run: small n, so
 #: one invocation rests on hundreds of trials.
@@ -42,7 +46,12 @@ E2_NS = (10, 13, 14)
 E2_TRIALS_PER_N = 120
 E2_SET = ["--set", f"ns={E2_NS}", "--set", f"trials={E2_TRIALS_PER_N}"]
 E2_TRIALS = 2 * E2_TRIALS_PER_N * len(E2_NS)  # a split and a unanimous each
-FUZZ_TRIALS = 40
+#: The E2 workloads cycle through this many CLI seeds, ``seed * E2_SEEDS
+#: + k``.  E2 windows per trial are heavy-tailed and a batched group runs
+#: until its slowest trial decides, so what one seed costs is one draw
+#: from that tail.  A run averages several draws instead of resting on one.
+E2_SEEDS = 4
+FUZZ_TRIALS = 80
 READ_PASSES = 100
 MIN_INVOCATIONS = 3
 MAX_SECONDS = 100.0  # never start another invocation past this
@@ -175,30 +184,9 @@ def read_argvs(out: str) -> list:
 # ----------------------------------------------------------------------
 # Child processes.
 # ----------------------------------------------------------------------
-class Workdir:
-    """A scratch directory inside the checkout, removed on exit."""
-
-    def __init__(self, label: str) -> None:
-        self.path = os.path.join(TMP_ROOT, f"{label}-{os.getpid()}")
-        self._count = 0
-
-    def __enter__(self) -> "Workdir":
-        shutil.rmtree(self.path, ignore_errors=True)
-        os.makedirs(self.path)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        shutil.rmtree(self.path, ignore_errors=True)
-        try:
-            os.rmdir(TMP_ROOT)
-        except OSError:
-            pass
-
-    def fresh(self, name: str) -> str:
-        self._count += 1
-        path = os.path.join(self.path, f"{self._count:03d}-{name}")
-        os.makedirs(path)
-        return path
+def fresh(work: str, name: str) -> str:
+    """A new, empty directory under the run's scratch root ``work``."""
+    return tempfile.mkdtemp(prefix=f"{name}-", dir=work)
 
 
 def child_env() -> dict:
@@ -213,7 +201,7 @@ def child_env() -> dict:
     return env
 
 
-#: The child being waited on, so a signal can stop its process group.
+#: The children running now, so a signal can stop their process groups.
 RUNNING: list = []
 
 
@@ -226,6 +214,74 @@ def stop_running(signum, frame) -> None:
         except OSError:
             pass
     sys.exit(128 + signum)
+
+
+class SpeedLog:
+    """The speed sampler child (``perfbench/speed.py``) and its samples."""
+
+    def __init__(self, work: str) -> None:
+        self.path = os.path.join(work, "speed.txt")
+        self.stderr_path = os.path.join(work, "speed-stderr.txt")
+        self.samples: list = []  # (time, thread CPU seconds of unit())
+        self._offset = 0
+        with open(self.stderr_path, "w") as stderr:
+            self.proc = subprocess.Popen(
+                [sys.executable, SPEED, self.path], cwd=ROOT,
+                stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
+                stderr=stderr, start_new_session=True)
+        RUNNING.append(self.proc)
+
+    def follow(self, group: int) -> None:
+        """Sample the CPUs of process group ``group`` from now on."""
+        self.proc.stdin.write(f"{group}\n".encode())
+        self.proc.stdin.flush()
+
+    def _read(self) -> None:
+        try:
+            with open(self.path, "rb") as handle:
+                handle.seek(self._offset)
+                data = handle.read()
+        except OSError:
+            return
+        data = data[:data.rfind(b"\n") + 1]  # whole lines only
+        self._offset += len(data)
+        for line in data.decode().splitlines():
+            when, _, took = line.split()
+            self.samples.append((float(when), float(took)))
+
+    def factor(self, start: float, end: float) -> float:
+        """How many times slower than the reference the CPUs ran.
+
+        The mean over the samples taken in ``[start, end]``; a window too
+        short for three samples takes the three nearest its middle.
+        """
+        self._read()
+        window = [took for when, took in self.samples if start <= when <= end]
+        if len(window) < 3:
+            middle = (start + end) / 2
+            nearest = sorted(self.samples, key=lambda s: abs(s[0] - middle))
+            window = [took for _, took in nearest[:3]]
+        if not window:
+            raise RuntimeError("the speed sampler took no samples: "
+                               + self.problem())
+        return statistics.mean(window) / REFERENCE_UNIT_S
+
+    def problem(self) -> str:
+        """Why the sampler stopped, or '' while it runs."""
+        if self.proc.poll() is None:
+            return ""
+        with open(self.stderr_path) as handle:
+            return f"speed sampler exited {self.proc.returncode}: " \
+                f"{handle.read()[-2000:]}"
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        try:
+            self.proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+            self.proc.wait()
+        RUNNING.remove(self.proc)
 
 
 def wait_child(proc: subprocess.Popen, timeout: float):
@@ -249,10 +305,14 @@ def wait_child(proc: subprocess.Popen, timeout: float):
     return proc.returncode, usage
 
 
-def launch(work: Workdir, commands: list, trace: bool = False,
+def launch(work: str, speed: SpeedLog, commands: list, trace: bool = False,
            passes: int = 1) -> dict:
-    """Run ``commands`` in one probed child; return its measurements."""
-    base = work.fresh("probe")
+    """Run ``commands`` in one probed child; return its measurements.
+
+    ``setup_s`` and ``op_s`` are wall seconds; ``setup_ref_s`` and
+    ``op_ref_s`` the same intervals in reference seconds.
+    """
+    base = fresh(work, "probe")
     spans_dir = os.path.join(base, "spans")
     os.makedirs(spans_dir)
     spec = {"commands": commands, "passes": passes, "trace": trace,
@@ -270,6 +330,7 @@ def launch(work: Workdir, commands: list, trace: bool = False,
             stdout=subprocess.DEVNULL, stderr=stderr,
             start_new_session=True)
         RUNNING.append(proc)
+        speed.follow(proc.pid)
         try:
             code, usage = wait_child(proc, CHILD_TIMEOUT)
         finally:
@@ -292,6 +353,10 @@ def launch(work: Workdir, commands: list, trace: bool = False,
     end = record.get("finished") or record["end"]
     record["setup_s"] = first - started
     record["op_s"] = end - first
+    record["setup_speed"] = speed.factor(started, first)
+    record["op_speed"] = speed.factor(first, end)
+    record["setup_ref_s"] = record["setup_s"] / record["setup_speed"]
+    record["op_ref_s"] = record["op_s"] / record["op_speed"]
     return record
 
 
@@ -393,23 +458,33 @@ def read_jsonl(path: str) -> list:
 class Workload:
     """One workload: how to invoke it and how to check an invocation."""
 
-    def __init__(self, name: str, seed: int) -> None:
+    def __init__(self, name: str, seed: int, work: str,
+                 speed: SpeedLog) -> None:
         self.name = name
         self.seed = seed
+        self.work = work
+        self.speed = speed
         self.expected_ops = {"e2-trial": E2_TRIALS, "e2-batched": E2_TRIALS,
                              "fuzz-bracha": FUZZ_TRIALS,
                              "query-report": READ_PASSES
                              * len(read_argvs(""))}[name]
+        seeds = E2_SEEDS if name.startswith("e2-") else 1
+        self.cli_seeds = [seed * seeds + k for k in range(seeds)]
+        self.invocations = 0
         self.store = None
-        self.reference = None  # digest every invocation must match
+        self.reference = {}  # CLI seed: digest each invocation must match
         self.agreement = []
 
-    def prepare(self, work: Workdir) -> list:
+    def launch(self, commands: list, trace: bool = False,
+               passes: int = 1) -> dict:
+        return launch(self.work, self.speed, commands, trace, passes)
+
+    def prepare(self) -> list:
         """Untimed set-up before the timed process; returns problems."""
         if self.name != "query-report":
             return []
-        self.store = work.fresh("store")
-        store_run = launch(work, [
+        self.store = fresh(self.work, "store")
+        store_run = self.launch([
             e2_argv(self.seed, "batched", 2, self.store),
             fuzz_argv(self.seed, self.store)])
         summaries = [store_summary(self.store, experiment)
@@ -421,21 +496,24 @@ class Workload:
         self.agreement.append(agreement_entry(store_run, summaries))
         return []
 
-    def invoke(self, work: Workdir, trace: bool) -> dict:
+    def invoke(self, trace: bool) -> dict:
+        cli_seed = self.cli_seeds[self.invocations % len(self.cli_seeds)]
+        self.invocations += 1
         if self.name == "query-report":
-            record = launch(work, read_argvs(self.store), trace=trace,
-                            passes=READ_PASSES)
+            record = self.launch(read_argvs(self.store), trace=trace,
+                                 passes=READ_PASSES)
             record["out"] = None
-            return record
-        out = work.fresh("out")
-        if self.name == "fuzz-bracha":
-            argv = fuzz_argv(self.seed, out)
         else:
-            backend, workers = (("trial", 0) if self.name == "e2-trial"
-                                else ("batched", 2))
-            argv = e2_argv(self.seed, backend, workers, out)
-        record = launch(work, [argv], trace=trace)
-        record["out"] = out
+            out = fresh(self.work, "out")
+            if self.name == "fuzz-bracha":
+                argv = fuzz_argv(cli_seed, out)
+            else:
+                backend, workers = (("trial", 0) if self.name == "e2-trial"
+                                    else ("batched", 2))
+                argv = e2_argv(cli_seed, backend, workers, out)
+            record = self.launch([argv], trace=trace)
+            record["out"] = out
+        record["cli_seed"] = cli_seed
         return record
 
     def check(self, record: dict) -> list:
@@ -449,7 +527,7 @@ class Workload:
             digests = record.get("pass_digests") or [None]
             if len(set(digests)) != 1:
                 problems.append("read output differs between passes")
-            self._match(digests[0], problems)
+            self._match(record["cli_seed"], digests[0], problems)
             ops = len(record.get("codes") or [])
             failed = sum(1 for code in record.get("codes", []) if code)
         else:
@@ -483,29 +561,34 @@ class Workload:
             if findings or len(rows) != FUZZ_TRIALS:
                 problems.append(f"fuzz: {len(findings)} findings in "
                                 f"{len(rows)} rows")
-        self._match(summary["digest"], problems)
+        self._match(record["cli_seed"], summary["digest"], problems)
         record["agreement"] = agreement_entry(record, [summary])
 
-    def _match(self, value: str, problems: list) -> None:
-        if self.reference is None:
-            self.reference = value
-        elif value != self.reference:
-            problems.append(f"output digest {value} != {self.reference}")
+    def _match(self, cli_seed: int, value: str, problems: list) -> None:
+        reference = self.reference.setdefault(cli_seed, value)
+        if value != reference:
+            problems.append(f"output digest {value} != {reference} "
+                            f"at CLI seed {cli_seed}")
 
-    def cross_check(self, work: Workdir) -> list:
-        """E2 rows must be identical on the other backend at this seed."""
-        if not self.name.startswith("e2-") or self.reference is None:
+    def cross_check(self) -> list:
+        """E2 rows must be identical on the other backend at equal seed.
+
+        Checked at the first CLI seed of the run.
+        """
+        cli_seed = self.cli_seeds[0]
+        reference = self.reference.get(cli_seed)
+        if not self.name.startswith("e2-") or reference is None:
             return []
         other = "batched" if self.name == "e2-trial" else "trial"
-        out = work.fresh("cross")
-        record = launch(work, [e2_argv(self.seed, other, 2, out)])
+        out = fresh(self.work, "cross")
+        record = self.launch([e2_argv(cli_seed, other, 2, out)])
         summary = store_summary(out, "E2") if record["code"] == 0 and \
             record.get("codes") == [0] else {"ok": False}
         if not summary["ok"]:
             return [f"cross-check on the {other} backend did not complete"]
-        if summary["digest"] != self.reference:
-            return [f"E2 rows differ: {self.name} {self.reference} != "
-                    f"{other} backend {summary['digest']}"]
+        if summary["digest"] != reference:
+            return [f"E2 rows differ at seed {cli_seed}: {self.name} "
+                    f"{reference} != {other} backend {summary['digest']}"]
         return []
 
 
@@ -686,47 +769,56 @@ def compile_sources() -> None:
 def run_workload(name: str, seed: int, seconds: float,
                  trace: bool) -> dict:
     machine = machine_record(seed)
-    workload = Workload(name, seed)
     problems = []
     extra_failed = 0  # ops of a failed check outside the timed invocations
     plain, traced = [], []
     layers = {}
-    with Workdir(name) as work:
-        compile_sources()
-        problems += workload.prepare(work)
-        if trace and not problems:
-            layers.update(import_times())
-        started = time.monotonic()
-        while not problems:
-            traced_turn = trace and len(plain) > len(traced)
-            record = workload.invoke(work, traced_turn)
-            problems += workload.check(record)
-            if traced_turn:
-                record["layers"] = layer_metrics(record)
+    with tempfile.TemporaryDirectory(prefix=".perfbench-", dir=ROOT) as work:
+        speed = SpeedLog(work)
+        try:
+            workload = Workload(name, seed, work, speed)
+            compile_sources()
+            problems += workload.prepare()
+            if trace and not problems:
+                layers.update(import_times())
+            started = time.monotonic()
+            while not problems:
+                traced_turn = trace and len(plain) > len(traced)
+                record = workload.invoke(traced_turn)
+                problems += workload.check(record)
+                if traced_turn:
+                    record["layers"] = layer_metrics(record)
+                    if "agreement" in record:
+                        record["agreement"]["busy_s"] = \
+                            record["layers"]["trial_call_s"]
                 if "agreement" in record:
-                    record["agreement"]["busy_s"] = \
-                        record["layers"]["trial_call_s"]
-            if "agreement" in record:
-                workload.agreement.append(record["agreement"])
-            (traced if traced_turn else plain).append(record)
-            # Stop when one more invocation would overrun the budget,
-            # after at least MIN_INVOCATIONS (and one traced) of them.
-            projected = time.monotonic() - started \
-                + (record["exited"] - record["launched"])
-            enough = len(plain) + len(traced) >= MIN_INVOCATIONS \
-                or projected > MAX_SECONDS
-            if enough and (traced or not trace) and projected > seconds:
-                break
-        if not problems:
-            crossed = workload.cross_check(work)
-            if crossed:
-                problems += crossed
-                extra_failed = workload.expected_ops
+                    workload.agreement.append(record["agreement"])
+                (traced if traced_turn else plain).append(record)
+                # Stop when one more invocation would overrun the budget,
+                # after at least MIN_INVOCATIONS (and one traced) of them.
+                projected = time.monotonic() - started \
+                    + (record["exited"] - record["launched"])
+                enough = len(plain) + len(traced) >= MIN_INVOCATIONS \
+                    or projected > MAX_SECONDS
+                if enough and (traced or not trace) and projected > seconds:
+                    break
+            if not problems:
+                crossed = workload.cross_check()
+                if crossed:
+                    problems += crossed
+                    extra_failed = workload.expected_ops
+            if speed.problem():
+                problems.append(speed.problem())
+        finally:
+            speed.close()
     machine["load_after"] = list(os.getloadavg())
     records = plain + traced
     wall = sum(r["exited"] - r["launched"] for r in records)
     machine["cpu_wall_ratio"] = (sum(r["cpu_s"] for r in records) / wall
                                  if wall else 0.0)
+    timed = [r for r in plain if r.get("op_s")]
+    machine["speed"] = [round(r["op_speed"], 3) for r in timed]
+    machine["cli_seeds"] = [r["cli_seed"] for r in timed]
     if problems and not records:
         extra_failed = max(extra_failed, 1)  # set-up failed before any op
     result = {"workload": name, "correct": not problems,
@@ -736,18 +828,22 @@ def run_workload(name: str, seed: int, seconds: float,
               + extra_failed,
               "problems": problems, "machine": machine,
               "invocations": len(records)}
-    rates = [r["ops"] / r["op_s"] for r in plain if r.get("op_s")]
     result["each"] = {
-        "setup_s": [r["setup_s"] for r in plain if "setup_s" in r],
-        "ops_per_sec": rates,
+        "setup_s": [r["setup_ref_s"] for r in timed],
+        "ops_per_sec": [r["ops"] / r["op_ref_s"] for r in timed],
         "peak_rss_mb": [r["rss_mb"] for r in plain],
     }
-    result["end_to_end"] = {metric: median(values)
-                            for metric, values in result["each"].items()}
-    # The rate pools the run: all ops over all op time.  The machine's
-    # speed drifts in phases of tens of seconds, and a time-weighted
-    # rate over the whole run spreads less than a median of invocations.
-    result["end_to_end"]["ops_per_sec"] = pooled_rate(plain)
+    # The rate pools the run: all ops over all op time, in reference
+    # seconds.  Set-up is the median over the invocations.
+    result["end_to_end"] = {
+        "setup_s": median(result["each"]["setup_s"]),
+        "ops_per_sec": pooled_rate(timed),
+        "peak_rss_mb": median(result["each"]["peak_rss_mb"]),
+    }
+    result["wall"] = {
+        "setup_s": median([r["setup_s"] for r in timed]),
+        "ops_per_sec": pooled_rate(timed, "op_s"),
+    }
     if trace:
         for metric, _, _, _, _ in PER_LAYER:
             values = [r["layers"][metric] for r in traced
@@ -768,10 +864,11 @@ def run_workload(name: str, seed: int, seconds: float,
     return result
 
 
-def pooled_rate(records: list) -> float:
-    seconds = sum(r["op_s"] for r in records if r.get("op_s"))
-    return sum(r["ops"] for r in records if r.get("op_s")) / seconds \
-        if seconds else 0.0
+def pooled_rate(records: list, seconds_key: str = "op_ref_s") -> float:
+    """All ops of ``records`` over all their op time."""
+    timed = [r for r in records if r.get(seconds_key)]
+    seconds = sum(r[seconds_key] for r in timed)
+    return sum(r["ops"] for r in timed) / seconds if seconds else 0.0
 
 
 def agreement_entry(record: dict, summaries: list) -> dict:
@@ -817,8 +914,10 @@ def print_report(result: dict, log) -> None:
     for metric, unit in END_TO_END:
         each = " ".join(f"{value:.4g}" for value in result["each"][metric])
         how = "pooled over" if metric == "ops_per_sec" else "median of"
+        wall = result["wall"].get(metric)
+        wall = f" (wall clock {wall:.4f})" if wall is not None else ""
         log(f"  {metric:<14} {result['end_to_end'][metric]:12.4f} {unit:<4}"
-            f" {how} [{each}]")
+            f"{wall} {how} [{each}]")
     log("telemetry agreement (program / benchmark): "
         + json.dumps(result["agreement"], sort_keys=True))
     for problem in result["problems"]:
@@ -866,7 +965,7 @@ def main(argv=None) -> int:
                                   bool(args.trace))
             print_report(result, log)
             results.append(result)
-    except (subprocess.SubprocessError, OSError) as error:
+    except (subprocess.SubprocessError, OSError, RuntimeError) as error:
         print(f"perfbench: {error}", file=sys.stderr)
         return 2
     key = "per_layer" if args.trace else "end_to_end"
