@@ -1,13 +1,11 @@
 """Benchmark the results-store scan paths behind `repro query`.
 
 Builds one synthetic run of many rows, then times reading it back
-through the two store paths — the line-by-line ``rows.jsonl`` parse and
-the compacted columnar copy — plus a full ``run_query`` aggregate over
-the mounted store.  Besides wall time each benchmark records its
-``rows_scanned_per_sec`` as ``extra_info``, the scan-throughput number
-the performance trajectory (`scripts/bench_record.py`, ``BENCH_<n>.json``)
-tracks; the columnar/jsonl ratio is the speedup the compaction layer
-buys.
+through the line-by-line ``rows.jsonl`` parse, plus a full
+``run_query`` aggregate over the mounted store.  Besides wall time each
+benchmark records its ``rows_scanned_per_sec`` as ``extra_info``, the
+scan-throughput number the performance trajectory
+(`scripts/bench_record.py`, ``BENCH_<n>.json``) tracks.
 """
 
 import json
@@ -15,16 +13,15 @@ import os
 
 import pytest
 
-from repro.results.columnar import (compact_run, read_jsonl_records,
-                                    read_records)
 from repro.results.query import run_query
+from repro.results.store import read_jsonl_records
 
 ROWS = 20_000
 
 
 @pytest.fixture(scope="module")
 def synthetic_root(tmp_path_factory):
-    """A results root holding one compacted run of ``ROWS`` rows."""
+    """A results root holding one run of ``ROWS`` rows."""
     root = tmp_path_factory.mktemp("bench-query")
     run_dir = root / "SYNTH" / "0123456789ab"
     run_dir.mkdir(parents=True)
@@ -42,8 +39,6 @@ def synthetic_root(tmp_path_factory):
                 "run_health": None}
     with open(run_dir / "manifest.json", "w") as handle:
         json.dump(manifest, handle, allow_nan=False)
-    info = compact_run(str(run_dir))
-    assert info is not None and info.rows == ROWS
     return str(root), str(run_dir)
 
 
@@ -63,26 +58,6 @@ def test_bench_scan_jsonl(benchmark, synthetic_root):
 
 
 @pytest.mark.benchmark(group="store-scan")
-def test_bench_scan_columnar(benchmark, synthetic_root):
-    """The compacted read path `repro query` scans through."""
-    _, run_dir = synthetic_root
-
-    def scan():
-        records, source = read_records(run_dir)
-        assert source != "jsonl"
-        return records
-
-    records = benchmark.pedantic(scan, iterations=1, rounds=5)
-
-    assert len(records) == ROWS
-    assert records == read_jsonl_records(
-        os.path.join(run_dir, "rows.jsonl"))  # lossless, not just fast
-    benchmark.extra_info["rows"] = ROWS
-    benchmark.extra_info["rows_scanned_per_sec"] = \
-        ROWS / benchmark.stats.stats.mean
-
-
-@pytest.mark.benchmark(group="store-scan")
 def test_bench_query_aggregate(benchmark, synthetic_root):
     """Mount + SQL aggregate over every stored row (`repro query`)."""
     root, _ = synthetic_root
@@ -95,6 +70,5 @@ def test_bench_query_aggregate(benchmark, synthetic_root):
     assert len(result.rows) == 5
     assert sum(row[1] for row in result.rows) == ROWS
     benchmark.extra_info["rows"] = ROWS
-    benchmark.extra_info["engine"] = result.engine
     benchmark.extra_info["rows_scanned_per_sec"] = \
         ROWS / benchmark.stats.stats.mean

@@ -62,17 +62,14 @@ Subcommands::
         independent invariant verdict.  Exits 1 when the replay violates
         an invariant, 0 when it is clean.
 
-    repro query "SQL" [--out DIR] [--engine {auto,duckdb,fallback}]
-                [--format {table,json,csv}]
+    repro query "SQL" [--out DIR] [--format {table,json,csv}]
         SQL across *every* stored run (``rows``/``runs`` tables, one
-        view per experiment, plus ``spans``/``metrics`` tables mounted
+        table per experiment, plus ``spans``/``metrics`` tables mounted
         from each run's telemetry event log), with each run's manifest
         fields joined in as columns — experiment, seed, backend, params,
         run_health.
-        Scans the columnar copies that ``finish()`` compacts
-        (:mod:`repro.results.columnar`), through DuckDB when installed
-        (the ``analytics`` extra) and a built-in fallback SQL subset
-        otherwise.
+        Scans each run's ``rows.jsonl`` and answers through the
+        built-in SQL subset (:mod:`repro.results.minisql`).
 
     repro report EXPERIMENT [--out DIR] [--format {text,json}]
                  [--percentiles Q,Q,...]
@@ -494,10 +491,6 @@ def _cmd_show(args: argparse.Namespace) -> int:
         note = (" (resumed under differing backends)"
                 if backend == "mixed" else "")
         print(f"backend: {backend}{note}")
-    columnar = manifest.get("columnar")
-    if columnar:
-        print(f"columnar: {columnar.get('codec')} "
-              f"({columnar.get('rows')} rows compacted)")
     _show_manifest_health(manifest)
     _show_manifest_telemetry(manifest)
     print(format_table(rows))
@@ -736,7 +729,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.results.query import QueryError, run_query
 
     try:
-        result = run_query(args.out, args.sql, engine=args.engine)
+        result = run_query(args.out, args.sql)
     except QueryError as error:
         return _usage_error("query", error)
     if args.format == "json":
@@ -992,7 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     query_parser = subparsers.add_parser(
         "query", help="SQL across every stored run (rows/runs tables, "
-                      "one view per experiment)")
+                      "one table per experiment)")
     query_parser.add_argument(
         "sql", metavar="SQL",
         help="the query, e.g. \"SELECT experiment, count(*) FROM rows "
@@ -1000,12 +993,6 @@ def build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument("--out", default=DEFAULT_OUT,
                               help="results-store root "
                                    "(default: results/)")
-    query_parser.add_argument("--engine", default="auto",
-                              choices=("auto", "duckdb", "fallback"),
-                              help="query engine: duckdb (full SQL, "
-                                   "needs the analytics extra) or the "
-                                   "built-in fallback subset "
-                                   "(default: auto)")
     query_parser.add_argument("--format", default="table",
                               choices=("table", "json", "csv"),
                               help="output format (default: table)")

@@ -6,19 +6,15 @@ version) and a ``rows.jsonl`` of streamed data rows.  Rerunning the same
 configuration reopens the same directory and skips every cell whose row is
 already on disk.
 
-On completion each run is *compacted*: the jsonl rows are rewritten into
-a verified-lossless columnar copy (Parquet with pyarrow, a pure-JSON
-column layout otherwise — :mod:`repro.results.columnar`), which is what
-``repro query`` (:mod:`repro.results.query`, SQL over every run through
-DuckDB or the built-in fallback engine) and ``repro report``
-(:mod:`repro.results.report`, percentile tables per cell plus recomputed
-finalizer rows) scan.  ``rows.jsonl`` stays the append-only write path
-and the ground truth — see PERFORMANCE.md ("The results workflow" and
+``rows.jsonl`` is the only row format, append-only and the ground truth
+for every reader: ``repro query`` (:mod:`repro.results.query`, SQL over
+every run through the built-in :mod:`repro.results.minisql` engine) and
+``repro report`` (:mod:`repro.results.report`, percentile tables per
+cell plus recomputed finalizer rows) scan it through
+:func:`scan_runs` — see PERFORMANCE.md ("The results workflow" and
 "Query & report").
 """
 
-from repro.results.columnar import (ColumnarInfo, columnar_info,
-                                    compact_run, read_records)
 from repro.results.store import (MANIFEST_NAME, ROWS_NAME, RunStore,
                                  latest_run, list_runs, load_run,
                                  params_digest, read_manifest,
@@ -27,16 +23,12 @@ from repro.results.store import (MANIFEST_NAME, ROWS_NAME, RunStore,
 __all__ = [
     "MANIFEST_NAME",
     "ROWS_NAME",
-    "ColumnarInfo",
     "RunStore",
-    "columnar_info",
-    "compact_run",
     "latest_run",
     "list_runs",
     "load_run",
     "params_digest",
     "read_manifest",
-    "read_records",
     "run_directory",
     "scan_runs",
 ]

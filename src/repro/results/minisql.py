@@ -1,9 +1,7 @@
-"""A dependency-free SQL subset for ``repro query``'s fallback path.
+"""The dependency-free SQL subset behind ``repro query``.
 
-DuckDB is the real query engine (``pip install repro-lewko-podc13
-[analytics]``); this module is what keeps ``repro query`` working when it
-is absent.  It evaluates a deliberately small, deterministic subset of
-SQL over in-memory list-of-dict tables::
+It evaluates a deliberately small, deterministic subset of SQL over
+in-memory list-of-dict tables::
 
     SELECT [DISTINCT] * | expr [AS name], ...
     FROM table
@@ -22,8 +20,8 @@ SQL over in-memory list-of-dict tables::
   collapsed to two).
 
 Anything else raises :class:`MiniSQLError` naming the unsupported
-construct and pointing at the duckdb extra — failing loudly beats
-quietly mis-evaluating a query.
+construct and listing what is supported — failing loudly beats quietly
+mis-evaluating a query.
 """
 
 from __future__ import annotations
@@ -35,12 +33,11 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
 
 
 class MiniSQLError(ValueError):
-    """An unsupported or malformed query for the fallback engine."""
+    """An unsupported or malformed query."""
 
 
-_HINT = ("; the fallback engine supports SELECT/WHERE/GROUP BY/ORDER BY/"
-         "LIMIT with COUNT/SUM/AVG/MIN/MAX — install the 'analytics' "
-         "extra (duckdb) for full SQL")
+_HINT = ("; repro query supports SELECT/WHERE/GROUP BY/ORDER BY/LIMIT "
+         "with COUNT/SUM/AVG/MIN/MAX")
 
 _TOKEN_RE = re.compile(r"""
     \s*(?:

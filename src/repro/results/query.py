@@ -24,16 +24,14 @@ one):
 * ``metrics`` — one record per counter/gauge event (``kind``, ``name``,
   ``t``, ``delta``, ``value``), same join columns.
 
-Reading goes through :func:`repro.results.columnar.read_records`, so a
-compacted store scans at columnar speed, and through
-:func:`repro.results.store.scan_runs`, so corrupt run directories are
-skipped with a warning instead of bricking every query.
+Reading goes through :func:`repro.results.store.scan_runs`, which parses
+each run's ``rows.jsonl`` and skips corrupt run directories with a
+warning instead of bricking every query.
 
-:func:`run_query` executes SQL against those tables with DuckDB when it
-is importable (each experiment additionally mounted as a view:
-``SELECT * FROM E2 ...``), and otherwise through the dependency-free
-subset evaluator in :mod:`repro.results.minisql`.  Both engines see the
-same mounted data — the engines differ only in SQL coverage.
+:func:`run_query` executes SQL against those tables through the
+dependency-free subset evaluator in :mod:`repro.results.minisql`, with
+each experiment additionally mounted as a table of its own rows
+(``SELECT * FROM E2 ...``).
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.results.store import scan_runs
 from repro.telemetry import TELEMETRY_NAME, read_events
@@ -58,8 +56,7 @@ ROW_META_COLUMNS = (
 
 RUNS_COLUMNS = (
     "experiment", "run_id", "seed", "backend", "completed",
-    "wall_time_seconds", "row_count", "columnar_codec",
-    "health_failures", "params",
+    "wall_time_seconds", "row_count", "health_failures", "params",
 )
 
 #: Fixed columns of the ``spans`` table; span attributes follow
@@ -77,7 +74,6 @@ METRICS_COLUMNS = (
 _SPAN_EVENT_KEYS = ("kind", "id", "parent", "name", "t0", "dur")
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
-_RESERVED_TABLES = {"rows", "runs", "spans", "metrics"}
 
 
 class QueryError(ValueError):
@@ -107,15 +103,6 @@ class QueryResult:
 
     def as_dicts(self) -> List[Dict[str, Any]]:
         return [dict(zip(self.columns, row)) for row in self.rows]
-
-
-def duckdb_ok() -> bool:
-    """Whether the DuckDB engine is available."""
-    try:
-        import duckdb  # noqa: F401
-    except Exception:
-        return False
-    return True
 
 
 def _health_failures(manifest: Mapping[str, Any]) -> int:
@@ -156,13 +143,11 @@ def mount_store(root: str,
             "run_health": health_json,
             "health_failures": _health_failures(manifest),
         }
-        columnar = manifest.get("columnar") or {}
         runs_table.append({
             **{key: meta[key] for key in
                ("experiment", "run_id", "seed", "backend", "completed",
                 "wall_time_seconds", "params", "health_failures")},
             "row_count": len(records),
-            "columnar_codec": columnar.get("codec"),
         })
         for record in records:
             flattened = dict(meta)
@@ -220,79 +205,8 @@ def mount_store(root: str,
         experiments=experiments)
 
 
-# ----------------------------------------------------------------------
-# DuckDB engine.
-# ----------------------------------------------------------------------
-def _duckdb_type(values: Sequence[Any]) -> str:
-    kinds = set()
-    for value in values:
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            kinds.add("BOOLEAN")
-        elif isinstance(value, int):
-            kinds.add("BIGINT")
-        elif isinstance(value, float):
-            kinds.add("DOUBLE")
-        else:
-            return "VARCHAR"
-    if not kinds:
-        return "VARCHAR"
-    if kinds == {"BIGINT", "DOUBLE"}:
-        return "DOUBLE"
-    if len(kinds) > 1:
-        return "VARCHAR"
-    return kinds.pop()
-
-
-def _duckdb_cell(value: Any, declared: str) -> Any:
-    if value is None or declared != "VARCHAR" or isinstance(value, str):
-        return value
-    return json.dumps(value, sort_keys=True, allow_nan=False)
-
-
-def _run_duckdb(store: MountedStore, sql: str) -> QueryResult:
-    import duckdb
-
-    connection = _duckdb_connection(store)
-    try:
-        cursor = connection.execute(sql)
-        columns = [entry[0] for entry in cursor.description]
-        rows = [tuple(row) for row in cursor.fetchall()]
-    except duckdb.Error as error:
-        raise QueryError(f"duckdb rejected the query: {error}") from error
-    finally:
-        connection.close()
-    return QueryResult(columns=columns, rows=rows, engine="duckdb")
-
-
-def _duckdb_connection(store: MountedStore):
-    import duckdb
-
-    connection = duckdb.connect(":memory:")
-    for table, columns in store.columns.items():
-        rows = store.tables[table]
-        types = {column: _duckdb_type([row.get(column) for row in rows])
-                 for column in columns}
-        declaration = ", ".join(f'"{column}" {types[column]}'
-                                for column in columns)
-        connection.execute(f"CREATE TABLE {table} ({declaration})")
-        if rows:
-            placeholders = ", ".join("?" for _ in columns)
-            connection.executemany(
-                f"INSERT INTO {table} VALUES ({placeholders})",
-                [tuple(_duckdb_cell(row.get(column), types[column])
-                       for column in columns) for row in rows])
-    for name in store.experiments:
-        if _IDENTIFIER_RE.match(name) and \
-                name.lower() not in _RESERVED_TABLES:
-            connection.execute(
-                f'CREATE VIEW "{name}" AS SELECT * FROM rows '
-                f"WHERE experiment = '{name}'")  # vetted identifier
-    return connection
-
-
-def _run_fallback(store: MountedStore, sql: str) -> QueryResult:
+def query_store(store: MountedStore, sql: str) -> QueryResult:
+    """Execute SQL against an already-mounted store."""
     from repro.results.minisql import MiniSQLError, execute
 
     tables = dict(store.tables)
@@ -307,34 +221,12 @@ def _run_fallback(store: MountedStore, sql: str) -> QueryResult:
         labels, rows = execute(sql, tables, columns)
     except MiniSQLError as error:
         raise QueryError(str(error)) from error
-    return QueryResult(columns=labels, rows=rows, engine="fallback")
+    return QueryResult(columns=labels, rows=rows, engine="minisql")
 
 
-def resolve_engine(engine: str = "auto") -> str:
-    """Pick the concrete engine for a requested engine name."""
-    if engine not in ("auto", "duckdb", "fallback"):
-        raise QueryError(f"unknown query engine {engine!r}; "
-                         f"choose auto, duckdb or fallback")
-    if engine == "duckdb" and not duckdb_ok():
-        raise QueryError("duckdb is not installed; install the "
-                         "'analytics' extra or use --engine fallback")
-    if engine == "auto":
-        return "duckdb" if duckdb_ok() else "fallback"
-    return engine
-
-
-def query_store(store: MountedStore, sql: str,
-                engine: str = "auto") -> QueryResult:
-    """Execute SQL against an already-mounted store."""
-    resolved = resolve_engine(engine)
-    if resolved == "duckdb":
-        return _run_duckdb(store, sql)
-    return _run_fallback(store, sql)
-
-
-def run_query(root: str, sql: str, engine: str = "auto") -> QueryResult:
+def run_query(root: str, sql: str) -> QueryResult:
     """Mount every run under ``root`` and execute one query."""
-    return query_store(mount_store(root), sql, engine=engine)
+    return query_store(mount_store(root), sql)
 
 
 __all__ = [
@@ -345,9 +237,7 @@ __all__ = [
     "ROW_META_COLUMNS",
     "RUNS_COLUMNS",
     "SPAN_META_COLUMNS",
-    "duckdb_ok",
     "mount_store",
     "query_store",
-    "resolve_engine",
     "run_query",
 ]

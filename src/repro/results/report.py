@@ -20,8 +20,7 @@ content-addressed run directories) into three sections:
   executed without telemetry simply contribute nothing).
 
 Percentiles use linear interpolation between closest ranks (numpy's
-default), implemented here without numpy so the report works on the
-pure-fallback install.
+default), implemented here in pure Python.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.results.columnar import records_to_rows
-from repro.results.store import latest_run, read_manifest, scan_runs
+from repro.results.store import records_to_rows, scan_runs
 from repro.telemetry import TELEMETRY_NAME, read_events
 
 DEFAULT_PERCENTILES = (50.0, 90.0, 99.0)
@@ -119,19 +117,24 @@ def build_report(root: str, experiment: str,
     column_order: List[str] = []
     skipped: List[str] = []
     telemetry_events: List[Dict[str, Any]] = []
+    # (manifest, records) of the run the finalizers are recomputed from:
+    # the newest completed run, else the newest one (scan_runs yields
+    # newest first — the order latest_run() picks from).
+    newest = None
     for run_dir, manifest, records in scan_runs(root, experiment=name):
+        if newest is None or (manifest.get("completed")
+                              and not newest[0].get("completed")):
+            newest = (manifest, records)
         run_id = run_dir.rstrip("/").rsplit("/", 1)[-1]
         telemetry_events.extend(read_events(
             os.path.join(run_dir, TELEMETRY_NAME)))
         health = manifest.get("run_health") or {}
-        columnar = manifest.get("columnar") or {}
         runs_section.append({
             "run_id": run_id,
             "seed": manifest.get("seed"),
             "completed": bool(manifest.get("completed")),
             "rows": len(records),
             "backend": manifest.get("backend"),
-            "columnar": columnar.get("codec"),
             "wall_time_seconds": manifest.get("wall_time_seconds"),
             "health_failures": len(health.get("failures", []) or []),
         })
@@ -172,14 +175,9 @@ def build_report(root: str, experiment: str,
 
     finalizers: List[Dict[str, Any]] = []
     if registered is not None and registered.finalize is not None:
-        newest = latest_run(root, name)
-        if newest is not None:
-            manifest = read_manifest(newest)
-            from repro.results.columnar import read_records
-
-            records, _ = read_records(newest)
-            finalizers = registered.finalize(records_to_rows(records),
-                                             manifest["params"])
+        manifest, records = newest
+        finalizers = registered.finalize(records_to_rows(records),
+                                         manifest["params"])
     from repro.telemetry.timing import cell_timing_rows
 
     timing = cell_timing_rows(telemetry_events, percentiles=percentiles)

@@ -11,9 +11,7 @@ Layout::
     results/E2/1a2b3c4d5e6f/
         manifest.json   # experiment, params, seed, workers, wall time, ...
         rows.jsonl      # one {"index", "key", "row"} object per data row
-        rows.parquet    # columnar copy (or rows.columns.json), written
-                        # by finish() and verified lossless — see
-                        # repro.results.columnar
+        telemetry.jsonl # span/metric events, when telemetry is attached
 
 Rows stream to ``rows.jsonl`` the moment their cell completes (the file is
 flushed per line), so a killed run keeps everything it finished.  On
@@ -22,15 +20,19 @@ to :meth:`repro.experiments.base.Experiment.run`, which skips those cells.
 Synthetic finalizer rows (the E2/E4 exponential fits) are *never* stored;
 they are recomputed from the data rows when a run is rendered.
 
+``rows.jsonl`` is the only row format: resume, :func:`load_run` and the
+query/report layer (:func:`scan_runs`) all parse it, and this module is
+the only one that knows its layout.
+
 Two write-boundary guarantees hold for every stored line: values are
-canonical strict JSON (non-finite floats become ``null`` — ``NaN`` in a
-line would be rejected as torn by strict readers, silently dropping the
-row on resume), and the manifest rewrite that keeps ``row_count`` fresh
-is *debounced* (at most once per :data:`MANIFEST_EVERY_ROWS` rows or
-:data:`MANIFEST_MIN_INTERVAL` seconds) so ingest is not dominated by
-O(rows) whole-manifest rewrites.  Reopening a run always rewrites an
-exact manifest, so a killed run's count is corrected the moment anything
-looks at it through the store.
+canonical strict JSON (non-finite floats become ``null``; the loaders
+refuse raw ``NaN``/``Infinity`` tokens with :class:`NonFiniteRowError`
+rather than dropping such a line as torn), and the manifest rewrite that
+keeps ``row_count`` fresh is *debounced* (at most once per
+:data:`MANIFEST_EVERY_ROWS` rows or :data:`MANIFEST_MIN_INTERVAL`
+seconds) so ingest is not dominated by O(rows) whole-manifest rewrites.
+Reopening a run always rewrites an exact manifest, so a killed run's
+count is corrected the moment anything looks at it through the store.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from repro.experiments.base import Row, RowStore, cell_key_id
-from repro.results.columnar import (ColumnarInfo, CompactionError,
-                                    columnar_info, compact_run,
-                                    read_jsonl_records, read_records,
-                                    records_to_rows)
 from repro.runner.health import (RunHealth, empty_health_block,
                                  merge_health_block)
 
@@ -62,6 +60,69 @@ MANIFEST_EVERY_ROWS = 64
 #: ...or once this many seconds have passed since the last rewrite,
 #: whichever comes first.  finish()/record_health()/open() always write.
 MANIFEST_MIN_INTERVAL = 1.0
+
+
+#: One stored line's payload: ``{"index": int, "key": [...], "row": {...}}``.
+Record = Dict[str, Any]
+
+
+class NonFiniteRowError(ValueError):
+    """A stored row contains ``NaN``/``Infinity`` — the write boundary
+    canonicalizes these to ``null``, so their presence means a writer
+    bypassed :meth:`RunStore.write_row` (or predates the canonical
+    format); refusing beats strict parsers silently dropping the line."""
+
+
+def _reject_non_finite(token: str) -> Any:
+    raise NonFiniteRowError(
+        f"non-finite JSON constant {token!r} in stored rows; the store "
+        f"canonicalizes NaN/Infinity to null at the write boundary — "
+        f"rewrite the offending line (or recompute the run)")
+
+
+# One shared decoder: ``json.loads(line, parse_constant=...)`` would
+# build a fresh JSONDecoder for every line.
+_RECORD_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite)
+
+
+def parse_record_line(line: str) -> Record:
+    """Parse one jsonl record line, refusing non-finite float tokens."""
+    return _RECORD_DECODER.decode(line)
+
+
+def read_jsonl_records(rows_path: str) -> List[Record]:
+    """The tolerant line-by-line parse of ``rows.jsonl``.
+
+    Blank and torn (unparseable) lines are skipped — a killed run leaves
+    at most one torn *final* line, and the fault injector's torn-write
+    model relies on intact recovery lines following torn ones.  Lines
+    carrying ``NaN``/``Infinity`` raise :class:`NonFiniteRowError`
+    instead of being mistaken for torn lines and dropped.
+    """
+    records: List[Record] = []
+    if not os.path.exists(rows_path):
+        return records
+    with open(rows_path) as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = parse_record_line(line)
+            except json.JSONDecodeError:
+                continue
+            records.append(record)
+    return records
+
+
+def records_to_rows(records: Sequence[Record]) -> List[Row]:
+    """Data rows in cell order, last write per cell key winning."""
+    by_key: Dict[str, Tuple[int, Row]] = {}
+    for record in records:
+        by_key[cell_key_id(record["key"])] = \
+            (record["index"], record["row"])
+    return [row for _, row in
+            sorted(by_key.values(), key=lambda item: item[0])]
 
 
 def params_digest(experiment: str, params: Mapping[str, Any]) -> str:
@@ -112,7 +173,6 @@ class RunStore(RowStore):
         os.makedirs(self.path, exist_ok=True)
         self._created_at: Optional[str] = None
         self._health_block: Optional[Dict[str, Any]] = None
-        self._columnar_block: Optional[Dict[str, Any]] = None
         self._telemetry: Optional[Any] = None
         self._telemetry_block: Optional[Dict[str, Any]] = None
         self._rows_since_manifest = 0
@@ -121,7 +181,6 @@ class RunStore(RowStore):
             manifest = self.manifest
             self._created_at = manifest.get("created_at")
             self._health_block = manifest.get("run_health")
-            self._columnar_block = manifest.get("columnar")
             self._telemetry_block = manifest.get("telemetry")
             stored_backend = manifest.get("backend")
             if backend is None:
@@ -222,24 +281,8 @@ class RunStore(RowStore):
                              wall_time=self._manifest_wall_time())
 
     # -- completion ---------------------------------------------------
-    def finish(self, wall_time: float, compact: bool = True) -> None:
-        """Mark the run complete, record its wall time, and compact.
-
-        Compaction (:func:`repro.results.columnar.compact_run`) rewrites
-        the jsonl rows into a verified-lossless columnar copy for the
-        query layer; a compaction failure is reported as a warning and
-        never fails the run — ``rows.jsonl`` remains the ground truth.
-        """
-        if compact:
-            try:
-                info = compact_run(self.path)
-            except (CompactionError, OSError) as error:
-                warnings.warn(f"{self.path}: columnar compaction failed "
-                              f"({error}); queries will scan rows.jsonl",
-                              RuntimeWarning, stacklevel=2)
-                info = None
-            self._columnar_block = \
-                info.as_manifest_block() if info else None
+    def finish(self, wall_time: float) -> None:
+        """Mark the run complete and record its wall time."""
         self._write_manifest(completed=True, wall_time=wall_time)
 
     # -- artifacts ----------------------------------------------------
@@ -269,11 +312,6 @@ class RunStore(RowStore):
     def row_count(self) -> int:
         return len(self._rows)
 
-    @property
-    def columnar(self) -> Optional[ColumnarInfo]:
-        """The run's columnar copy, when one exists on disk."""
-        return columnar_info(self.path)
-
     # -- internals ----------------------------------------------------
     @property
     def _manifest_path(self) -> str:
@@ -294,9 +332,6 @@ class RunStore(RowStore):
         return self.manifest.get("wall_time_seconds")
 
     def _load_existing(self) -> None:
-        # The write-side load always parses rows.jsonl (the append-only
-        # ground truth) — resume must see rows written *after* the last
-        # compaction, so the columnar copy is only a read-path artifact.
         for record in read_jsonl_records(self._rows_path):
             self._rows[cell_key_id(record["key"])] = \
                 (record["index"], record["row"])
@@ -340,7 +375,6 @@ class RunStore(RowStore):
             "completed": completed,
             "wall_time_seconds": wall_time,
             "row_count": len(self._rows),
-            "columnar": self._columnar_block,
             "run_health": self._current_health_block(),
         }
         telemetry_block = self._current_telemetry_block()
@@ -383,14 +417,9 @@ def read_manifest(run_dir: str) -> Dict[str, Any]:
 
 
 def load_run(path: str) -> Tuple[Dict[str, Any], List[Row]]:
-    """Load a stored run: (manifest, data rows in cell order).
-
-    Reads through the columnar copy when a fresh one exists (see
-    :func:`repro.results.columnar.read_records`), so rendering large
-    stored runs does not pay the line-by-line jsonl parse.
-    """
+    """Load a stored run: (manifest, data rows in cell order)."""
     manifest = read_manifest(path)
-    records, _ = read_records(path)
+    records = read_jsonl_records(os.path.join(path, ROWS_NAME))
     return manifest, records_to_rows(records)
 
 
@@ -452,7 +481,7 @@ def scan_runs(root: str, experiment: Optional[str] = None
     for run_dir in list_runs(root, experiment=experiment):
         try:
             manifest = read_manifest(run_dir)
-            records, _ = read_records(run_dir)
+            records = read_jsonl_records(os.path.join(run_dir, ROWS_NAME))
         except (OSError, ValueError, KeyError) as error:
             warnings.warn(f"skipping unloadable run {run_dir}: {error}",
                           RuntimeWarning, stacklevel=2)
@@ -482,8 +511,13 @@ __all__ = [
     "MANIFEST_MIN_INTERVAL",
     "MANIFEST_NAME",
     "ROWS_NAME",
+    "NonFiniteRowError",
+    "Record",
     "RunStore",
     "params_digest",
+    "parse_record_line",
+    "read_jsonl_records",
+    "records_to_rows",
     "run_directory",
     "read_manifest",
     "load_run",

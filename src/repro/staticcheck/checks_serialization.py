@@ -16,7 +16,7 @@
 
 * **S3** — strict JSON in the results layer.  Python's ``json.dumps``
   happily emits ``NaN``/``Infinity`` tokens by default, which are not
-  JSON: the store's own loaders (and any columnar or SQL reader) reject
+  JSON: the store's own loaders (and any strict JSON reader) reject
   them.  The store canonicalizes non-finite floats to ``null`` at the
   write boundary, and every ``json.dump(s)`` call under ``results/``
   must pass ``allow_nan=False`` so a non-finite value that slips past

@@ -1,14 +1,15 @@
-"""Query-layer tests: mounting, the fallback engine, engine selection."""
+"""Query-layer tests: mounting, the minisql engine, the CLI."""
 
 import json
+import os
 
 import pytest
 
 from repro.experiments import get_experiment
-from repro.results import RunStore
+from repro.results import RunStore, list_runs, load_run
 from repro.results.minisql import MiniSQLError, execute
-from repro.results.query import (QueryError, duckdb_ok, mount_store,
-                                 query_store, resolve_engine, run_query)
+from repro.results.query import (RUNS_COLUMNS, QueryError, mount_store,
+                                 run_query)
 
 PEOPLE = [
     {"name": "ada", "team": "a", "score": 3, "bonus": None},
@@ -109,7 +110,6 @@ class TestMountStore:
         assert len(store.tables["runs"]) == 2
         runs = store.tables["runs"]
         assert all(run["row_count"] == 4 for run in runs)
-        assert all(run["columnar_codec"] is not None for run in runs)
         rows = store.tables["rows"]
         assert len(rows) == 8
         first = rows[0]
@@ -130,13 +130,13 @@ class TestMountStore:
         assert len(store.tables["runs"]) == 1
 
 
-class TestFallbackEngine:
+class TestRunQuery:
     def test_run_query_end_to_end(self, tmp_path):
         root = _store_with_runs(tmp_path)
         result = run_query(
             root, "SELECT seed, COUNT(*) AS n FROM rows "
-                  "GROUP BY seed ORDER BY seed", engine="fallback")
-        assert result.engine == "fallback"
+                  "GROUP BY seed ORDER BY seed")
+        assert result.engine == "minisql"
         assert result.columns == ["seed", "n"]
         assert result.rows == [(1, 4), (2, 4)]
         assert result.as_dicts()[0] == {"seed": 1, "n": 4}
@@ -144,26 +144,58 @@ class TestFallbackEngine:
     def test_experiment_pseudo_table(self, tmp_path):
         root = _store_with_runs(tmp_path, seeds=(1,))
         result = run_query(
-            root, "SELECT n, success_probability FROM E8 WHERE n = 50",
-            engine="fallback")
+            root, "SELECT n, success_probability FROM E8 WHERE n = 50")
         assert len(result.rows) == 1
         assert result.rows[0][0] == 50
 
     def test_bad_sql_raises_query_error(self, tmp_path):
         root = _store_with_runs(tmp_path, seeds=(1,))
-        with pytest.raises(QueryError, match="analytics"):
-            run_query(root, "SELECT frobnicate(", engine="fallback")
+        with pytest.raises(QueryError, match="supports SELECT"):
+            run_query(root, "SELECT frobnicate(")
 
-    def test_engine_resolution(self):
-        with pytest.raises(QueryError, match="unknown query engine"):
-            resolve_engine("sqlite")
-        assert resolve_engine("fallback") == "fallback"
-        if duckdb_ok():
-            assert resolve_engine("auto") == "duckdb"
-        else:
-            assert resolve_engine("auto") == "fallback"
-            with pytest.raises(QueryError, match="not installed"):
-                resolve_engine("duckdb")
+    def test_rows_table_matches_load_run(self, tmp_path):
+        root = _store_with_runs(tmp_path, seeds=(1,))
+        [run_dir] = list_runs(root)
+        stored = load_run(run_dir)[1]
+        result = run_query(root, "SELECT * FROM rows ORDER BY row_index")
+        assert [{column: row[column] for column in stored_row}
+                for row, stored_row in zip(result.as_dicts(), stored)] \
+            == stored
+        assert len(result.rows) == len(stored)
+
+    def test_rows_appended_after_finish_are_visible(self, tmp_path):
+        root = _store_with_runs(tmp_path, seeds=(1,))
+        [run_dir] = list_runs(root)
+        with open(os.path.join(run_dir, "rows.jsonl"), "a") as handle:
+            handle.write(json.dumps({"index": 99, "key": ["extra"],
+                                     "row": {"n": 7}}) + "\n")
+        result = run_query(root, "SELECT n FROM rows WHERE n = 7")
+        assert result.rows == [(7,)]
+
+    def test_torn_final_line_hides_no_rows(self, tmp_path):
+        root = _store_with_runs(tmp_path, seeds=(1,))
+        [run_dir] = list_runs(root)
+        with open(os.path.join(run_dir, "rows.jsonl"), "a") as handle:
+            handle.write('{"index": 99, "key": ["torn"')
+        result = run_query(root, "SELECT COUNT(*) AS n FROM rows")
+        assert result.rows == [(4,)]
+
+    def test_run_with_a_raw_nan_line_is_skipped(self, tmp_path):
+        root = _store_with_runs(tmp_path)
+        bad_dir = list_runs(root)[0]
+        with open(os.path.join(bad_dir, "rows.jsonl"), "a") as handle:
+            handle.write('{"index": 9, "key": ["bad"], '
+                         '"row": {"x": NaN}}\n')
+        with pytest.warns(RuntimeWarning, match="non-finite"):
+            result = run_query(root, "SELECT run_id FROM runs")
+        assert [row[0] for row in result.rows] == \
+            [os.path.basename(list_runs(root)[1])]
+
+    def test_runs_table_has_the_declared_columns(self, tmp_path):
+        root = _store_with_runs(tmp_path, seeds=(1,))
+        store = mount_store(root)
+        assert store.columns["runs"] == list(RUNS_COLUMNS)
+        assert set(store.tables["runs"][0]) == set(RUNS_COLUMNS)
 
 
 class TestQueryCLI:
@@ -177,6 +209,7 @@ class TestQueryCLI:
         out = capsys.readouterr().out
         assert "seed" in out and "n" in out
         assert "2 row(s)" in out
+        assert "via the minisql engine" in out
 
     def test_query_json_output(self, tmp_path, capsys):
         from repro.cli import main
@@ -185,6 +218,7 @@ class TestQueryCLI:
         assert main(["query", "SELECT run_id, row_count FROM runs",
                      "--out", root, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["engine"] == "minisql"
         assert payload["columns"] == ["run_id", "row_count"]
         assert payload["rows"][0][1] == 4
 
@@ -201,33 +235,5 @@ class TestQueryCLI:
         from repro.cli import main
 
         root = _store_with_runs(tmp_path, seeds=(1,))
-        assert main(["query", "EXPLODE please", "--out", root,
-                     "--engine", "fallback"]) == 2
+        assert main(["query", "EXPLODE please", "--out", root]) == 2
         assert "repro query" in capsys.readouterr().err
-
-
-@pytest.mark.skipif(not duckdb_ok(), reason="duckdb not installed")
-class TestDuckDBEngine:
-    def test_matches_fallback_on_shared_subset(self, tmp_path):
-        root = _store_with_runs(tmp_path)
-        store = mount_store(root)
-        sql = ("SELECT seed, COUNT(*) AS n FROM rows "
-               "GROUP BY seed ORDER BY seed")
-        duck = query_store(store, sql, engine="duckdb")
-        fallback = query_store(store, sql, engine="fallback")
-        assert duck.engine == "duckdb"
-        assert duck.columns == fallback.columns
-        assert [tuple(row) for row in duck.rows] == fallback.rows
-
-    def test_experiment_view_and_sql_breadth(self, tmp_path):
-        root = _store_with_runs(tmp_path, seeds=(1,))
-        result = run_query(
-            root, "SELECT r.n FROM E8 AS r JOIN runs USING (run_id) "
-                  "WHERE runs.completed ORDER BY r.n LIMIT 1",
-            engine="duckdb")
-        assert result.rows[0][0] == 50
-
-    def test_bad_sql_raises_query_error(self, tmp_path):
-        root = _store_with_runs(tmp_path, seeds=(1,))
-        with pytest.raises(QueryError, match="duckdb rejected"):
-            run_query(root, "SELECT FROM WHERE", engine="duckdb")

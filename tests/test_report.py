@@ -1,6 +1,7 @@
 """Report tests: percentiles, aggregation, recomputed finalizer rows."""
 
 import json
+import os
 
 import pytest
 
@@ -67,6 +68,75 @@ class TestBuildReport:
         assert report.finalizers == \
             experiment.finalize(rows, manifest["params"])
         assert report.finalizers  # E2 stores none, recomputes the fit
+
+    def test_finalizers_skip_a_fresher_partial_run(self, tmp_path):
+        store = _run(tmp_path, "E2", E2_PARAMS)
+        experiment = get_experiment("E2")
+        partial = RunStore.open(
+            str(tmp_path), "E2",
+            experiment.resolve_params(dict(E2_PARAMS, seed=10)))
+        later = os.path.getmtime(os.path.join(store.path,
+                                              "manifest.json")) + 10
+        os.utime(os.path.join(partial.path, "manifest.json"),
+                 (later, later))
+        report = build_report(str(tmp_path), "E2")
+        assert [run["completed"] for run in report.runs] == [False, True]
+        manifest, rows = load_run(store.path)
+        assert report.finalizers == \
+            experiment.finalize(rows, manifest["params"])
+
+    def test_reads_each_run_once(self, tmp_path, monkeypatch):
+        from repro.results import store as store_module
+
+        _run(tmp_path, "E2", E2_PARAMS)
+        _run(tmp_path, "E2", dict(E2_PARAMS, seed=10))
+        reads = []
+
+        def counted(name):
+            real = getattr(store_module, name)
+
+            def read(path):
+                reads.append(path)
+                return real(path)
+            monkeypatch.setattr(store_module, name, read)
+
+        counted("read_manifest")
+        counted("read_jsonl_records")
+        report = build_report(str(tmp_path), "E2")
+        assert report.finalizers
+        assert len(reads) == 2 * len(report.runs) == 4
+        assert len(set(reads)) == len(reads)
+
+    def test_run_summary_fields(self, tmp_path):
+        store = _run(tmp_path, "E8", {"cs": (0.1,), "ns": (50,), "seed": 1})
+        [run] = build_report(str(tmp_path), "E8").runs
+        assert run == {"run_id": os.path.basename(store.path), "seed": 1,
+                       "completed": True, "rows": 4,
+                       "backend": store.manifest["backend"],
+                       "wall_time_seconds": 0.1, "health_failures": 0}
+
+    def test_resumed_run_reports_like_an_uninterrupted_one(self, tmp_path):
+        experiment = get_experiment("E2")
+        params = experiment.resolve_params(E2_PARAMS)
+        _run(tmp_path / "whole", "E2", E2_PARAMS)
+        root = tmp_path / "resumed"
+        killed = RunStore.open(str(root), "E2", params, workers=0)
+        rows = experiment.run(params=params, workers=0, store=killed)
+        stored = killed.row_count
+        # Drop the last stored row, as a kill before its write would.
+        rows_path = os.path.join(killed.path, "rows.jsonl")
+        lines = open(rows_path).readlines()
+        with open(rows_path, "w") as handle:
+            handle.writelines(lines[:-1])
+        resumed = RunStore.open(str(root), "E2", params, workers=0)
+        assert resumed.row_count == stored - 1
+        assert experiment.run(params=params, workers=0,
+                              store=resumed) == rows
+        resumed.finish(wall_time=0.1)
+        whole = build_report(str(tmp_path / "whole"), "E2")
+        again = build_report(str(root), "E2")
+        assert again.cells == whole.cells
+        assert again.finalizers == whole.finalizers
 
     def test_custom_percentiles(self, tmp_path):
         _run(tmp_path, "E8", {"cs": (0.1,), "ns": (50,), "seed": 1})

@@ -2,16 +2,27 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
 import repro.experiments.base as base
 from repro.experiments import get_experiment
 from repro.results import (RunStore, latest_run, list_runs, load_run,
-                           params_digest, run_directory)
+                           params_digest, read_manifest, run_directory)
+from repro.results.store import (NonFiniteRowError, parse_record_line,
+                                 read_jsonl_records, records_to_rows,
+                                 scan_runs)
+from repro.telemetry import Telemetry
 
 E2_PARAMS = {"ns": (12, 16), "trials": 1, "max_windows": 200000,
              "use_resets": True, "seed": 9}
+
+#: A two-row E2 store written by the release that also kept a
+#: ``rows.columns.json`` copy of every run (and a ``columnar`` manifest
+#: block), with that release's ``repro query``/``repro report`` outputs
+#: over it in ``expected.json``.
+LEGACY_STORE = os.path.join(os.path.dirname(__file__), "legacy_store")
 
 
 def _resolved(name, params):
@@ -168,9 +179,9 @@ class TestResume:
                               store=rerun_store) == reference
         assert executed == []
 
-    def test_resume_sees_rows_written_after_compaction(self, tmp_path):
-        # The columnar copy must never feed resume: only rows.jsonl can,
-        # or rows appended after the last compaction would recompute.
+    def test_resume_sees_rows_written_after_finish(self, tmp_path):
+        # Rows appended after finish() must feed the next resume, or
+        # those cells would recompute.
         experiment = get_experiment("E8")
         params = _resolved("E8", {"cs": (0.1,), "ns": (50,), "seed": 1})
         store = RunStore.open(str(tmp_path), "E8", params)
@@ -193,6 +204,201 @@ class TestResume:
         assert reopened.rows() == rows
         # And the resumed run completes the table without the torn cell.
         assert experiment.run(params=params, store=reopened) == rows
+
+    def test_kill_resume_reads_back_bit_identical(self, tmp_path):
+        """kill -> resume -> finish stores exactly the uninterrupted run."""
+        experiment = get_experiment("E2")
+        params = _resolved("E2", E2_PARAMS)
+        whole = RunStore.open(str(tmp_path / "whole"), "E2", params,
+                              workers=0)
+        experiment.run(params=params, workers=0, store=whole)
+        whole.finish(wall_time=0.1)
+
+        root = str(tmp_path / "resumed")
+        killed = _KillAfter(run_directory(root, "E2", params), "E2",
+                            params, kill_after=1)
+        with pytest.raises(KeyboardInterrupt):
+            experiment.run(params=params, workers=0, store=killed)
+        resumed = RunStore.open(root, "E2", params, workers=0)
+        experiment.run(params=params, workers=0, store=resumed)
+        resumed.finish(wall_time=0.2)
+
+        def rows_bytes(store):
+            with open(os.path.join(store.path, "rows.jsonl"), "rb") as fh:
+                return fh.read()
+
+        assert rows_bytes(resumed) == rows_bytes(whole)
+        assert load_run(resumed.path)[1] == load_run(whole.path)[1] \
+            == resumed.rows()
+
+
+class TestJsonlReader:
+    def _write(self, tmp_path, lines):
+        rows_path = str(tmp_path / "rows.jsonl")
+        with open(rows_path, "w") as handle:
+            handle.writelines(lines)
+        return rows_path
+
+    def test_nan_line_raises_instead_of_dropping(self, tmp_path):
+        rows_path = self._write(
+            tmp_path, ['{"index": 0, "key": ["a"], "row": {"x": NaN}}\n'])
+        with pytest.raises(NonFiniteRowError, match="NaN"):
+            read_jsonl_records(rows_path)
+
+    def test_torn_lines_are_skipped(self, tmp_path):
+        records = [{"index": 0, "key": ["a", 1], "row": {"n": 5}},
+                   {"index": 1, "key": ["a", 2], "row": {"p": 0.25}}]
+        rows_path = self._write(
+            tmp_path,
+            ['{"index": 7, "key": ["to\n',  # torn, then its recovery
+             *(json.dumps(record) + "\n" for record in records),
+             "\n",
+             '{"index": 9, "key": ["torn"'])  # torn final line
+        assert read_jsonl_records(rows_path) == records
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_every_non_finite_token_raises(self, token):
+        line = '{"index": 0, "key": ["a"], "row": {"x": [1, %s]}}' % token
+        with pytest.raises(NonFiniteRowError, match=token):
+            parse_record_line(line)
+
+    def test_missing_rows_file_reads_as_no_records(self, tmp_path):
+        assert read_jsonl_records(str(tmp_path / "rows.jsonl")) == []
+        params = _resolved("E8", {"cs": (0.1,), "ns": (50,), "seed": 1})
+        store = RunStore.open(str(tmp_path), "E8", params)
+        assert load_run(store.path)[1] == []
+
+    def test_records_to_rows_last_write_wins_in_cell_order(self):
+        records = [{"index": 2, "key": ["c"], "row": {"v": 1}},
+                   {"index": 0, "key": ["a"], "row": {"v": 2}},
+                   {"index": 1, "key": ["b"], "row": {"v": 3}},
+                   {"index": 0, "key": ["a"], "row": {"v": 4}}]
+        assert records_to_rows(records) == [{"v": 4}, {"v": 3}, {"v": 1}]
+
+    def test_parse_builds_no_decoder_per_line(self, monkeypatch):
+        from repro.results import store as store_module
+
+        def no_new_decoders(*args, **kwargs):
+            raise AssertionError("a JSONDecoder was built per line")
+
+        monkeypatch.setattr(store_module.json, "JSONDecoder",
+                            no_new_decoders)
+        monkeypatch.setattr(store_module.json, "loads", no_new_decoders)
+        assert parse_record_line('{"index": 0, "key": [], "row": {}}') \
+            == {"index": 0, "key": [], "row": {}}
+
+    def test_round_trip_keeps_values_and_types(self, tmp_path):
+        params = _resolved("E8", {"cs": (0.1,), "ns": (50,), "seed": 1})
+        store = RunStore.open(str(tmp_path), "E8", params)
+        rows = [{"int": 1, "float": 1.0, "sum": 0.1 + 0.2, "tiny": 5e-324,
+                 "big": 2 ** 60, "none": None, "flag": True,
+                 "text": "née \"q\"", "grid": [[1, 2.5], []]},
+                {"int": -3, "float": -0.0, "nested": {"k": [None, 1]}}]
+        for index, row in enumerate(rows):
+            store.write_row(index, [f"cell-{index}"], row)
+        loaded = load_run(store.path)[1]
+        assert loaded == rows
+        assert [json.dumps(row) for row in loaded] == \
+            [json.dumps(row) for row in rows]
+        assert type(loaded[0]["int"]) is int
+        assert type(loaded[0]["float"]) is float
+
+
+class TestFinishedRunFiles:
+    def test_finish_writes_only_manifest_rows_and_telemetry(self,
+                                                             tmp_path):
+        experiment = get_experiment("E8")
+        params = _resolved("E8", {"cs": (0.1,), "ns": (50,), "seed": 1})
+        telemetry = Telemetry()
+        store = RunStore.open(str(tmp_path), "E8", params)
+        store.attach_telemetry(telemetry)
+        experiment.run(params=params, store=store, telemetry=telemetry)
+        telemetry.close()
+        store.finish(wall_time=0.1)
+        assert sorted(os.listdir(store.path)) == \
+            ["manifest.json", "rows.jsonl", "telemetry.jsonl"]
+
+
+class TestLegacyStore:
+    """Stores that also carry a ``rows.columns.json`` copy still read."""
+
+    @pytest.fixture
+    def legacy(self, tmp_path):
+        root = tmp_path / "results"
+        shutil.copytree(os.path.join(LEGACY_STORE, "E2"), root / "E2")
+        with open(os.path.join(LEGACY_STORE, "expected.json")) as handle:
+            expected = json.load(handle)
+        run_dir = list_runs(str(root))[0]
+        assert os.path.exists(os.path.join(run_dir, "rows.columns.json"))
+        assert read_manifest(run_dir)["columnar"]
+        return str(root), run_dir, expected
+
+    def _cli(self, capsys, argv):
+        from repro.cli import main
+
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_load_run_reads_identical_rows(self, legacy):
+        _, run_dir, expected = legacy
+        assert load_run(run_dir)[1] == expected["rows"]
+
+    def test_query_reads_identical_rows(self, legacy, capsys):
+        root, _, expected = legacy
+        payload = self._cli(capsys, ["query", "SELECT * FROM rows",
+                                     "--out", root, "--format", "json"])
+        assert {"columns": payload["columns"],
+                "rows": payload["rows"]} == expected["query"]
+
+    def test_report_reads_identical_rows(self, legacy, capsys):
+        root, _, expected = legacy
+        payload = self._cli(capsys, ["report", "E2", "--out", root,
+                                     "--format", "json"])
+        assert {key: payload[key] for key in expected["report"]} == \
+            expected["report"]
+
+    def test_scan_runs_yields_the_jsonl_records(self, legacy):
+        root, run_dir, expected = legacy
+        [(scanned_dir, manifest, records)] = list(scan_runs(root))
+        assert scanned_dir == run_dir
+        assert manifest["experiment"] == "E2"
+        assert records_to_rows(records) == expected["rows"]
+
+    def test_tampered_columnar_copy_is_never_read(self, legacy, capsys):
+        root, run_dir, expected = legacy
+        with open(os.path.join(run_dir, "rows.columns.json"), "w") as fh:
+            fh.write('{"columns": ["n"], "rows": 1}\n[[999]]\n')
+        assert load_run(run_dir)[1] == expected["rows"]
+        payload = self._cli(capsys, ["query", "SELECT * FROM rows",
+                                     "--out", root, "--format", "json"])
+        assert payload["rows"] == expected["query"]["rows"]
+
+    def test_show_renders_the_stored_rows(self, legacy, capsys):
+        from repro.cli import main
+
+        _, run_dir, _ = legacy
+        assert main(["show", run_dir]) == 0
+        out = capsys.readouterr().out
+        assert "columnar" not in out
+        assert "66" in out  # mean windows of the n=10 row
+
+    def test_resume_reuses_the_stored_rows(self, legacy):
+        root, run_dir, expected = legacy
+        manifest = read_manifest(run_dir)
+        experiment = get_experiment("E2")
+        params = experiment.resolve_params(manifest["params"])
+        store = RunStore.open(root, "E2", params, workers=0)
+        assert store.path == run_dir
+        assert store.row_count == len(expected["rows"])
+        rows_path = os.path.join(run_dir, "rows.jsonl")
+        before = open(rows_path, "rb").read()
+        rows = experiment.run(params=params, workers=0, store=store)
+        store.finish(wall_time=0.1)
+        # Every cell was already stored: nothing recomputed or appended.
+        assert open(rows_path, "rb").read() == before
+        assert [row for row in rows if row in expected["rows"]] == \
+            expected["rows"]
+        assert "columnar" not in read_manifest(run_dir)
 
 
 class TestManifestDebounce:
@@ -281,8 +487,6 @@ class TestNonFiniteCanonicalization:
         assert store.manifest["params"]["threshold"] is None
 
     def test_loader_rejects_raw_nan_lines_loudly(self, tmp_path):
-        from repro.results.columnar import NonFiniteRowError
-
         params = _resolved("E8", {"cs": (0.1,), "ns": (50,), "seed": 1})
         store = RunStore.open(str(tmp_path), "E8", params)
         store.write_row(0, ["cell"], {"n": 1})

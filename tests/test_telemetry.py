@@ -225,7 +225,7 @@ class TestObserverEffect:
 
         bare = RunStore.open(str(tmp_path / "bare"), "E2", params)
         experiment.run(params=params, workers=0, store=bare)
-        bare.finish(wall_time=0.0, compact=False)
+        bare.finish(wall_time=0.0)
 
         telemetry = Telemetry()
         traced = RunStore.open(str(tmp_path / "traced"), "E2", params)
@@ -233,7 +233,7 @@ class TestObserverEffect:
         experiment.run(params=params, workers=0, store=traced,
                        telemetry=telemetry)
         telemetry.close()
-        traced.finish(wall_time=0.0, compact=False)
+        traced.finish(wall_time=0.0)
 
         def rows_bytes(store):
             with open(os.path.join(store.path, "rows.jsonl"), "rb") as fh:
@@ -309,7 +309,7 @@ class TestKillResume:
         rows = experiment.run(params=params, workers=0, store=resumed,
                               telemetry=second)
         second.close()
-        resumed.finish(wall_time=0.1, compact=False)
+        resumed.finish(wall_time=0.1)
 
         assert rows == reference
         block = resumed.manifest["telemetry"]
