@@ -11,17 +11,18 @@ of real runs.
 
 Import surface:
 
-* :class:`~repro.batched.runner.BatchedRunner` — the backend front-end
-  (grouping, fallback, stats).
 * :mod:`~repro.batched.support` — capability gating
-  (:func:`~repro.batched.support.unsupported_reason`) and backend name
+  (:func:`~repro.batched.support.unsupported_reason`), the one grouping
+  rule (:func:`~repro.batched.support.group_specs`) and backend name
   resolution (:func:`~repro.batched.support.resolve_backend`).
 * :class:`~repro.batched.engine.BatchedWindowEngine` — the vectorized
-  engine itself (import lazily; it requires numpy).
+  engine, and :func:`~repro.batched.engine.run_group`, which
+  :class:`~repro.runner.supervisor.SupervisedRunner` runs for each
+  batched chunk (import lazily; it requires numpy).
 
 ``repro.batched.support`` imports without numpy installed; the engine
-does not, which is why the runner defers importing it until a batch is
-actually formed.
+does not, which is why the runner defers importing it until a batched
+chunk actually runs.
 """
 
 from repro.batched.support import (
@@ -29,7 +30,9 @@ from repro.batched.support import (
     BACKEND_BATCHED,
     BACKEND_TRIAL,
     BACKENDS,
+    MIN_BATCH,
     batch_signature,
+    group_specs,
     numpy_ok,
     resolve_backend,
     unsupported_reason,
@@ -40,7 +43,9 @@ __all__ = [
     "BACKEND_AUTO",
     "BACKEND_BATCHED",
     "BACKEND_TRIAL",
+    "MIN_BATCH",
     "batch_signature",
+    "group_specs",
     "numpy_ok",
     "resolve_backend",
     "unsupported_reason",

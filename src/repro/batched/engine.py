@@ -38,9 +38,9 @@ Bit identity dictates the design:
 **Quarantine** is the batch's escape hatch: a trial whose execution
 leaves the vectorizable envelope (deep channel backlog, far-future
 round, crash budget overflow) is dropped from the batch *without a
-result* and reported back to :class:`~repro.batched.runner.BatchedRunner`,
-which re-runs it through the per-trial oracle.  Quarantine therefore
-affects speed, never values.
+result* and reported back to the caller; :func:`run_group` re-runs it
+through the per-trial oracle.  Quarantine therefore affects speed, never
+values.
 
 The engine stops per trial exactly like ``WindowEngine.run``: the stop
 predicate (``stop_when``) is evaluated *before* each window, and a trial
@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.batched.support import effective_thresholds, replay_windows
 from repro.determinism import seeded_rng
-from repro.runner.spec import TrialSpec
+from repro.runner.spec import TrialSpec, execute_trial
 from repro.simulation.trace import ExecutionResult
 
 RING_SLOTS = 8
@@ -85,6 +85,21 @@ _VALUE_SHIFT = 1
 
 def _popcount(mask: np.ndarray) -> np.ndarray:
     return np.bitwise_count(mask).astype(np.int64)
+
+
+def run_group(specs: Sequence[TrialSpec],
+              phase_timers: Optional[Dict[str, float]] = None
+              ) -> Tuple[List[ExecutionResult], int]:
+    """One batched chunk, complete: ``(results, quarantined_count)``.
+
+    Trials the engine quarantines mid-batch are re-executed here on the
+    per-trial oracle, so every position holds a result.
+    """
+    results, quarantined = BatchedWindowEngine(
+        specs, phase_timers=phase_timers).run()
+    for index in quarantined:
+        results[index] = execute_trial(specs[index])
+    return results, len(quarantined)
 
 
 class BatchedWindowEngine:
@@ -1122,4 +1137,4 @@ class _SplitVoteDriver:
             self.budget = self.budget[keep]
 
 
-__all__ = ["BatchedWindowEngine", "RING_SLOTS", "CHANNEL_DEPTH"]
+__all__ = ["BatchedWindowEngine", "RING_SLOTS", "CHANNEL_DEPTH", "run_group"]

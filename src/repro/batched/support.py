@@ -11,22 +11,27 @@ oracle.  This module is the single place where that boundary is defined:
   provide ``np.bitwise_count``) every spec simply reports unsupported and
   the runner degrades to the per-trial path.
 * :func:`unsupported_reason` — ``None`` when a spec is vectorizable, else
-  a short human-readable reason (surfaced in runner fallback stats).
+  a short human-readable reason (counted as `fallback_reason:<reason>`).
 * :func:`batch_signature` — the grouping key: specs with equal signatures
   share one :class:`~repro.batched.engine.BatchedWindowEngine` run.
+* :func:`group_specs` — the one grouping rule: the batched groups, the
+  per-trial remainder and the fallback reasons of a spec list.  The
+  executor dispatches exactly these groups and the differential harness
+  checks exactly these groups.
 * :func:`resolve_backend` — maps the CLI/TrialSpec backend names
   (``trial`` / ``batched`` / ``auto``) to the backend actually used.
 
 The support checks are deliberately conservative: whenever the per-trial
 oracle would *raise* for a spec (invalid thresholds, oversized silenced
 set, ``pad="error"`` replay exhaustion, crash budget overflow), the spec
-is declared unsupported so the inner runner reproduces the exact failure
-instead of the batch engine having to emulate exception timing.
+is declared unsupported so the per-trial path reproduces the exact
+failure instead of the batch engine having to emulate exception timing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from collections import Counter
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.thresholds import ThresholdConfig, default_thresholds
 from repro.runner.spec import TrialSpec
@@ -50,6 +55,9 @@ MAX_PROCESSORS = 64
 #: chain depth into 24-bit fields (round can cascade up to ``n`` times
 #: per window, so the safe cap is ``2**24 / MAX_PROCESSORS``).
 MAX_WINDOW_CAP = 200_000
+
+MIN_BATCH = 2
+"""Smallest group worth building array state for; singletons fall back."""
 
 _RT_KWARGS = frozenset({"thresholds", "validate_thresholds"})
 _SPLIT_KWARGS = frozenset({"block_threshold", "seed"})
@@ -206,12 +214,46 @@ def batch_signature(spec: TrialSpec) -> Tuple[Any, ...]:
             spec.stop_when)
 
 
+class BatchPlan(NamedTuple):
+    """``groups``: ``(signature, member indices)`` per batched group, in
+    order of first member; ``per_trial``: every other index, ascending;
+    ``reasons``: fallback reason -> specs it sent per-trial."""
+
+    groups: List[Tuple[Tuple[Any, ...], List[int]]]
+    per_trial: List[int]
+    reasons: Counter
+
+
+def group_specs(specs: Sequence[TrialSpec]) -> BatchPlan:
+    """Split ``specs`` into batched groups and per-trial fallbacks:
+    :func:`unsupported_reason` gates each spec, :func:`batch_signature`
+    groups the rest, and groups under :data:`MIN_BATCH` fall back."""
+    reasons: Counter = Counter()
+    per_trial: List[int] = []
+    by_signature: Dict[Tuple[Any, ...], List[int]] = {}
+    for index, spec in enumerate(specs):
+        reason = unsupported_reason(spec)
+        if reason is None:
+            by_signature.setdefault(batch_signature(spec), []).append(index)
+        else:
+            reasons[reason] += 1
+            per_trial.append(index)
+    groups = []
+    for signature, members in by_signature.items():
+        if len(members) < MIN_BATCH:
+            reasons[f"batch smaller than {MIN_BATCH}"] += len(members)
+            per_trial.extend(members)
+        else:
+            groups.append((signature, members))
+    return BatchPlan(groups, sorted(per_trial), reasons)
+
+
 def resolve_backend(backend: Optional[str]) -> str:
     """Map a requested backend name to the backend actually used.
 
     ``auto`` selects ``batched`` exactly when numpy is available; an
-    explicit ``batched`` without numpy also degrades to ``trial`` (the
-    batched runner would pass every spec through anyway).
+    explicit ``batched`` without numpy also degrades to ``trial`` (every
+    spec would take the per-trial path anyway).
     """
     if backend is None:
         return BACKEND_TRIAL
@@ -230,8 +272,11 @@ __all__ = [
     "BACKEND_TRIAL",
     "MAX_PROCESSORS",
     "MAX_WINDOW_CAP",
+    "MIN_BATCH",
+    "BatchPlan",
     "batch_signature",
     "effective_thresholds",
+    "group_specs",
     "numpy_ok",
     "replay_windows",
     "resolve_backend",

@@ -502,18 +502,24 @@ def _cmd_show(args: argparse.Namespace) -> int:
 def _show_timing(run_dir: str) -> None:
     """The ``show --timing`` section: percentiles + slowest span tree."""
     from repro.telemetry import TELEMETRY_NAME, read_events
-    from repro.telemetry.timing import (cell_timing_rows,
+    from repro.telemetry.timing import (batch_timing_rows,
+                                        cell_timing_rows,
                                         render_span_chain,
                                         slowest_trial_chain)
 
     events = read_events(os.path.join(run_dir, TELEMETRY_NAME))
     timing_rows = cell_timing_rows(events)
-    if not timing_rows:
+    batch_rows = batch_timing_rows(events)
+    if not timing_rows and not batch_rows:
         print("\nno trial timing recorded for this run "
               "(was it executed with --no-telemetry?)")
         return
-    print("\n-- trial timing (telemetry, ms) --")
-    print(format_table(timing_rows))
+    if timing_rows:
+        print("\n-- trial timing (telemetry, ms) --")
+        print(format_table(timing_rows))
+    if batch_rows:
+        print("\n-- batch timing (telemetry, ms) --")
+        print(format_table(batch_rows))
     chain = slowest_trial_chain(events)
     if chain:
         print("\nslowest trial:")

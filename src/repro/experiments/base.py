@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from repro.runner import TrialSpec, iter_trials, run_trials
+from repro.runner import TrialSpec, iter_trials
 from repro.runner.health import RunHealth, TrialFailure
 from repro.simulation.trace import ExecutionResult
 
@@ -146,15 +146,14 @@ class Experiment:
             telemetry: Optional[Any] = None) -> List[Row]:
         """Run the experiment and return its rows.
 
-        Without a ``store`` the whole spec batch goes through one
-        :func:`repro.runner.run_trials` call.  With a ``store``, cells
-        whose rows the store already holds are skipped entirely (the
-        resume path) and the remaining cells' specs are submitted as one
-        streamed batch — full worker fan-out, with each row written to
-        disk the moment its cell's results arrive.  Both paths produce
-        identical rows because every seed is fixed at cell-build time.
+        Cells whose rows the ``store`` already holds are skipped entirely
+        (the resume path); the remaining cells' specs are submitted as
+        one streamed batch — full worker fan-out, with each row built
+        (and, with a store, written to disk) as soon as its cell's
+        results arrive.  Rows are identical with or without a store
+        because every seed is fixed at cell-build time.
 
-        Execution always goes through the supervising executor
+        Execution always goes through the one executor
         (:class:`~repro.runner.supervisor.SupervisedRunner`): retries and
         broken-pool recovery are on by default, tunable via ``policy``.
         A cell whose trials exhausted every recovery rung yields no row —
@@ -163,9 +162,9 @@ class Experiment:
         later resume retries exactly the missing cells.
 
         ``backend`` selects the execution backend: ``"batched"`` (or
-        ``"auto"`` with numpy present) routes vectorizable spec groups
-        through :class:`~repro.batched.runner.BatchedRunner`, with
-        bit-identical results by contract.
+        ``"auto"`` with numpy present) runs each vectorizable spec group
+        as one chunk on the batched engine, with bit-identical results by
+        contract.  Chaos applies to batched chunks too.
 
         ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry`
         recorder: each pending cell's consumption becomes a ``cell``
@@ -181,55 +180,42 @@ class Experiment:
             policy = ExecutionPolicy()
         if health is None:
             health = RunHealth()
-        rows: List[Row] = []
-        if store is None:
-            batch = [spec for cell in cells for spec in cell.specs]
+        completed = store.completed_rows() if store is not None else {}
+        pending = [(index, cell) for index, cell in enumerate(cells)
+                   if cell_key_id(cell.key) not in completed]
+        if telemetry is not None:
+            telemetry.gauge("cells_total", len(cells))
+            telemetry.gauge("trials_total", sum(
+                len(cell.specs) for _, cell in pending))
+        stream = iter_trials(
+            [spec for _, cell in pending for spec in cell.specs],
+            workers=workers, policy=policy, health=health,
+            backend=backend, telemetry=telemetry)
+        fresh: Dict[int, Row] = {}
+        for index, cell in pending:
             if telemetry is not None:
-                telemetry.gauge("trials_total", len(batch))
-            results = run_trials(batch, workers=workers, policy=policy,
-                                 health=health, backend=backend,
-                                 telemetry=telemetry)
-            offset = 0
-            for cell in cells:
-                chunk = results[offset:offset + len(cell.specs)]
-                offset += len(cell.specs)
-                if not _cell_failed(chunk):
-                    rows.append(cell.build_row(chunk))
-        else:
-            completed = store.completed_rows()
-            pending = [(index, cell) for index, cell in enumerate(cells)
-                       if cell_key_id(cell.key) not in completed]
-            if telemetry is not None:
-                telemetry.gauge("cells_total", len(cells))
-                telemetry.gauge("trials_total", sum(
-                    len(cell.specs) for _, cell in pending))
-            stream = iter_trials(
-                [spec for _, cell in pending for spec in cell.specs],
-                workers=workers, policy=policy, health=health,
-                backend=backend, telemetry=telemetry)
-            fresh: Dict[int, Row] = {}
-            for index, cell in pending:
-                if telemetry is not None:
-                    # Chunk/trial spans recorded while this cell's
-                    # results are consumed nest under its span; a chunk
-                    # crossing cell boundaries books under the cell that
-                    # consumed it (documented in PERFORMANCE.md).
-                    with telemetry.span("cell", cell=list(cell.key)):
-                        chunk = [next(stream) for _ in cell.specs]
-                else:
+                # Chunk/batch/trial spans recorded while this cell's
+                # results are consumed nest under its span; a chunk
+                # crossing cell boundaries books under the cell that
+                # consumed its first spec (see PERFORMANCE.md).
+                with telemetry.span("cell", cell=list(cell.key)):
                     chunk = [next(stream) for _ in cell.specs]
-                if _cell_failed(chunk):
-                    # The failure is already in the health ledger; the
-                    # cell stays unwritten so a resume retries it.
-                    continue
-                row = cell.build_row(chunk)
-                store.write_row(index, cell.key, row)
-                fresh[index] = row
-            for index, cell in enumerate(cells):
-                stored = completed.get(cell_key_id(cell.key))
-                row = fresh.get(index) if stored is None else stored
-                if row is not None:
-                    rows.append(row)
+            else:
+                chunk = [next(stream) for _ in cell.specs]
+            if _cell_failed(chunk):
+                # The failure is already in the health ledger; the cell
+                # stays unwritten so a resume retries it.
+                continue
+            fresh[index] = cell.build_row(chunk)
+            if store is not None:
+                store.write_row(index, cell.key, fresh[index])
+        rows: List[Row] = []
+        for index, cell in enumerate(cells):
+            stored = completed.get(cell_key_id(cell.key))
+            row = fresh.get(index) if stored is None else stored
+            if row is not None:
+                rows.append(row)
+        if store is not None:
             store.record_health(health)
         if self.finalize is not None:
             rows = rows + self.finalize(rows, merged)

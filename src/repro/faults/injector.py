@@ -262,14 +262,15 @@ class FaultInjector:
         return self._stream("torn", key_id).random() < self.chaos.torn
 
     # -- application --------------------------------------------------
-    def apply(self, spec: TrialSpec, attempt: int,
-              scope: str = WORKER_SCOPE):
-        """Execute ``spec``, injecting this config's fault for it (if any).
+    def fire(self, spec: TrialSpec, attempt: int,
+             scope: str = WORKER_SCOPE) -> None:
+        """Manifest this config's fault for ``spec`` without executing it.
 
-        In :data:`WORKER_SCOPE` crashes and hangs manifest literally; in
-        :data:`SERIAL_SCOPE`/:data:`QUARANTINE_SCOPE` they degrade to a
-        raised :class:`InjectedFault` so the supervising process
-        survives to record them.
+        A batched chunk fires every member's fault before it runs the
+        engine.  In :data:`WORKER_SCOPE` crashes and hangs manifest
+        literally; in :data:`SERIAL_SCOPE`/:data:`QUARANTINE_SCOPE` they
+        degrade to a raised :class:`InjectedFault` so the supervising
+        process survives to record them.
         """
         kind = self.decide(spec)
         if self.fires(kind, attempt):
@@ -284,6 +285,11 @@ class FaultInjector:
                 # The watchdog terminates the worker mid-sleep; if the
                 # budget is generous the trial simply completes late.
                 time.sleep(self.chaos.hang_seconds)
+
+    def apply(self, spec: TrialSpec, attempt: int,
+              scope: str = WORKER_SCOPE):
+        """Execute ``spec`` after firing its fault (see :meth:`fire`)."""
+        self.fire(spec, attempt, scope)
         return execute_trial(spec)
 
 

@@ -2,10 +2,12 @@
 
 The paper's headline numbers are estimates over many independent
 adversarial executions.  This package turns each execution into a picklable
-:class:`~repro.runner.spec.TrialSpec`, fans batches of specs out across
-worker processes (:class:`~repro.runner.parallel.ParallelRunner`, with a
-bit-identical serial fallback at ``workers=0``), and regroups the flat
-result list into experiment cells (:mod:`repro.runner.aggregate`).
+:class:`~repro.runner.spec.TrialSpec`, runs batches of specs through one
+executor (:class:`~repro.runner.supervisor.SupervisedRunner`: chunks of
+per-trial specs or whole batched groups, fanned out across worker
+processes under a retry/quarantine ladder, with a bit-identical serial
+path at ``workers=0``), and regroups the flat result list into
+experiment cells (:mod:`repro.runner.aggregate`).
 
 See ``PERFORMANCE.md`` at the repository root for the usage guide.
 """
@@ -16,8 +18,7 @@ from repro.runner.aggregate import (correctness_flags, group_by_tag,
                                     windows_to_first_decision)
 from repro.runner.health import (RunHealth, TrialFailure,
                                  empty_health_block, merge_health_block)
-from repro.runner.parallel import (ParallelRunner, default_workers,
-                                   iter_trials, run_trials)
+from repro.runner.parallel import default_workers, iter_trials, run_trials
 from repro.runner.spec import (STEP_ENGINE, WINDOW_ENGINE, TrialSpec,
                                derive_seed, execute_trial)
 from repro.runner.supervisor import (ExecutionPolicy, RetryPolicy,
@@ -29,7 +30,6 @@ __all__ = [
     "derive_seed",
     "WINDOW_ENGINE",
     "STEP_ENGINE",
-    "ParallelRunner",
     "SupervisedRunner",
     "ExecutionPolicy",
     "RetryPolicy",

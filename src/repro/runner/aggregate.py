@@ -3,7 +3,7 @@
 Experiment functions build one :class:`~repro.runner.spec.TrialSpec` per
 trial, tagging all trials of the same experiment cell (same ``n``, same
 workload, same adversary, ...) with a shared ``tag``.  After a single
-:meth:`~repro.runner.parallel.ParallelRunner.run` over the whole batch,
+:func:`~repro.runner.parallel.run_trials` over the whole batch,
 these helpers regroup the flat result list by tag — in first-appearance
 order, so rows come out in the same order the serial loops produced them —
 and feed per-cell measurements to

@@ -1,29 +1,26 @@
-"""The parallel trial executor.
+"""Entry points and process plumbing of the trial executor.
 
-:class:`ParallelRunner` fans a list of :class:`~repro.runner.spec.TrialSpec`
-out across worker processes with chunked dispatch, preserving submission
-order in the returned results.  Because every trial is fully described by
-its spec (all randomness is seeded explicitly), the parallel path yields
-results bit-identical to the serial fallback (``workers=0``) — worker count
-affects wall-clock time only, never values.
+:func:`run_trials` / :func:`iter_trials` execute a list of
+:class:`~repro.runner.spec.TrialSpec` through the one executor,
+:class:`~repro.runner.supervisor.SupervisedRunner`, preserving submission
+order.  Because every trial is fully described by its spec (all
+randomness is seeded explicitly), any worker count yields results
+bit-identical to the serial path (``workers=0``) — worker count affects
+wall-clock time only, never values.
 
-The executor prefers the ``fork`` start method when the platform offers it:
-forked workers inherit ``sys.path``, so the runner works under test setups
-that configure the import path in-process rather than via ``PYTHONPATH``.
+Worker pools prefer the ``fork`` start method when the platform offers
+it: forked workers inherit ``sys.path``, so the runner works under test
+setups that configure the import path in-process rather than via
+``PYTHONPATH``.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
-import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import (Any, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
-from repro.runner.health import TrialFailure
-from repro.runner.spec import TrialSpec, execute_trial
+from repro.runner.spec import TrialSpec
 
 _WORKERS_ENV = "REPRO_WORKERS"
 
@@ -49,23 +46,6 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _execute_chunk(specs: Sequence[TrialSpec]) -> List[TimedResult]:
-    """Worker-side entry point: run one chunk of specs serially.
-
-    Each result comes back with its wall-clock start and duration,
-    measured in the worker, so the parent can record per-trial spans —
-    the timing rides the existing result pickle and never perturbs the
-    trial itself (all randomness is in the seeded spec).
-    """
-    timed: List[TimedResult] = []
-    for spec in specs:
-        t0 = time.time()
-        start = time.perf_counter()
-        timed.append((execute_trial(spec), t0,
-                      time.perf_counter() - start))
-    return timed
-
-
 def _mp_context():
     try:
         return multiprocessing.get_context("fork")
@@ -73,203 +53,35 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
-class ParallelRunner:
-    """Executes batches of trial specs, optionally across processes.
-
-    Args:
-        workers: number of worker processes.  ``0`` selects the serial
-            in-process fallback; ``None`` selects :func:`default_workers`.
-            The effective count never exceeds the number of specs.
-        chunk_size: how many specs each dispatched task carries.  ``None``
-            picks a size that gives every worker several chunks (dynamic
-            load balancing without drowning in pickling overhead).
-        telemetry: an optional :class:`~repro.telemetry.Telemetry`
-            recorder; when present, every chunk and trial is recorded as
-            a span (timed worker-side) and the ``trials_completed``
-            counter advances per chunk.  Never read by trial execution
-            itself — results are bit-identical with or without it.
-    """
-
-    def __init__(self, workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
-                 telemetry: Optional[Any] = None) -> None:
-        self.workers = default_workers() if workers is None else workers
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self.chunk_size = chunk_size
-        self.telemetry = telemetry
-
-    def run(self, specs: Iterable[TrialSpec]) -> List[Any]:
-        """Execute every spec, returning results in submission order."""
-        return list(self.iter_results(specs))
-
-    def iter_results(self, specs: Iterable[TrialSpec]) -> Iterator[Any]:
-        """Execute every spec, yielding one item per spec in order.
-
-        Results stream as their chunks complete, so a consumer can act on
-        early trials (e.g. persist experiment rows) while later trials
-        are still running in the workers.  All specs are submitted to the
-        pool up front — streaming changes consumption, not parallelism.
-
-        Every chunk is dispatched as its own future, so one failing chunk
-        never discards the completed work of the others: the failed chunk
-        is re-executed serially in-process, spec by spec, and any spec
-        that still raises yields a
-        :class:`~repro.runner.health.TrialFailure` in place of its
-        result.  (For retries, watchdog timeouts and broken-pool
-        recovery, use :class:`~repro.runner.supervisor.SupervisedRunner`.)
-        """
-        spec_list = list(specs)
-        workers = min(self.workers, len(spec_list))
-        if workers <= 0 or len(spec_list) == 1:
-            for spec in spec_list:
-                yield from self._emit_chunk(
-                    [spec], self._recover_chunk([spec]), scope="serial")
-            return
-        chunks = self._chunk_specs(spec_list)
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=_mp_context()) as pool:
-            futures = [pool.submit(_execute_chunk, chunk)
-                       for chunk in chunks]
-            for chunk, future in zip(chunks, futures):
-                try:
-                    batch = future.result()
-                    scope = "worker"
-                except Exception:
-                    # The chunk (or its whole worker) failed; recover it
-                    # serially so sibling chunks' results are kept.
-                    batch = self._recover_chunk(chunk)
-                    scope = "serial"
-                yield from self._emit_chunk(chunk, batch, scope=scope)
-
-    def _chunk_specs(self, spec_list: List[TrialSpec]
-                     ) -> List[List[TrialSpec]]:
-        """Split a batch into dispatch chunks (several per worker)."""
-        workers = max(1, min(self.workers, len(spec_list)))
-        chunk = self.chunk_size or max(
-            1, math.ceil(len(spec_list) / (workers * 4)))
-        return [spec_list[i:i + chunk]
-                for i in range(0, len(spec_list), chunk)]
-
-    @staticmethod
-    def _recover_chunk(specs: Sequence[TrialSpec]) -> List[TimedResult]:
-        """Execute specs one by one, recording raisers as failures."""
-        recovered: List[TimedResult] = []
-        for spec in specs:
-            t0 = time.time()
-            start = time.perf_counter()
-            try:
-                result: Any = execute_trial(spec)
-            except Exception as error:
-                result = TrialFailure(
-                    spec=spec, error=repr(error), attempts=1)
-            recovered.append((result, t0, time.perf_counter() - start))
-        return recovered
-
-    def _emit_chunk(self, specs: Sequence[TrialSpec],
-                    batch: Sequence[TimedResult],
-                    scope: str) -> Iterator[Any]:
-        """Record one chunk's spans/counters and yield its bare results.
-
-        The single unwrap point of the timed-triple worker protocol:
-        with telemetry attached, a multi-trial chunk becomes a ``chunk``
-        span (worker busy-time) parenting one ``trial`` span per spec;
-        a singleton chunk records just the trial span under whatever
-        span the consumer currently has open.
-        """
-        telemetry = self.telemetry
-        if telemetry is not None and batch:
-            parent = telemetry.current_span
-            if len(batch) > 1:
-                parent = telemetry.record_span(
-                    "chunk",
-                    min(entry[1] for entry in batch),
-                    sum(entry[2] for entry in batch),
-                    trials=len(batch), scope=scope)
-            for spec, (result, t0, duration) in zip(specs, batch):
-                telemetry.record_span(
-                    "trial", t0, duration, parent=parent, tag=spec.tag,
-                    scope=scope, ok=not isinstance(result, TrialFailure))
-            telemetry.count("trials_completed", len(batch))
-        for result, _, _ in batch:
-            yield result
-
-
 def run_trials(specs: Iterable[TrialSpec],
                workers: Optional[int] = None,
-               chunk_size: Optional[int] = None,
                policy=None, health=None,
                backend: Optional[str] = None,
                telemetry: Optional[Any] = None) -> List[Any]:
-    """Convenience wrapper: build a runner and execute the specs.
+    """Execute ``specs`` and return one item per spec, in order.
 
-    Passing ``policy`` and/or ``health`` selects the supervising executor
-    (retries, watchdog, chaos injection) instead of the bare runner.
-    ``backend`` selects the execution backend (``trial`` / ``batched`` /
-    ``auto``); ``telemetry`` attaches a span/metric recorder (results
-    are bit-identical either way); see :func:`_build_runner`.
+    Builds a :class:`~repro.runner.supervisor.SupervisedRunner`; a
+    missing ``policy`` means the default retry ladder and no chaos.
+    ``backend`` (``trial`` / ``batched`` / ``auto``) picks the chunk
+    kinds; ``telemetry`` attaches a span/metric recorder.  Results are
+    bit-identical across backends, worker counts and telemetry.
     """
-    return _build_runner(workers, chunk_size, policy, health,
-                         backend, telemetry).run(specs)
+    return list(iter_trials(specs, workers=workers, policy=policy,
+                            health=health, backend=backend,
+                            telemetry=telemetry))
 
 
 def iter_trials(specs: Iterable[TrialSpec],
                 workers: Optional[int] = None,
-                chunk_size: Optional[int] = None,
                 policy=None, health=None,
                 backend: Optional[str] = None,
                 telemetry: Optional[Any] = None) -> Iterator[Any]:
-    """Convenience wrapper: stream results in submission order.
-
-    Passing ``policy`` and/or ``health`` selects the supervising executor
-    (retries, watchdog, chaos injection) instead of the bare runner.
-    ``backend`` selects the execution backend (``trial`` / ``batched`` /
-    ``auto``); ``telemetry`` attaches a span/metric recorder (results
-    are bit-identical either way); see :func:`_build_runner`.
-    """
-    return _build_runner(workers, chunk_size, policy, health,
-                         backend, telemetry).iter_results(specs)
+    """Like :func:`run_trials`, but stream results in submission order."""
+    # Imported lazily: the supervisor builds on this module.
+    from repro.runner.supervisor import SupervisedRunner
+    return SupervisedRunner(workers=workers, policy=policy, health=health,
+                            backend=backend,
+                            telemetry=telemetry).iter_results(specs)
 
 
-def _chaos_active(policy) -> bool:
-    """Whether ``policy`` carries a chaos spec that actually injects."""
-    if policy is None or getattr(policy, "chaos", None) is None:
-        return False
-    from repro.faults import build_injector
-    return build_injector(policy.chaos) is not None
-
-
-def _build_runner(workers, chunk_size, policy, health,
-                  backend: Optional[str] = None,
-                  telemetry: Optional[Any] = None) -> Any:
-    """Assemble the executor stack for one run.
-
-    The per-trial layer is :class:`ParallelRunner`, or
-    :class:`~repro.runner.supervisor.SupervisedRunner` when a ``policy``
-    or ``health`` ledger is supplied.  When ``backend`` resolves to
-    ``batched`` (and no chaos injection is active — injected faults are a
-    per-trial concept, so chaos forces the per-trial path), that layer is
-    wrapped in :class:`~repro.batched.runner.BatchedRunner`, which
-    vectorizes supported spec groups and falls back to the wrapped runner
-    for the rest.  ``telemetry`` is shared by every layer of the stack.
-    """
-    # Imported lazily: both modules build on this one.
-    from repro.batched.support import BACKEND_BATCHED, resolve_backend
-    resolved = resolve_backend(backend)
-    if policy is None and health is None:
-        runner: Any = ParallelRunner(workers=workers, chunk_size=chunk_size,
-                                     telemetry=telemetry)
-    else:
-        from repro.runner.supervisor import SupervisedRunner
-        runner = SupervisedRunner(workers=workers, chunk_size=chunk_size,
-                                  policy=policy, health=health,
-                                  telemetry=telemetry)
-    if resolved == BACKEND_BATCHED and not _chaos_active(policy):
-        from repro.batched.runner import BatchedRunner
-        runner = BatchedRunner(runner, telemetry=telemetry)
-    return runner
-
-
-__all__ = ["ParallelRunner", "run_trials", "iter_trials", "default_workers"]
+__all__ = ["run_trials", "iter_trials", "default_workers"]

@@ -1,8 +1,10 @@
-"""The supervising executor: retries, watchdog, quarantine, chaos.
+"""The trial executor: chunked dispatch under a recovery ladder.
 
-:class:`SupervisedRunner` extends the plain chunked fan-out of
-:class:`~repro.runner.parallel.ParallelRunner` with the recovery ladder a
-long campaign needs to survive real (or injected) faults:
+:class:`SupervisedRunner` is the one executor.  A chunk is a run of
+per-trial specs or (on the ``batched`` backend) one whole group of
+:func:`~repro.batched.support.group_specs`, and every chunk goes through
+the recovery ladder a long campaign needs to survive real (or injected)
+faults:
 
 1. **Per-chunk retries** — a chunk whose worker raised is resubmitted,
    with deterministic exponential backoff, up to
@@ -15,39 +17,40 @@ long campaign needs to survive real (or injected) faults:
    processes are terminated, the pool is rebuilt, and the in-flight
    chunks count a retry.
 4. **Serial quarantine** — a chunk that exhausts its retry budget is
-   re-executed spec by spec in the supervising process, isolating the
-   poison trial: its innocent neighbours still produce results, and the
-   poison trial itself becomes a :class:`~repro.runner.health.
-   TrialFailure` recorded in :class:`~repro.runner.health.RunHealth`
-   instead of a dead run.
+   re-executed spec by spec on the per-trial oracle in the supervising
+   process, isolating the poison trial: its innocent neighbours still
+   produce results, and the poison trial itself becomes a
+   :class:`~repro.runner.health.TrialFailure` recorded in
+   :class:`~repro.runner.health.RunHealth` instead of a dead run.  A
+   batched group whose engine keeps raising degrades the same way.
 
-At ``workers=0`` the same ladder degrades gracefully to a serial retry
-loop in-process (injected crashes and hangs degrade to recorded raised
-faults — see :mod:`repro.faults.injector`).
+At ``workers=0`` the same chunks run lazily in-process through a serial
+retry loop (injected crashes and hangs degrade to recorded raised faults
+— see :mod:`repro.faults.injector`).
 
 Because retries re-execute *deterministic* specs, every recovered result
 is bit-identical to what a fault-free run would have produced: the
 supervisor changes wall-clock time and the health counters, never values.
 The executor yields exactly one item per submitted spec, in submission
 order — an ``ExecutionResult``, or a ``TrialFailure`` for specs it gave
-up on.
+up on — as soon as the chunks holding it and every earlier spec resolve.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, wait)
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from repro.faults.injector import (QUARANTINE_SCOPE, SERIAL_SCOPE,
                                    WORKER_SCOPE, ChaosConfig, FaultInjector,
                                    build_injector)
 from repro.runner.health import RunHealth, TrialFailure
-from repro.runner.parallel import (ParallelRunner, TimedResult,
-                                   _mp_context)
+from repro.runner.parallel import TimedResult, _mp_context, default_workers
 from repro.runner.spec import TrialSpec, execute_trial
 
 
@@ -108,15 +111,54 @@ class ExecutionPolicy:
                 "(--trial-timeout), or hung workers would hang the run")
 
 
-def _execute_chunk_guarded(specs: Sequence[TrialSpec],
-                           injector: Optional[FaultInjector],
-                           attempt: int) -> List[TimedResult]:
-    """Worker-side entry point: run one chunk, applying injected faults.
+class _Chunk(NamedTuple):
+    """Submission positions and specs of one chunk; ``signature`` is set
+    exactly when the chunk is a batched group."""
 
-    Like :func:`repro.runner.parallel._execute_chunk`, each result comes
-    back as a ``(result, t0, duration)`` triple timed in the worker, so
-    the supervisor can record trial spans without re-clocking.
+    indices: Tuple[int, ...]
+    specs: Tuple[TrialSpec, ...]
+    signature: Optional[Tuple[Any, ...]] = None
+
+    @property
+    def batched(self) -> bool:
+        return self.signature is not None
+
+
+class BatchOutcome(NamedTuple):
+    """A batched chunk's results plus its own timing: ``quarantined``
+    counts members re-run on the oracle mid-batch, ``phases`` holds the
+    engine's phase seconds when profiling."""
+
+    results: List[Any]
+    t0: float
+    duration: float
+    quarantined: int
+    phases: Optional[Dict[str, float]]
+
+
+def _execute_chunk_guarded(specs: Sequence[TrialSpec], batched: bool,
+                           injector: Optional[FaultInjector],
+                           attempt: int, scope: str = WORKER_SCOPE,
+                           profile: bool = False) -> Any:
+    """Entry point for one chunk, in a worker or in-process.
+
+    A per-trial chunk returns one ``(result, t0, duration)`` triple per
+    spec, timed where it ran.  A batched chunk fires every member's fault
+    for this attempt, runs the group on the vectorized engine and
+    returns a :class:`BatchOutcome`.
     """
+    if batched:
+        from repro.batched.engine import run_group
+
+        t0 = time.time()
+        start = time.perf_counter()
+        if injector is not None:
+            for spec in specs:
+                injector.fire(spec, attempt, scope)
+        phases: Optional[Dict[str, float]] = {} if profile else None
+        results, quarantined = run_group(specs, phase_timers=phases)
+        return BatchOutcome(results, t0, time.perf_counter() - start,
+                            quarantined, phases)
     timed: List[TimedResult] = []
     for spec in specs:
         t0 = time.time()
@@ -124,38 +166,49 @@ def _execute_chunk_guarded(specs: Sequence[TrialSpec],
         if injector is None:
             result = execute_trial(spec)
         else:
-            result = injector.apply(spec, attempt, WORKER_SCOPE)
+            result = injector.apply(spec, attempt, scope)
         timed.append((result, t0, time.perf_counter() - start))
     return timed
 
 
-class SupervisedRunner(ParallelRunner):
-    """A :class:`ParallelRunner` wrapped in the full recovery ladder.
+class SupervisedRunner:
+    """Executes trial specs in chunks under the full recovery ladder.
 
     Args:
-        workers: as in :class:`ParallelRunner`.
-        chunk_size: as in :class:`ParallelRunner`.
+        workers: worker processes; ``0`` runs serially in-process,
+            ``None`` means :func:`~repro.runner.parallel.default_workers`.
         policy: retry/watchdog/chaos configuration
             (default: :class:`ExecutionPolicy`'s defaults — 2 retries,
             no watchdog, no chaos).
         health: the :class:`RunHealth` ledger to record recovery actions
             into (default: a fresh one, exposed as ``self.health``).
-        telemetry: as in :class:`ParallelRunner`; the supervisor
-            additionally mirrors its recovery counters (retries, pool
-            rebuilds, timeouts, quarantines) into the event stream and
-            gauges the in-flight chunk count.
+        backend: ``trial`` / ``batched`` / ``auto`` (see
+            :func:`~repro.batched.support.resolve_backend`).
+        telemetry: an optional :class:`~repro.telemetry.Telemetry`
+            recorder for worker-timed ``chunk``/``trial``/``batch`` spans,
+            recovery and routing counters, and in-flight gauges.  Never
+            read by trial execution — results are bit-identical either way.
     """
 
     def __init__(self, workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
                  policy: Optional[ExecutionPolicy] = None,
                  health: Optional[RunHealth] = None,
+                 backend: Optional[str] = None,
                  telemetry: Optional[Any] = None) -> None:
-        super().__init__(workers=workers, chunk_size=chunk_size,
-                         telemetry=telemetry)
+        # Imported lazily: repro.batched builds on this package.
+        from repro.batched.support import resolve_backend
+        from repro.telemetry.profiler import profile_session
+
+        self.workers = default_workers() if workers is None else workers
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
         self.policy = policy if policy is not None else ExecutionPolicy()
         self.health = health if health is not None else RunHealth()
         self.injector = build_injector(self.policy.chaos)
+        self.backend = resolve_backend(backend)
+        self.telemetry = telemetry
+        # Under --profile, batched chunks return their phase timers.
+        self.session = profile_session(telemetry)
 
     def _count(self, name: str, delta: int = 1) -> None:
         """Mirror a recovery action into the telemetry counters."""
@@ -166,7 +219,6 @@ class SupervisedRunner(ParallelRunner):
         if self.telemetry is not None:
             self.telemetry.gauge(name, value)
 
-    # -- public surface ------------------------------------------------
     def iter_results(self, specs: Iterable[TrialSpec]) -> Iterator[Any]:
         """Execute every spec, yielding one item per spec in order.
 
@@ -174,30 +226,123 @@ class SupervisedRunner(ParallelRunner):
         specs whose execution kept failing through every recovery rung.
         """
         spec_list = list(specs)
-        workers = min(self.workers, len(spec_list))
+        chunks = self._chunk_specs(spec_list)
+        workers = min(self.workers, len(chunks))
         if workers <= 0 or len(spec_list) == 1:
-            for spec in spec_list:
-                yield from self._emit_chunk(
-                    [spec], [self._run_serial(spec, scope=SERIAL_SCOPE)],
-                    scope="serial")
-            return
-        yield from self._supervise(self._chunk_specs(spec_list), workers)
+            resolutions: Iterator[Tuple[int, Any, str]] = (
+                (index, self._run_serial(chunk.specs, SERIAL_SCOPE,
+                                         batched=chunk.batched),
+                 SERIAL_SCOPE)
+                for index, chunk in enumerate(chunks))
+        else:
+            resolutions = self._supervise(chunks, workers)
+        owner = [0] * len(spec_list)
+        for index, chunk in enumerate(chunks):
+            for position in chunk.indices:
+                owner[position] = index
+        resolved: Dict[int, Tuple[Any, str]] = {}
+        ready: Dict[int, Any] = {}
+        try:
+            for position in range(len(spec_list)):
+                if position not in ready:
+                    # First spec of its chunk: wait for the chunk, then
+                    # record it under whatever span the consumer has open.
+                    index = owner[position]
+                    while index not in resolved:
+                        done, outcome, scope = next(resolutions)
+                        resolved[done] = (outcome, scope)
+                    chunk = chunks[index]
+                    ready.update(zip(chunk.indices, self._emit_chunk(
+                        chunk, *resolved.pop(index))))
+                yield ready.pop(position)
+        finally:
+            resolutions.close()
+
+    def _chunk_specs(self, spec_list: List[TrialSpec]) -> List[_Chunk]:
+        """Split a batch into chunks, ordered by first submission index.
+
+        Each batched group is one chunk.  Per-trial specs go in runs of
+        ``ceil(len / (workers * 4))`` (several per worker, for load
+        balancing without drowning in pickling), singletons at
+        ``workers=0``.
+        """
+        from repro.batched.support import BACKEND_BATCHED, group_specs
+
+        chunks: List[_Chunk] = []
+        per_trial = list(range(len(spec_list)))
+        if self.backend == BACKEND_BATCHED:
+            plan = group_specs(spec_list)
+            per_trial = plan.per_trial
+            chunks = [_Chunk(tuple(members),
+                             tuple(spec_list[i] for i in members), signature)
+                      for signature, members in plan.groups]
+            self._count("trials_fallback", len(per_trial))
+            for reason, total in plan.reasons.items():
+                self._count(f"fallback_reason:{reason}", total)
+        workers = max(1, min(self.workers, len(per_trial)))
+        size = 1 if self.workers == 0 else max(
+            1, math.ceil(len(per_trial) / (workers * 4)))
+        for start in range(0, len(per_trial), size):
+            members = per_trial[start:start + size]
+            chunks.append(_Chunk(tuple(members),
+                                 tuple(spec_list[i] for i in members)))
+        chunks.sort(key=lambda chunk: chunk.indices[0])
+        return chunks
+
+    def _emit_chunk(self, chunk: _Chunk, outcome: Any,
+                    scope: str) -> List[Any]:
+        """Record one chunk's spans/counters and return its bare results.
+
+        A batched chunk becomes one ``batch`` span and adds its phase
+        timers to the profile session.  A multi-trial per-trial chunk
+        becomes a ``chunk`` span (worker busy-time) parenting one
+        ``trial`` span per spec; a singleton records just the trial span.
+        Spans nest under whatever span the consumer has open.
+        """
+        telemetry = self.telemetry
+        if isinstance(outcome, BatchOutcome):
+            if telemetry is None:
+                return outcome.results
+            trials, quarantined = len(chunk.specs), outcome.quarantined
+            telemetry.record_span(
+                "batch", outcome.t0, outcome.duration, trials=trials,
+                signature=[str(part) for part in chunk.signature],
+                scope=scope)
+            telemetry.count("trials_batched", trials - quarantined)
+            telemetry.count("trials_completed", trials)
+            for name in ("quarantined_mid_batch", "trials_fallback",
+                         "fallback_reason:quarantined mid-batch"):
+                telemetry.count(name, quarantined)
+            if self.session is not None and outcome.phases:
+                timers = self.session.phase_dict("batched")
+                for name, seconds in outcome.phases.items():
+                    timers[name] = timers.get(name, 0.0) + seconds
+            return outcome.results
+        if telemetry is not None and outcome:
+            parent = telemetry.current_span
+            if len(outcome) > 1:
+                parent = telemetry.record_span(
+                    "chunk",
+                    min(entry[1] for entry in outcome),
+                    sum(entry[2] for entry in outcome),
+                    trials=len(outcome), scope=scope)
+            for spec, (result, t0, duration) in zip(chunk.specs, outcome):
+                telemetry.record_span(
+                    "trial", t0, duration, parent=parent, tag=spec.tag,
+                    scope=scope, ok=not isinstance(result, TrialFailure))
+            telemetry.count("trials_completed", len(outcome))
+        return [result for result, _, _ in outcome]
 
     # -- serial / quarantine path --------------------------------------
-    def _execute_once(self, spec: TrialSpec, attempt: int,
-                      scope: str) -> Any:
-        if self.injector is not None:
-            return self.injector.apply(spec, attempt, scope)
-        return execute_trial(spec)
-
-    def _run_serial(self, spec: TrialSpec, scope: str,
-                    base_attempt: int = 0) -> TimedResult:
-        """One spec through the in-process retry loop of ``scope``.
+    def _run_serial(self, specs: Sequence[TrialSpec], scope: str,
+                    base_attempt: int = 0, batched: bool = False) -> Any:
+        """One chunk through the in-process retry loop of ``scope``.
 
         Quarantine gets a single shot: its chunk already spent the whole
-        retry budget, so a failure there is final.  Returns a timed
-        triple covering the final attempt only — backoff sleeps and
-        failed attempts are recovery overhead, not trial time.
+        retry budget, so a failure there is final.  An exhausted batched
+        chunk is quarantined spec by spec; an exhausted per-trial chunk
+        (always a singleton here) becomes a :class:`TrialFailure` timed
+        over its final attempt only.
         """
         rounds = 1 if scope == QUARANTINE_SCOPE \
             else self.policy.retry.max_retries + 1
@@ -208,8 +353,9 @@ class SupervisedRunner(ParallelRunner):
             t0 = time.time()
             start = time.perf_counter()
             try:
-                result = self._execute_once(spec, attempt, scope)
-                return (result, t0, time.perf_counter() - start)
+                return _execute_chunk_guarded(
+                    specs, batched, self.injector, attempt, scope,
+                    batched and self.session is not None)
             except Exception as error:
                 duration = time.perf_counter() - start
                 last_error = error
@@ -218,50 +364,58 @@ class SupervisedRunner(ParallelRunner):
                     self.health.retries += 1
                     self._count("retries")
                     time.sleep(self.policy.retry.delay(attempt))
-        failure = TrialFailure(spec=spec, error=repr(last_error),
+        if batched:
+            return self._quarantine(specs, attempt)
+        failure = TrialFailure(spec=specs[0], error=repr(last_error),
                                attempts=attempt)
         self.health.record_failure(failure)
-        return (failure, t0, duration)
+        return [(failure, t0, duration)]
 
     def _quarantine(self, specs: Sequence[TrialSpec],
                     base_attempt: int) -> List[TimedResult]:
         """Re-run an exhausted chunk spec-by-spec in this process.
 
         Isolates the poison trial: innocents produce their (bit-identical)
-        results; the trial that keeps failing becomes a recorded
-        :class:`TrialFailure`.
+        results on the per-trial oracle; the trial that keeps failing
+        becomes a recorded :class:`TrialFailure`.
         """
         self.health.quarantined += len(specs)
         self._count("quarantined", len(specs))
-        return [self._run_serial(spec, scope=QUARANTINE_SCOPE,
-                                 base_attempt=base_attempt)
+        return [self._run_serial((spec,), QUARANTINE_SCOPE,
+                                 base_attempt=base_attempt)[0]
                 for spec in specs]
 
     # -- the supervised parallel loop ----------------------------------
-    def _supervise(self, chunks: List[List[TrialSpec]],
-                   workers: int) -> Iterator[Any]:
+    def _supervise(self, chunks: List[_Chunk], workers: int
+                   ) -> Iterator[Tuple[int, Any, str]]:
+        """Run every chunk in a pool, yielding ``(index, outcome, scope)``
+        as each chunk resolves."""
         attempts = [0] * len(chunks)
-        resolved: Dict[int, Tuple[List[TimedResult], str]] = {}
-        next_yield = 0
+        unresolved = set(range(len(chunks)))
+        ready: List[Tuple[int, Any, str]] = []
         pool: Optional[ProcessPoolExecutor] = None
         futures: Dict[Any, int] = {}
         self._gauge("workers", workers)
 
         def gauge_flight() -> None:
             self._gauge("in_flight", len(futures))
-            self._gauge("queue_depth",
-                        max(0, len(chunks) - next_yield - len(resolved)
-                            - len(futures)))
+            self._gauge("queue_depth", len(unresolved) - len(futures))
 
         def submit(index: int) -> bool:
             """Dispatch one chunk; False when the pool is already broken."""
+            chunk = chunks[index]
             try:
                 futures[pool.submit(
-                    _execute_chunk_guarded, chunks[index], self.injector,
-                    attempts[index])] = index
+                    _execute_chunk_guarded, chunk.specs, chunk.batched,
+                    self.injector, attempts[index], WORKER_SCOPE,
+                    chunk.batched and self.session is not None)] = index
                 return True
             except BrokenExecutor:
                 return False
+
+        def resolve(index: int, outcome: Any, scope: str) -> None:
+            unresolved.discard(index)
+            ready.append((index, outcome, scope))
 
         def settle(index: int) -> bool:
             """Count a chunk failure; True when it went to quarantine."""
@@ -270,9 +424,9 @@ class SupervisedRunner(ParallelRunner):
                 self.health.retries += 1
                 self._count("retries")
                 return False
-            resolved[index] = (self._quarantine(chunks[index],
-                                                attempts[index]),
-                               QUARANTINE_SCOPE)
+            resolve(index, self._quarantine(chunks[index].specs,
+                                            attempts[index]),
+                    QUARANTINE_SCOPE)
             return True
 
         def rebuild_after_failure() -> None:
@@ -290,25 +444,19 @@ class SupervisedRunner(ParallelRunner):
                     max(attempts[index] for index in affected)))
 
         try:
-            while next_yield < len(chunks):
-                while next_yield < len(chunks) and next_yield in resolved:
-                    batch, scope = resolved.pop(next_yield)
-                    yield from self._emit_chunk(chunks[next_yield], batch,
-                                                scope=scope)
-                    next_yield += 1
-                if next_yield >= len(chunks):
+            while unresolved or ready:
+                while ready:
+                    yield ready.pop(0)
+                if not unresolved:
                     break
                 if pool is None:
                     pool = ProcessPoolExecutor(max_workers=workers,
                                                mp_context=_mp_context())
                     futures = {}
-                    broken = False
-                    for index in range(len(chunks)):
-                        if index not in resolved and not submit(index):
-                            broken = True
+                    for index in sorted(unresolved):
+                        if not submit(index):
+                            rebuild_after_failure()
                             break
-                    if broken:
-                        rebuild_after_failure()
                     gauge_flight()
                     continue
                 if not futures:
@@ -318,8 +466,11 @@ class SupervisedRunner(ParallelRunner):
                     self._teardown(pool)
                     pool = None
                     continue
-                window = self._watchdog_window(
-                    [chunks[index] for index in futures.values()])
+                # The watchdog window is sized for the largest in-flight
+                # chunk, so a slow but progressing pool never reads as hung.
+                window = None if self.policy.trial_timeout is None else \
+                    self.policy.trial_timeout * max(
+                        len(chunks[index].specs) for index in futures.values())
                 done, _ = wait(set(futures), timeout=window,
                                return_when=FIRST_COMPLETED)
                 if not done:
@@ -334,7 +485,7 @@ class SupervisedRunner(ParallelRunner):
                     index = futures.pop(future)
                     error = future.exception()
                     if error is None:
-                        resolved[index] = (future.result(), WORKER_SCOPE)
+                        resolve(index, future.result(), WORKER_SCOPE)
                     elif isinstance(error, BrokenExecutor):
                         pool_broken = True
                         settle(index)
@@ -352,20 +503,6 @@ class SupervisedRunner(ParallelRunner):
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
-
-    def _watchdog_window(self,
-                         in_flight: List[List[TrialSpec]]
-                         ) -> Optional[float]:
-        """The no-progress window before declaring a stall, or ``None``.
-
-        Conservative: sized for the *largest* in-flight chunk, so a slow
-        but progressing pool is never mistaken for a hung one as long as
-        ``trial_timeout`` genuinely bounds one trial.
-        """
-        if self.policy.trial_timeout is None or not in_flight:
-            return None
-        return self.policy.trial_timeout * max(
-            len(chunk) for chunk in in_flight)
 
     @staticmethod
     def _teardown(pool: Optional[ProcessPoolExecutor]) -> None:

@@ -3,9 +3,9 @@
 One :class:`Telemetry` recorder rides along a campaign and is threaded
 (as a single optional ``telemetry=`` parameter) through every execution
 layer: the CLI opens the root ``campaign`` span, experiment/fuzz/search
-loops open ``cell``/``generation`` spans, the runner and supervisor
-record ``chunk``/``trial`` spans from worker-reported timings, and the
-batched backend records one ``batch`` span per vectorized group.
+loops open ``cell``/``generation`` spans, and the executor records
+``chunk``/``trial`` spans from worker-reported timings, plus one
+``batch`` span per batched chunk (one vectorized group).
 Counters and gauges (trials completed, retries, rows written, worker
 utilization...) ride the same event stream, which persists as a per-run
 ``telemetry.jsonl`` next to ``rows.jsonl`` and is summarized into the

@@ -1,17 +1,17 @@
 """Read-side analysis of a run's telemetry event log.
 
-Backs ``repro show --timing`` (per-cell trial-duration percentiles and
-the span tree of the slowest trial) and ``repro top`` (a snapshot of a
-possibly still-running campaign tailed from its event log).  Everything
-here works off :func:`repro.telemetry.recorder.read_events`, so a
-killed run's intact event prefix renders the same way a finished run's
-log does.
+Backs ``repro show --timing`` (per-cell trial-duration percentiles,
+per-signature batch totals and the span tree of the slowest trial) and
+``repro top`` (a snapshot of a possibly still-running campaign tailed
+from its event log).  Everything here works off
+:func:`repro.telemetry.recorder.read_events`, so a killed run's intact
+event prefix renders the same way a finished run's log does.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 _SPAN_FIXED = ("kind", "id", "parent", "name", "t0", "dur")
 
@@ -72,6 +72,27 @@ def cell_timing_rows(events: Sequence[Dict[str, Any]],
         rows.append(row)
     rows.sort(key=lambda row: (-row["total_ms"], row["cell"]))
     return rows
+
+
+def batch_timing_rows(events: Sequence[Dict[str, Any]]
+                      ) -> List[Dict[str, Any]]:
+    """Per-signature ``batch`` span totals (milliseconds), heaviest first.
+
+    The batched counterpart of :func:`cell_timing_rows`: a batched chunk
+    records one ``batch`` span and no ``trial`` spans.
+    """
+    totals: Dict[str, List[float]] = {}
+    for span in spans(events):
+        if span.get("name") == "batch":
+            key = " ".join(str(part) for part in span.get("signature", ()))
+            total = totals.setdefault(key, [0, 0, 0.0])
+            total[0] += 1
+            total[1] += int(span.get("trials") or 0)
+            total[2] += float(span.get("dur") or 0.0) * 1000.0
+    return [{"signature": key, "batches": batches, "trials": trials,
+             "total_ms": round(total_ms, 3)}
+            for key, (batches, trials, total_ms) in sorted(
+                totals.items(), key=lambda item: (-item[1][2], item[0]))]
 
 
 def slowest_trial_chain(events: Sequence[Dict[str, Any]]
@@ -184,6 +205,7 @@ def render_top(snapshot: Dict[str, Any], target: str) -> str:
 
 
 __all__ = [
+    "batch_timing_rows",
     "cell_timing_rows",
     "render_span_chain",
     "render_top",

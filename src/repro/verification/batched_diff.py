@@ -31,9 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.batched.runner import MIN_BATCH
-from repro.batched.support import (batch_signature, numpy_ok,
-                                   unsupported_reason)
+from repro.batched.support import group_specs, numpy_ok
 from repro.runner.spec import TrialSpec, execute_trial
 
 #: ExecutionResult fields compared per replayed trial.  This is the whole
@@ -105,10 +103,9 @@ def diff_specs(specs: Sequence[TrialSpec], *, sample: float = 1.0,
                sample_seed: int = 0) -> DiffReport:
     """Run ``specs`` on the batched engine and oracle-replay a sample.
 
-    Mirrors :class:`~repro.batched.runner.BatchedRunner` exactly on the
-    grouping side (``unsupported_reason``, ``batch_signature``,
-    ``MIN_BATCH``), so the trials it checks are the trials a real
-    ``--backend batched`` run would vectorize.  Fallback trials are not
+    Groups through :func:`~repro.batched.support.group_specs`, the same
+    function the executor uses, so the trials it checks are the trials a
+    real ``--backend batched`` run vectorizes.  Fallback trials are not
     replayed — they already *run* on the oracle.
 
     Args:
@@ -134,23 +131,10 @@ def diff_specs(specs: Sequence[TrialSpec], *, sample: float = 1.0,
     report = DiffReport(total=len(specs))
     rng = random.Random(sample_seed)
 
-    groups: Dict[Tuple[Any, ...], List[int]] = {}
-    for index, spec in enumerate(specs):
-        reason = unsupported_reason(spec)
-        if reason is not None:
-            report.fallback += 1
-            report.fallback_reasons[reason] = \
-                report.fallback_reasons.get(reason, 0) + 1
-            continue
-        groups.setdefault(batch_signature(spec), []).append(index)
-
-    for members in groups.values():
-        if len(members) < MIN_BATCH:
-            report.fallback += len(members)
-            reason = f"batch smaller than {MIN_BATCH}"
-            report.fallback_reasons[reason] = \
-                report.fallback_reasons.get(reason, 0) + len(members)
-            continue
+    plan = group_specs(specs)
+    report.fallback = len(plan.per_trial)
+    report.fallback_reasons = dict(plan.reasons)
+    for _, members in plan.groups:
         results, quarantined = \
             BatchedWindowEngine([specs[i] for i in members]).run()
         executed = [local for local in range(len(members))

@@ -1,8 +1,8 @@
 """The differential harness and the backend plumbing, end to end.
 
-Covers the ISSUE's differential-coverage contract: batched-vs-trial
-bit-identity on the real E1/E2 quick grids, across worker counts 0/1/4,
-under injected chaos faults, and — via hypothesis — under every
+Covers the differential-coverage contract: batched-vs-trial bit-identity
+on the real E1/E2 quick grids, across worker counts 0/1/4, under injected
+chaos faults and a raising engine, and — via hypothesis — under every
 admissible partition of a spec list into sub-batches.
 """
 
@@ -111,29 +111,40 @@ def test_experiment_rows_identical_across_backends():
 
 # -- chaos --------------------------------------------------------------
 
-def test_backend_identity_under_chaos():
-    """Active chaos keeps the per-trial path, bit-identically."""
+@pytest.mark.parametrize("workers", [0, 2])
+def test_backend_identity_under_chaos(workers):
+    """Chaos faults batched chunks; surviving results stay bit-identical."""
     from repro.faults import parse_chaos_spec
     from repro.runner import ExecutionPolicy, RetryPolicy
-    from repro.runner.parallel import _build_runner
 
     chaos = parse_chaos_spec("raise=0.3,seed=7")
     specs = _quick_specs("E1")
-
-    def run_with(backend):
-        policy = ExecutionPolicy(retry=RetryPolicy(max_retries=2),
-                                 chaos=chaos)
-        return run_trials(specs, workers=0, policy=policy,
-                          health=RunHealth(), backend=backend)
-
-    assert run_with("batched") == run_with("trial")
-    # And structurally: chaos suppresses the batched wrapper outright.
+    oracle = run_trials(specs, workers=0, backend="trial")
     policy = ExecutionPolicy(retry=RetryPolicy(max_retries=2), chaos=chaos)
-    runner = _build_runner(None, None, policy, RunHealth(), "batched")
-    assert type(runner).__name__ == "SupervisedRunner"
-    calm = ExecutionPolicy(retry=RetryPolicy(max_retries=2))
-    runner = _build_runner(None, None, calm, RunHealth(), "batched")
-    assert type(runner).__name__ == "BatchedRunner"
+    health = RunHealth()
+    assert run_trials(specs, workers=workers, policy=policy, health=health,
+                      backend="batched") == oracle
+    assert health.retries > 0
+    assert health.failures == []
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_raising_engine_is_quarantined_onto_the_oracle(workers,
+                                                       monkeypatch):
+    """An engine exception is a chunk failure: retried, then quarantined."""
+    from repro.batched.engine import BatchedWindowEngine
+
+    def broken(self):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(BatchedWindowEngine, "run", broken)
+    specs = _split_vote_specs(6)
+    health = RunHealth()
+    results = run_trials(specs, workers=workers, health=health,
+                         backend="batched")
+    assert results == [execute_trial(spec) for spec in specs]
+    assert health.quarantined == len(specs)
+    assert health.retries > 0 and health.failures == []
 
 
 # -- partition invariance (hypothesis) ----------------------------------

@@ -176,33 +176,36 @@ def test_ben_or_resets_are_declined():
     assert "resets restart ben-or" in unsupported_reason(spec)
 
 
-def test_runner_falls_back_and_interleaves_in_order():
+def test_grouping_falls_back_and_runner_interleaves_in_order():
     """Mixed supported/unsupported specs come back in submission order."""
-    from repro.batched.runner import BatchedRunner
-    from repro.runner.parallel import ParallelRunner
+    from repro.batched.support import group_specs
+    from repro.runner import run_trials
 
     supported = _specs("reset-tolerant", "split-vote", 8, 1, 6, 20,
                        adversary_kwargs_fn=_seeded)
     unsupported = _specs("reset-tolerant", "split-vote", 8, 1, 3, 21)
     mixed = [spec for pair in zip(supported, unsupported + supported[:3])
              for spec in pair]
-    runner = BatchedRunner(ParallelRunner(workers=0))
-    results = runner.run(mixed)
-    assert [r for r in results] == [execute_trial(s) for s in mixed]
-    assert runner.stats["batched"] > 0
-    assert runner.stats["fallback"] >= len(unsupported)
-    assert runner.fallback_reasons[
-        "unseeded adversary (shared fallback stream)"] == len(unsupported)
+    plan = group_specs(mixed)
+    assert [members for _, members in plan.groups] == [
+        [0, 2, 4, 6, 7, 8, 9, 10, 11]]
+    assert plan.per_trial == [1, 3, 5]
+    assert plan.reasons == {
+        "unseeded adversary (shared fallback stream)": len(unsupported)}
+    oracle = [execute_trial(spec) for spec in mixed]
+    for workers in (0, 2):
+        assert run_trials(mixed, workers=workers,
+                          backend="batched") == oracle
 
 
-def test_runner_singleton_group_falls_back():
-    from repro.batched.runner import MIN_BATCH, BatchedRunner
-    from repro.runner.parallel import ParallelRunner
+def test_singleton_group_falls_back():
+    from repro.batched.support import MIN_BATCH, group_specs
+    from repro.runner import run_trials
 
     specs = _specs("reset-tolerant", "split-vote", 8, 1, 1, 22,
                    adversary_kwargs_fn=_seeded)
-    runner = BatchedRunner(ParallelRunner(workers=0))
-    results = runner.run(specs)
-    assert results == [execute_trial(specs[0])]
-    assert runner.stats["batched"] == 0
-    assert runner.fallback_reasons[f"batch smaller than {MIN_BATCH}"] == 1
+    plan = group_specs(specs)
+    assert plan.groups == [] and plan.per_trial == [0]
+    assert plan.reasons == {f"batch smaller than {MIN_BATCH}": 1}
+    assert run_trials(specs, workers=0, backend="batched") == \
+        [execute_trial(specs[0])]

@@ -270,6 +270,30 @@ def test_run_no_telemetry_leaves_no_trace(tmp_path, capsys):
     assert "no trial timing recorded" in capsys.readouterr().out
 
 
+def test_show_timing_totals_batch_spans(tmp_path, capsys):
+    """A run whose trials all ran batched still has timing to show."""
+    from repro.batched import numpy_ok
+    from repro.telemetry import TELEMETRY_NAME, read_events
+
+    if not numpy_ok():
+        return
+    out_dir = str(tmp_path / "results")
+    assert main(["run", "E2", "--quick", "--workers", "0", "--backend",
+                 "batched", "--out", out_dir]) == 0
+    capsys.readouterr()
+    events = read_events(os.path.join(_only_run_dir(out_dir),
+                                      TELEMETRY_NAME))
+    names = {event.get("name") for event in events
+             if event.get("kind") == "span"}
+    assert "batch" in names and "trial" not in names
+
+    assert main(["show", "E2", "--out", out_dir, "--timing"]) == 0
+    out = capsys.readouterr().out
+    assert "batch timing (telemetry, ms)" in out
+    assert "--no-telemetry" not in out
+    assert "reset-tolerant" in out  # the signature column
+
+
 def test_telemetry_flag_never_changes_rows(tmp_path, capsys):
     plain_dir = str(tmp_path / "plain")
     traced_dir = str(tmp_path / "traced")

@@ -179,6 +179,60 @@ class TestResume:
                               store=rerun_store) == reference
         assert executed == []
 
+    def test_batched_rows_stream_per_cell_and_resume_mid_batch(
+            self, tmp_path, monkeypatch):
+        """A batched run writes each row when its cell's groups finish,
+        so a kill mid-run loses only the cells still in flight."""
+        from repro.batched import group_specs, numpy_ok
+
+        if not numpy_ok():
+            pytest.skip("batched backend needs numpy >= 2.0")
+        from repro.batched.engine import BatchedWindowEngine
+
+        experiment = get_experiment("E2")
+        params = experiment.resolve_params(None, quick=True)
+        specs = [spec for cell in experiment.cells(params=params)
+                 for spec in cell.specs]
+        groups = len(group_specs(specs).groups)
+        assert groups > 1
+
+        engine_runs = []
+        real_run = BatchedWindowEngine.run
+
+        def counting_run(engine):
+            engine_runs.append(len(engine.specs))
+            return real_run(engine)
+
+        runs_at_write = []
+        real_write = RunStore.write_row
+
+        def killing_write(store, index, key, row):
+            runs_at_write.append(len(engine_runs))
+            if len(runs_at_write) == 2:
+                raise KeyboardInterrupt("killed mid-batch")
+            real_write(store, index, key, row)
+
+        monkeypatch.setattr(BatchedWindowEngine, "run", counting_run)
+        monkeypatch.setattr(RunStore, "write_row", killing_write)
+        killed = RunStore.open(str(tmp_path / "killed"), "E2", params,
+                               workers=0)
+        with pytest.raises(KeyboardInterrupt):
+            experiment.run(params=params, workers=0, store=killed,
+                           backend="batched")
+        assert runs_at_write[0] < groups
+
+        monkeypatch.setattr(RunStore, "write_row", real_write)
+        resumed = RunStore.open(str(tmp_path / "killed"), "E2", params,
+                                workers=0)
+        experiment.run(params=params, workers=0, store=resumed,
+                       backend="batched")
+        resumed.finish(wall_time=0.1)
+        whole = RunStore.open(str(tmp_path / "whole"), "E2", params,
+                              workers=0)
+        experiment.run(params=params, workers=0, store=whole)
+        whole.finish(wall_time=0.1)
+        assert load_run(resumed.path)[1] == load_run(whole.path)[1]
+
     def test_resume_sees_rows_written_after_finish(self, tmp_path):
         # Rows appended after finish() must feed the next resume, or
         # those cells would recompute.

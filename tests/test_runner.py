@@ -10,7 +10,7 @@ import pytest
 
 from repro.adversaries.registry import (available_adversaries,
                                         build_adversary, build_strategy)
-from repro.runner import (ParallelRunner, TrialSpec, derive_seed,
+from repro.runner import (SupervisedRunner, TrialSpec, derive_seed,
                           execute_trial, group_by_tag, run_trials,
                           windows_to_first_decision)
 from repro.simulation.windows import run_execution
@@ -73,12 +73,6 @@ class TestDeterminism:
         assert serial == one_worker
         assert serial == four_workers
 
-    def test_chunk_size_does_not_affect_results_or_order(self):
-        specs = make_specs()
-        serial = run_trials(specs, workers=0)
-        chunked = ParallelRunner(workers=2, chunk_size=2).run(specs)
-        assert serial == chunked
-
     def test_derive_seed_is_stable_and_spread(self):
         assert derive_seed(0, 0) == derive_seed(0, 0)
         seeds = {derive_seed(5, index) for index in range(64)}
@@ -136,11 +130,7 @@ class TestRegistry:
 class TestRunnerValidation:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
-            ParallelRunner(workers=-1)
-
-    def test_nonpositive_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(workers=1, chunk_size=0)
+            SupervisedRunner(workers=-1)
 
     def test_empty_batch(self):
         assert run_trials([], workers=2) == []

@@ -191,6 +191,55 @@ class TestTimingReductions:
         assert snapshot["trials_total"] == 3
 
 
+class TestBatchSpans:
+    def test_batch_spans_nest_under_the_cell_they_deliver(self, tmp_path):
+        """Each batched chunk books under the cell that consumes it."""
+        from repro.batched import numpy_ok
+
+        if not numpy_ok():
+            pytest.skip("batched backend needs numpy >= 2.0")
+        experiment = get_experiment("E2")
+        params = experiment.resolve_params(None, quick=True)
+        events = []
+        telemetry = Telemetry()
+        telemetry.add_listener(events.append)
+        store = RunStore.open(str(tmp_path), "E2", params)
+        experiment.run(params=params, workers=0, store=store,
+                       backend="batched", telemetry=telemetry)
+        spans = [event for event in events if event["kind"] == "span"]
+        cells = {span["id"]: span for span in spans
+                 if span["name"] == "cell"}
+        batches = [span for span in spans if span["name"] == "batch"]
+        assert batches
+        delivered = {}
+        for batch in batches:
+            assert batch["parent"] in cells
+            key = json.dumps(cells[batch["parent"]]["cell"])
+            delivered[key] = delivered.get(key, 0) + batch["trials"]
+        expected = {json.dumps(list(cell.key)): len(cell.specs)
+                    for cell in experiment.cells(params=params)}
+        assert delivered == expected
+
+
+    def test_pool_workers_return_batched_phase_timers(self):
+        """Under --profile, worker-side engine phases reach the session."""
+        from repro.batched import numpy_ok
+
+        if not numpy_ok():
+            pytest.skip("batched backend needs numpy >= 2.0")
+        experiment = get_experiment("E2")
+        params = experiment.resolve_params(None, quick=True)
+        telemetry = Telemetry()
+        telemetry.profile = ProfileSession()
+        with telemetry.profile:
+            experiment.run(params=params, workers=2, backend="batched",
+                           telemetry=telemetry)
+        assert {"batched.deliver", "batched.tally", "batched.decide"} <= \
+            set(telemetry.profile.phase_timers)
+        assert telemetry.counters["trials_batched"] == sum(
+            len(cell.specs) for cell in experiment.cells(params=params))
+
+
 class TestObserverEffect:
     """Telemetry on, off, or profiled never changes a result row."""
 
