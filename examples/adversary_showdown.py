@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 
-from repro import ProtocolFactory, StepEngine, get_protocol, run_execution
+from repro import Engine, ProtocolFactory, get_protocol, run_execution
 from repro.adversaries.registry import build_adversary
 from repro.analysis.statistics import format_table
 from repro.protocols.committee import (CommitteeElectionProtocol,
@@ -95,7 +95,7 @@ def bracha_rows(n: int, seed: int) -> list:
     rows = []
     for strategy_name in ("silent", "flip", "equivocate"):
         factory = ProtocolFactory(info.protocol_cls, n=n, t=t)
-        engine = StepEngine(factory, split(n), seed=seed)
+        engine = Engine(factory, split(n), seed=seed)
         adversary = build_adversary("byzantine",
                                     corrupted=tuple(range(t)),
                                     strategy=strategy_name, seed=seed)

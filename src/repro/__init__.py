@@ -23,8 +23,7 @@ This package provides:
   election) the paper builds on or contrasts against.
 * :mod:`repro.adversaries` — benign, crash, Byzantine, split-vote,
   adaptively resetting and lookahead adversaries.
-* :mod:`repro.analysis` — product-measure tools, statistics and the
-  backwards-compatible experiment wrappers.
+* :mod:`repro.analysis` — product-measure tools and statistics.
 * :mod:`repro.experiments` — the declarative experiment registry behind
   the EXPERIMENTS.md tables (E1–E9).
 * :mod:`repro.results` — the persistent, resumable results store.
@@ -70,13 +69,11 @@ from repro.core import (LowerBoundConstants, ResetTolerantAgreement,
 from repro.protocols import (BenOrAgreement, BrachaAgreement,
                              CommitteeElectionProtocol, ProtocolFactory,
                              available_protocols, get_protocol)
-from repro.simulation import (Configuration, ExecutionResult, Message,
-                              StepEngine, WindowEngine, WindowSpec,
-                              run_execution)
-from repro.verification import (InvariantChecker, ScheduleReplayAdversary,
-                                VerificationReport, differential_replay,
-                                replay_schedule, run_fuzz_campaign,
-                                shrink_schedule)
+from repro.simulation import (Configuration, Engine, ExecutionResult,
+                              Message, WindowSpec, run_execution)
+from repro.verification import (InvariantChecker, VerificationReport,
+                                differential_replay, replay_schedule,
+                                run_fuzz_campaign, shrink_schedule)
 
 __version__ = "1.2.0"
 
@@ -114,13 +111,11 @@ __all__ = [
     "Configuration",
     "ExecutionResult",
     "Message",
-    "StepEngine",
-    "WindowEngine",
+    "Engine",
     "WindowSpec",
     "run_execution",
     "InvariantChecker",
     "VerificationReport",
-    "ScheduleReplayAdversary",
     "differential_replay",
     "replay_schedule",
     "run_fuzz_campaign",

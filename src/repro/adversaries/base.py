@@ -1,6 +1,7 @@
 """Shared adversary helpers.
 
-Adversaries come in two flavours matching the two engines:
+Adversaries come in two flavours matching the engine's two scheduling
+policies:
 
 * *window adversaries* (:class:`repro.simulation.windows.WindowAdversary`)
   choose an acceptable window — the sets ``R, S_1, ..., S_n`` — given full

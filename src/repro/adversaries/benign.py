@@ -12,7 +12,8 @@ from typing import Optional
 
 from repro.determinism import seeded_rng
 from repro.adversaries.base import random_subset, senders_excluding
-from repro.simulation.windows import WindowAdversary, WindowEngine, WindowSpec
+from repro.simulation.engine import Engine
+from repro.simulation.windows import WindowAdversary, WindowSpec
 
 
 class BenignAdversary(WindowAdversary):
@@ -23,7 +24,7 @@ class BenignAdversary(WindowAdversary):
     the friendly baseline of experiment E1.
     """
 
-    def next_window(self, engine: WindowEngine) -> WindowSpec:
+    def next_window(self, engine: Engine) -> WindowSpec:
         return WindowSpec.full_delivery(engine.n)
 
 
@@ -44,7 +45,7 @@ class RandomSchedulerAdversary(WindowAdversary):
         self.rng = seeded_rng(seed)
         self.reset_probability = reset_probability
 
-    def next_window(self, engine: WindowEngine) -> WindowSpec:
+    def next_window(self, engine: Engine) -> WindowSpec:
         n, t = engine.n, engine.t
         senders_for = tuple(
             random_subset(range(n), n - t, self.rng) for _ in range(n))
@@ -68,7 +69,7 @@ class SilencingAdversary(WindowAdversary):
     def __init__(self, silenced: Optional[frozenset] = None) -> None:
         self.silenced = silenced
 
-    def next_window(self, engine: WindowEngine) -> WindowSpec:
+    def next_window(self, engine: Engine) -> WindowSpec:
         n, t = engine.n, engine.t
         silenced = self.silenced
         if silenced is None:

@@ -19,7 +19,7 @@ import random
 from typing import FrozenSet, List, Optional, Sequence, Set
 
 from repro.determinism import seeded_rng
-from repro.simulation.engine import StepAdversary, StepEngine
+from repro.simulation.engine import Engine, StepAdversary
 from repro.simulation.events import Step
 from repro.simulation.message import Message
 
@@ -36,7 +36,7 @@ class ByzantineStrategy:
     DROP = object()
     """Sentinel: suppress the message entirely."""
 
-    def corrupt(self, message: Message, engine: StepEngine,
+    def corrupt(self, message: Message, engine: Engine,
                 rng: random.Random):
         """Return a replacement payload, ``DROP``, or ``None`` (unchanged)."""
         return None
@@ -45,7 +45,7 @@ class ByzantineStrategy:
 class SilentStrategy(ByzantineStrategy):
     """Corrupted processors appear crashed: all their messages are dropped."""
 
-    def corrupt(self, message: Message, engine: StepEngine,
+    def corrupt(self, message: Message, engine: Engine,
                 rng: random.Random):
         return ByzantineStrategy.DROP
 
@@ -58,7 +58,7 @@ class FlipValueStrategy(ByzantineStrategy):
     non-tuple payloads are left alone).
     """
 
-    def corrupt(self, message: Message, engine: StepEngine,
+    def corrupt(self, message: Message, engine: Engine,
                 rng: random.Random):
         payload = message.payload
         if isinstance(payload, tuple) and payload and payload[-1] in (0, 1):
@@ -74,7 +74,7 @@ class EquivocateStrategy(ByzantineStrategy):
     reliable broadcast (and hence Bracha's protocol) is designed to defeat.
     """
 
-    def corrupt(self, message: Message, engine: StepEngine,
+    def corrupt(self, message: Message, engine: Engine,
                 rng: random.Random):
         payload = message.payload
         if isinstance(payload, tuple) and payload and payload[-1] in (0, 1):
@@ -86,7 +86,7 @@ class EquivocateStrategy(ByzantineStrategy):
 class RandomValueStrategy(ByzantineStrategy):
     """Corrupted processors replace every binary value with a coin flip."""
 
-    def corrupt(self, message: Message, engine: StepEngine,
+    def corrupt(self, message: Message, engine: Engine,
                 rng: random.Random):
         payload = message.payload
         if isinstance(payload, tuple) and payload and payload[-1] in (0, 1):
@@ -123,7 +123,7 @@ class ByzantineAdversary(StepAdversary):
         self._queue: List[Step] = []
         self._round = 0
 
-    def bind(self, engine: StepEngine) -> None:
+    def bind(self, engine: Engine) -> None:
         if self.corrupted is None:
             self.corrupted = frozenset(range(engine.t))
         if len(self.corrupted) > engine.t:
@@ -132,13 +132,13 @@ class ByzantineAdversary(StepAdversary):
                 f"t = {engine.t}")
 
     # ------------------------------------------------------------------
-    def _plan_round(self, engine: StepEngine) -> List[Step]:
+    def _plan_round(self, engine: Engine) -> List[Step]:
         """One communication round: everyone sends, then deliveries."""
         steps: List[Step] = [Step.send(pid) for pid in
                              engine.live_processors()]
         return steps
 
-    def _plan_deliveries(self, engine: StepEngine) -> List[Step]:
+    def _plan_deliveries(self, engine: Engine) -> List[Step]:
         steps: List[Step] = []
         assert self.corrupted is not None
         for message in engine.pending_messages():
@@ -156,7 +156,7 @@ class ByzantineAdversary(StepAdversary):
                 steps.append(Step.receive(message))
         return steps
 
-    def next_step(self, engine: StepEngine) -> Optional[Step]:
+    def next_step(self, engine: Engine) -> Optional[Step]:
         if not self._queue:
             # Alternate: a block of sending steps, then a block of
             # deliveries of whatever is pending.

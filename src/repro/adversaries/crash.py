@@ -3,7 +3,7 @@
 The classical asynchronous crash adversary (Sections 1 and 5) can stop up to
 ``t`` processors forever and otherwise only controls scheduling; every
 message sent to a live processor must eventually be delivered.  These
-adversaries drive the window engine in the crash model (no resets) and are
+adversaries schedule acceptable windows in the crash model (no resets) and are
 used by the Ben-Or baseline experiments (E4, E6).
 """
 
@@ -13,7 +13,8 @@ from typing import Optional
 
 from repro.adversaries.base import FaultBudget, senders_excluding
 from repro.adversaries.split_vote import SplitVoteAdversary
-from repro.simulation.windows import WindowAdversary, WindowEngine, WindowSpec
+from repro.simulation.engine import Engine
+from repro.simulation.windows import WindowAdversary, WindowSpec
 
 
 class StaticCrashAdversary(WindowAdversary):
@@ -35,10 +36,10 @@ class StaticCrashAdversary(WindowAdversary):
         self.deliver_from_live_only = deliver_from_live_only
         self._budget: Optional[FaultBudget] = None
 
-    def bind(self, engine: WindowEngine) -> None:
+    def bind(self, engine: Engine) -> None:
         self._budget = FaultBudget(engine.t)
 
-    def next_window(self, engine: WindowEngine) -> WindowSpec:
+    def next_window(self, engine: Engine) -> WindowSpec:
         n, t = engine.n, engine.t
         crashes = set(self.crash_schedule.get(engine.window_index, ()))
         assert self._budget is not None
@@ -68,10 +69,10 @@ class CrashAtDecisionAdversary(WindowAdversary):
     def __init__(self) -> None:
         self._budget: Optional[FaultBudget] = None
 
-    def bind(self, engine: WindowEngine) -> None:
+    def bind(self, engine: Engine) -> None:
         self._budget = FaultBudget(engine.t)
 
-    def next_window(self, engine: WindowEngine) -> WindowSpec:
+    def next_window(self, engine: Engine) -> WindowSpec:
         n, t = engine.n, engine.t
         assert self._budget is not None
         victims = set()
@@ -98,7 +99,7 @@ class CrashSplitVoteAdversary(SplitVoteAdversary):
     additionally refuses to issue resets (the crash model has none).
     """
 
-    def next_window(self, engine: WindowEngine) -> WindowSpec:
+    def next_window(self, engine: Engine) -> WindowSpec:
         spec = super().next_window(engine)
         if spec.resets:
             spec = WindowSpec(senders_for=spec.senders_for,

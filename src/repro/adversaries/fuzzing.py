@@ -24,9 +24,9 @@ from typing import FrozenSet, List, Optional, Sequence
 from repro.determinism import seeded_rng
 from repro.adversaries.base import FaultBudget, random_subset
 from repro.adversaries.byzantine import ByzantineStrategy, EquivocateStrategy
-from repro.simulation.engine import StepAdversary, StepEngine
+from repro.simulation.engine import Engine, StepAdversary
 from repro.simulation.events import Step
-from repro.simulation.windows import WindowAdversary, WindowEngine, WindowSpec
+from repro.simulation.windows import WindowAdversary, WindowSpec
 
 
 class ScheduleFuzzer(WindowAdversary):
@@ -70,11 +70,11 @@ class ScheduleFuzzer(WindowAdversary):
         self.max_crashes = max_crashes
         self._crash_budget: Optional[FaultBudget] = None
 
-    def bind(self, engine: WindowEngine) -> None:
+    def bind(self, engine: Engine) -> None:
         limit = engine.t if self.max_crashes is None else self.max_crashes
         self._crash_budget = FaultBudget(min(limit, engine.t))
 
-    def next_window(self, engine: WindowEngine) -> WindowSpec:
+    def next_window(self, engine: Engine) -> WindowSpec:
         n, t = engine.n, engine.t
         rng = self.rng
         senders_for = tuple(
@@ -144,7 +144,7 @@ class StepFuzzer(StepAdversary):
         self.max_resets = max_resets
         self._resets_left = 0
 
-    def bind(self, engine: StepEngine) -> None:
+    def bind(self, engine: Engine) -> None:
         if len(self.corrupted) > engine.t:
             raise ValueError(
                 f"corrupted set of size {len(self.corrupted)} exceeds "
@@ -154,11 +154,11 @@ class StepFuzzer(StepAdversary):
         if engine.reset_budget is not None:
             self._resets_left = min(self._resets_left, engine.reset_budget)
 
-    def _deliverable(self, engine: StepEngine) -> List:
+    def _deliverable(self, engine: Engine) -> List:
         return [message for message in engine.pending_messages()
                 if not engine.processors[message.receiver].crashed]
 
-    def next_step(self, engine: StepEngine) -> Optional[Step]:
+    def next_step(self, engine: Engine) -> Optional[Step]:
         rng = self.rng
         live = engine.live_processors()
         if not live:

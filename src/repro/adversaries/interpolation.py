@@ -26,7 +26,8 @@ from typing import List, Optional
 from repro.determinism import seeded_rng
 from repro.adversaries.base import senders_excluding
 from repro.adversaries.split_vote import SplitVoteAdversary
-from repro.simulation.windows import WindowAdversary, WindowEngine, WindowSpec
+from repro.simulation.engine import Engine
+from repro.simulation.windows import WindowAdversary, WindowSpec
 
 
 def interpolate_windows(spec_a: WindowSpec, spec_b: WindowSpec, j: int,
@@ -107,7 +108,7 @@ class LookaheadAdversary(WindowAdversary):
     # ------------------------------------------------------------------
     # Candidate generation.
     # ------------------------------------------------------------------
-    def _base_candidates(self, engine: WindowEngine) -> List[WindowSpec]:
+    def _base_candidates(self, engine: Engine) -> List[WindowSpec]:
         n, t = engine.n, engine.t
         candidates = [WindowSpec.full_delivery(n)]
         if t > 0:
@@ -138,7 +139,7 @@ class LookaheadAdversary(WindowAdversary):
             candidates.append(split.next_window(engine))
         return candidates[:self.max_candidates]
 
-    def _with_hybrids(self, engine: WindowEngine,
+    def _with_hybrids(self, engine: Engine,
                       evaluated: List[CandidateEvaluation]
                       ) -> List[WindowSpec]:
         """Hybridise the best zero-avoider with the best one-avoider."""
@@ -161,7 +162,7 @@ class LookaheadAdversary(WindowAdversary):
     # ------------------------------------------------------------------
     # Monte-Carlo evaluation.
     # ------------------------------------------------------------------
-    def _evaluate(self, engine: WindowEngine,
+    def _evaluate(self, engine: Engine,
                   spec: WindowSpec) -> CandidateEvaluation:
         decisions = 0
         zeros = 0
@@ -190,7 +191,7 @@ class LookaheadAdversary(WindowAdversary):
             zero_probability=zeros / samples,
             one_probability=ones / samples)
 
-    def next_window(self, engine: WindowEngine) -> WindowSpec:
+    def next_window(self, engine: Engine) -> WindowSpec:
         candidates = self._base_candidates(engine)
         evaluated = [self._evaluate(engine, spec) for spec in candidates]
         if self.include_hybrids:

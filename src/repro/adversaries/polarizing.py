@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.determinism import seeded_rng
-from repro.simulation.windows import WindowAdversary, WindowEngine, WindowSpec
+from repro.simulation.engine import Engine
+from repro.simulation.windows import WindowAdversary, WindowSpec
 
 
 class PolarizingAdversary(WindowAdversary):
@@ -29,7 +30,7 @@ class PolarizingAdversary(WindowAdversary):
     def __init__(self, seed: Optional[int] = None) -> None:
         self.rng = seeded_rng(seed)
 
-    def _voters(self, engine: WindowEngine, value: int) -> List[int]:
+    def _voters(self, engine: Engine, value: int) -> List[int]:
         voters = []
         for proc in engine.processors:
             if proc.crashed:
@@ -38,7 +39,7 @@ class PolarizingAdversary(WindowAdversary):
                 voters.append(proc.pid)
         return voters
 
-    def next_window(self, engine: WindowEngine) -> WindowSpec:
+    def next_window(self, engine: Engine) -> WindowSpec:
         n, t = engine.n, engine.t
         zero_voters = self._voters(engine, 0)
         one_voters = self._voters(engine, 1)

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Union
 
-from repro.simulation.windows import WindowAdversary, WindowEngine, WindowSpec
+from repro.simulation.engine import Engine
+from repro.simulation.windows import WindowAdversary, WindowSpec
 
 PAD_BENIGN = "benign"
 PAD_REPEAT = "repeat"
@@ -56,7 +57,7 @@ class ReplayScheduleAdversary(WindowAdversary):
         self.pad = pad
         self._next = 0
 
-    def next_window(self, engine: WindowEngine) -> WindowSpec:
+    def next_window(self, engine: Engine) -> WindowSpec:
         index = self._next
         self._next += 1
         if index < len(self.schedule):

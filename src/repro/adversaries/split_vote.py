@@ -23,10 +23,11 @@ from typing import FrozenSet, List, Optional, Tuple
 
 from repro.determinism import seeded_rng
 from repro.adversaries.base import senders_excluding
-from repro.simulation.windows import WindowAdversary, WindowEngine, WindowSpec
+from repro.simulation.engine import Engine
+from repro.simulation.windows import WindowAdversary, WindowSpec
 
 
-def _default_block_threshold(engine: WindowEngine) -> int:
+def _default_block_threshold(engine: Engine) -> int:
     """The vote count the adversary must keep every processor below.
 
     For the reset-tolerant protocol this is the adoption threshold ``T3``
@@ -69,12 +70,12 @@ class SplitVoteAdversary(WindowAdversary):
         self.lost_control_windows = 0
 
     # ------------------------------------------------------------------
-    def _threshold(self, engine: WindowEngine) -> int:
+    def _threshold(self, engine: Engine) -> int:
         if self.block_threshold is not None:
             return self.block_threshold
         return _default_block_threshold(engine)
 
-    def _voters_by_value(self, engine: WindowEngine
+    def _voters_by_value(self, engine: Engine
                          ) -> Tuple[List[int], List[int]]:
         """Partition live processors by the estimate they are about to send."""
         zeros, ones = [], []
@@ -88,7 +89,7 @@ class SplitVoteAdversary(WindowAdversary):
                 ones.append(proc.pid)
         return zeros, ones
 
-    def _exclusions(self, engine: WindowEngine) -> Optional[FrozenSet[int]]:
+    def _exclusions(self, engine: Engine) -> Optional[FrozenSet[int]]:
         """Senders to hide from every receiver, or ``None`` if infeasible.
 
         The same exclusion set works for every receiver because the goal —
@@ -106,7 +107,7 @@ class SplitVoteAdversary(WindowAdversary):
                   + self.rng.sample(ones, need_hide_one))
         return frozenset(hidden)
 
-    def _ordering_block(self, engine: WindowEngine) -> Optional[WindowSpec]:
+    def _ordering_block(self, engine: Engine) -> Optional[WindowSpec]:
         """Block by scheduling the receiving steps, if the protocol allows it.
 
         Protocols that act on the *first* ``W`` messages of the current
@@ -141,7 +142,7 @@ class SplitVoteAdversary(WindowAdversary):
                                   deliver_last=frozenset(majority_pool))
 
     # ------------------------------------------------------------------
-    def next_window(self, engine: WindowEngine) -> WindowSpec:
+    def next_window(self, engine: Engine) -> WindowSpec:
         ordering_spec = self._ordering_block(engine)
         if ordering_spec is not None:
             self.blocked_windows += 1
@@ -180,7 +181,7 @@ class AdaptiveResettingAdversary(SplitVoteAdversary):
         self.reset_fraction = reset_fraction
         self.total_resets_issued = 0
 
-    def _reset_targets(self, engine: WindowEngine) -> FrozenSet[int]:
+    def _reset_targets(self, engine: Engine) -> FrozenSet[int]:
         budget = int(engine.t * self.reset_fraction)
         if budget <= 0:
             return frozenset()
@@ -190,7 +191,7 @@ class AdaptiveResettingAdversary(SplitVoteAdversary):
         self.total_resets_issued += len(targets)
         return frozenset(targets)
 
-    def next_window(self, engine: WindowEngine) -> WindowSpec:
+    def next_window(self, engine: Engine) -> WindowSpec:
         base = super().next_window(engine)
         resets = self._reset_targets(engine)
         return WindowSpec(senders_for=base.senders_for, resets=resets,

@@ -1,4 +1,4 @@
-"""Analysis toolkit: product measures, statistics and experiment runners."""
+"""Analysis toolkit: product measures and statistics."""
 
 from repro.analysis.product_measure import (CoordinateDistribution,
                                             ProductDistribution,
@@ -10,14 +10,6 @@ from repro.analysis.statistics import (ExponentialFit, TrialSummary,
                                        empirical_probability,
                                        fit_exponential, format_table,
                                        geometric_mean, summarize_trials)
-from repro.analysis.experiments import (run_baseline_experiment,
-                                        run_committee_experiment,
-                                        run_constants_experiment,
-                                        run_crash_forgetful_experiment,
-                                        run_exponential_rounds_experiment,
-                                        run_feasibility_experiment,
-                                        run_lower_bound_experiment,
-                                        run_threshold_ablation)
 
 __all__ = [
     "CoordinateDistribution",
@@ -35,12 +27,4 @@ __all__ = [
     "format_table",
     "geometric_mean",
     "summarize_trials",
-    "run_baseline_experiment",
-    "run_committee_experiment",
-    "run_constants_experiment",
-    "run_crash_forgetful_experiment",
-    "run_exponential_rounds_experiment",
-    "run_feasibility_experiment",
-    "run_lower_bound_experiment",
-    "run_threshold_ablation",
 ]

@@ -4,7 +4,8 @@
 :class:`~repro.runner.spec.TrialSpec` objects (one protocol, one adversary
 class, one ``(n, t)``) with every piece of per-processor state laid out as
 numpy arrays over ``trials x processors``.  It is a *re-implementation* of
-the per-trial pipeline — :class:`~repro.simulation.windows.WindowEngine`,
+the per-trial window pipeline —
+:meth:`~repro.simulation.engine.Engine.run_window`,
 :class:`~repro.simulation.network.Network`,
 :class:`~repro.simulation.processor.Processor` and the protocol objects —
 under one hard contract: **bit identity**.  Every
@@ -42,9 +43,9 @@ result* and reported back to the caller; :func:`run_group` re-runs it
 through the per-trial oracle.  Quarantine therefore affects speed, never
 values.
 
-The engine stops per trial exactly like ``WindowEngine.run``: the stop
-predicate (``stop_when``) is evaluated *before* each window, and a trial
-also stops once ``window_index`` reaches its ``max_windows``.  When the
+The engine stops per trial exactly like ``Engine.run`` with a window cap:
+the stop predicate (``stop_when``) is evaluated *before* each window, and a
+trial also stops once ``window_index`` reaches its ``max_windows``.  When the
 active fraction of the batch drops below half (common under the
 exponential window spreads of the E2 workload), the batch *compacts*,
 gathering all live state down to the surviving trials.
@@ -236,7 +237,7 @@ class BatchedWindowEngine:
     def _finish_ready(self) -> None:
         """Build results for trials whose stop predicate now holds.
 
-        Mirrors ``WindowEngine.run``: the stop check precedes each window,
+        Mirrors ``Engine.run``: the stop check precedes each window,
         and the window cap ends a trial regardless of decisions.
         """
         decided = self.output >= 0
@@ -311,7 +312,7 @@ class BatchedWindowEngine:
         self.driver.gather(keep)
 
     # ------------------------------------------------------------------
-    # One acceptable window (mirrors WindowEngine.run_window phase order).
+    # One acceptable window (mirrors Engine.run_window phase order).
     # ------------------------------------------------------------------
     def _run_window(self, senders: Tuple[str, np.ndarray],
                     deliver_last: Optional[np.ndarray],

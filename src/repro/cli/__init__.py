@@ -151,8 +151,8 @@ Common front ends:
   schedules (see "Adversary search" in PERFORMANCE.md); `python -m repro
   replay` re-executes any saved schedule artifact.
 - `benchmarks/` — the same experiments under pytest-benchmark.
-- `repro.analysis.experiments.run_*` — backwards-compatible function
-  wrappers (rows bit-identical to the registry path at equal seeds).
+- `repro.experiments.get_experiment(name).run(params=...)` — the same
+  experiments from Python.
 
 Each experiment's *default parameters* are the paper-size sweep; the
 *quick overrides* are what `--quick` changes.  Every parameter can be set

@@ -37,7 +37,8 @@ from repro.adversaries.split_vote import SplitVoteAdversary
 from repro.core.talagrand import separation_threshold
 from repro.protocols.base import ProtocolFactory
 from repro.simulation.configuration import Configuration, set_distance
-from repro.simulation.windows import WindowAdversary, WindowEngine, WindowSpec
+from repro.simulation.engine import Engine
+from repro.simulation.windows import WindowAdversary, WindowSpec
 
 
 # ----------------------------------------------------------------------
@@ -75,8 +76,8 @@ def sample_decision_configurations(
         else:
             adversary = RandomSchedulerAdversary(seed=rng.getrandbits(32))
         factory = ProtocolFactory(protocol_cls, n=n, t=t, **protocol_kwargs)
-        engine = WindowEngine(factory, inputs, seed=rng.getrandbits(32),
-                              record_configurations=True)
+        engine = Engine(factory, inputs, seed=rng.getrandbits(32),
+                        record_configurations=True)
         engine.run(adversary, max_windows=max_windows, stop_when="all")
         for configuration in engine.configurations:
             if configuration.has_decision(0):
@@ -127,8 +128,8 @@ def decision_set_separation(protocol_cls, n: int, t: int, trials: int,
 # ----------------------------------------------------------------------
 # Window-outcome probability estimation.
 # ----------------------------------------------------------------------
-def estimate_window_outcome(engine: WindowEngine, spec: WindowSpec,
-                            predicate: Callable[[WindowEngine], bool],
+def estimate_window_outcome(engine: Engine, spec: WindowSpec,
+                            predicate: Callable[[Engine], bool],
                             samples: int, horizon: int = 0,
                             seed: Optional[int] = None,
                             continuation: Optional[Callable[[], WindowAdversary]] = None
@@ -159,7 +160,7 @@ def estimate_window_outcome(engine: WindowEngine, spec: WindowSpec,
     return hits / samples
 
 
-def estimate_decision_probability(engine: WindowEngine, spec: WindowSpec,
+def estimate_decision_probability(engine: Engine, spec: WindowSpec,
                                   value: Optional[int], samples: int,
                                   horizon: int = 0,
                                   seed: Optional[int] = None) -> float:
@@ -201,7 +202,7 @@ class HybridPoint:
         return max(self.zero_probability, self.one_probability)
 
 
-def hybrid_window_sweep(engine: WindowEngine, spec_zero_avoider: WindowSpec,
+def hybrid_window_sweep(engine: Engine, spec_zero_avoider: WindowSpec,
                         spec_one_avoider: WindowSpec, samples: int,
                         horizon: int = 1, seed: Optional[int] = None,
                         points: Optional[Sequence[int]] = None
@@ -286,8 +287,7 @@ def find_balanced_inputs(protocol_cls, n: int, t: int, samples: int = 8,
         for _ in range(samples):
             factory = ProtocolFactory(protocol_cls, n=n, t=t,
                                       **protocol_kwargs)
-            engine = WindowEngine(factory, list(inputs),
-                                  seed=rng.getrandbits(32))
+            engine = Engine(factory, list(inputs), seed=rng.getrandbits(32))
             adversary = SplitVoteAdversary(seed=rng.getrandbits(32))
             engine.run(adversary, max_windows=horizon, stop_when="first")
             decided_values = {output for output in engine.outputs()
@@ -350,8 +350,7 @@ def lower_bound_report(protocol_cls, n: int, t: int,
                                     seed=rng.getrandbits(32),
                                     **protocol_kwargs)
     factory = ProtocolFactory(protocol_cls, n=n, t=t, **protocol_kwargs)
-    engine = WindowEngine(factory, list(balanced.inputs),
-                          seed=rng.getrandbits(32))
+    engine = Engine(factory, list(balanced.inputs), seed=rng.getrandbits(32))
     # Endpoint windows: silence-and-reset the first t (good at protecting
     # the suffix's view) versus the last t processors, as in Lemma 13.
     first = frozenset(range(t)) if t > 0 else frozenset()

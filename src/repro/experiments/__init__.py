@@ -6,8 +6,7 @@ builder over :mod:`repro.runner` trial specs, a row schema and an optional
 finalizer — and registered by name, mirroring the protocol registry
 (:mod:`repro.protocols.registry`) and the adversary registry
 (:mod:`repro.adversaries.registry`).  The ``python -m repro`` CLI, the
-benchmark suite, the examples and the legacy wrappers in
-:mod:`repro.analysis.experiments` all run experiments through
+benchmark suite and the examples all run experiments through
 :meth:`Experiment.run`, the one grid-expansion path.
 
 Quickstart::

@@ -6,9 +6,8 @@ cell builder that expands the grid into :class:`Cell` objects, a row
 schema, and an optional finalizer for synthetic rows (the exponential-fit
 rows of E2/E4).  The registry in :mod:`repro.experiments.registry` mirrors
 the protocol and adversary registries, so every front end — the
-``python -m repro`` CLI, the benchmark suite, the examples and the legacy
-wrappers in :mod:`repro.analysis.experiments` — runs experiments through
-the single code path implemented here.
+``python -m repro`` CLI, the benchmark suite and the examples — runs
+experiments through the single code path implemented here.
 
 A :class:`Cell` is one output row: a stable identity key, the
 :class:`~repro.runner.spec.TrialSpec` batch backing the row (empty for
@@ -16,7 +15,7 @@ analytic experiments such as E3/E5/E8), and a ``build_row`` callback that
 turns the cell's execution results into the row dict.  Because every seed
 is drawn while cells are *built* (in the exact order the pre-registry
 serial loops drew them), which cells later *execute* never perturbs any
-other cell — that is what makes both the bit-identical legacy wrappers and
+other cell — that is what makes both the bit-identical golden rows and
 the results store's cell-level resume possible.
 """
 

@@ -3,12 +3,11 @@
 Each ``_eN_cells`` builder expands a resolved parameter grid into
 :class:`~repro.experiments.base.Cell` objects.  **Seed-draw order is part
 of the contract**: every call into the master-seeded ``rng`` happens in the
-exact order the pre-registry serial loops in
-:mod:`repro.analysis.experiments` made it (adversary kwargs before engine
-seed, trial by trial), so the legacy wrappers return rows bit-identical to
-their historical output at the same master seed.  Do not reorder the
-draws.  New experiments are free of this constraint and should prefer
-:func:`repro.runner.derive_seed`.
+exact order the pre-registry serial loops made it (adversary kwargs before
+engine seed, trial by trial), so the rows stay bit-identical to their
+historical output at the same master seed (``tests/golden/``).  Do not
+reorder the draws.  New experiments are free of this constraint and should
+prefer :func:`repro.runner.derive_seed`.
 """
 
 from __future__ import annotations

@@ -19,9 +19,8 @@ from typing import Any, Dict, Optional, Tuple
 from repro.adversaries.registry import build_adversary
 from repro.protocols.base import ProtocolFactory
 from repro.protocols.registry import get_protocol
-from repro.simulation.engine import StepEngine
+from repro.simulation.engine import Engine
 from repro.simulation.trace import ExecutionResult
-from repro.simulation.windows import WindowEngine
 
 WINDOW_ENGINE = "window"
 STEP_ENGINE = "step"
@@ -58,13 +57,14 @@ class TrialSpec:
             a registry name string).
         protocol_kwargs: extra kwargs forwarded to the protocol constructor
             (e.g. a ``ThresholdConfig`` for the ablation experiment).
-        engine: ``"window"`` for the acceptable-window engine (the paper's
-            strongly adaptive model) or ``"step"`` for the fine-grained
-            asynchronous step engine.
-        max_windows: window cap (window engine).
-        max_steps: step cap (step engine).
-        stop_when: ``"first"`` or ``"all"``, as in the engines' ``run``.
-        record_configurations: keep per-window configuration snapshots.
+        engine: ``"window"`` to schedule acceptable windows (the paper's
+            strongly adaptive model) or ``"step"`` to schedule fine-grained
+            asynchronous steps.
+        max_windows: window cap (window scheduling).
+        max_steps: step cap (step scheduling).
+        stop_when: ``"first"`` or ``"all"``, as in ``Engine.run``.
+        record_configurations: keep per-window configuration snapshots
+            (window scheduling only).
         record_trace: attach a full
             :class:`~repro.simulation.trace.ExecutionTrace` to the result,
             for the invariant checker and the differential replayer
@@ -110,17 +110,16 @@ def execute_trial(spec: TrialSpec) -> ExecutionResult:
     adversary = build_adversary(spec.adversary, **spec.adversary_kwargs)
     factory = ProtocolFactory(info.protocol_cls, n=spec.n, t=spec.t,
                               **spec.protocol_kwargs)
-    if spec.engine == WINDOW_ENGINE:
-        engine = WindowEngine(
-            factory, list(spec.inputs), seed=spec.seed,
-            record_configurations=spec.record_configurations,
-            record_trace=spec.record_trace)
+    windowed = spec.engine == WINDOW_ENGINE
+    engine = Engine(factory, list(spec.inputs), seed=spec.seed,
+                    record_configurations=windowed and
+                    spec.record_configurations,
+                    record_trace=spec.record_trace)
+    if windowed:
         return engine.run(adversary, max_windows=spec.max_windows,
                           stop_when=spec.stop_when)
-    step_engine = StepEngine(factory, list(spec.inputs), seed=spec.seed,
-                             record_trace=spec.record_trace)
-    return step_engine.run(adversary, max_steps=spec.max_steps,
-                           stop_when=spec.stop_when)
+    return engine.run(adversary, max_steps=spec.max_steps,
+                      stop_when=spec.stop_when)
 
 
 __all__ = ["TrialSpec", "execute_trial", "derive_seed",

@@ -445,6 +445,13 @@ class SupervisedRunner:
 
         try:
             while unresolved or ready:
+                if not unresolved and pool is not None:
+                    # Every future is done: join the workers and the
+                    # executor's manager thread now.  A pool left to the
+                    # interpreter's exit hook races that thread closing
+                    # its wakeup pipe ("Bad file descriptor" at exit).
+                    pool.shutdown(wait=True)
+                    pool = None
                 while ready:
                     yield ready.pop(0)
                 if not unresolved:

@@ -4,7 +4,9 @@ This package implements the execution model of Section 2 of the paper: a
 complete network of ``n`` processors with dedicated channels, executions as
 sequences of sending / receiving / resetting (and crash) steps, acceptable
 windows for the strongly adaptive adversary, and configurations as joint
-state snapshots used by the lower-bound machinery.
+state snapshots used by the lower-bound machinery.  One
+:class:`~repro.simulation.engine.Engine` executes both granularities: a
+single step, or an acceptable window as a fixed arrangement of steps.
 """
 
 from repro.simulation.configuration import (Configuration, decided_one,
@@ -12,7 +14,7 @@ from repro.simulation.configuration import (Configuration, decided_one,
                                             hamming_distance,
                                             point_to_set_distance,
                                             set_distance)
-from repro.simulation.engine import StepAdversary, StepEngine
+from repro.simulation.engine import Engine, StepAdversary
 from repro.simulation.errors import (AdversaryBudgetError,
                                      ConfigurationMismatchError,
                                      InvalidStepError, InvalidWindowError,
@@ -22,8 +24,8 @@ from repro.simulation.message import Message, broadcast
 from repro.simulation.network import Network
 from repro.simulation.processor import Processor
 from repro.simulation.trace import ExecutionResult
-from repro.simulation.windows import (WindowAdversary, WindowEngine,
-                                      WindowSpec, run_execution)
+from repro.simulation.windows import (WindowAdversary, WindowSpec,
+                                      run_execution)
 
 __all__ = [
     "Configuration",
@@ -33,8 +35,8 @@ __all__ = [
     "hamming_distance",
     "point_to_set_distance",
     "set_distance",
+    "Engine",
     "StepAdversary",
-    "StepEngine",
     "SimulationError",
     "InvalidWindowError",
     "InvalidStepError",
@@ -49,7 +51,6 @@ __all__ = [
     "Processor",
     "ExecutionResult",
     "WindowAdversary",
-    "WindowEngine",
     "WindowSpec",
     "run_execution",
 ]

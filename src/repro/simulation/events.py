@@ -1,12 +1,12 @@
 """Step and event types for step-level (fully asynchronous) executions.
 
-The window engine (``repro.simulation.windows``) drives executions one
-acceptable window at a time, which is the natural granularity for the
-strongly adaptive adversary.  The step engine (``repro.simulation.engine``)
-instead exposes the paper's fine-grained step types directly — sending,
-receiving, resetting — plus crash and Byzantine corruption events needed for
-the classical adversaries of Sections 1 and 5.  This module defines the step
-vocabulary shared by the step engine and its adversaries.
+The engine (``repro.simulation.engine``) executes the paper's fine-grained
+step types — sending, receiving, resetting — plus the crash and Byzantine
+corruption events needed for the classical adversaries of Sections 1 and 5.
+Window adversaries (``repro.simulation.windows``) schedule whole acceptable
+windows of those steps, the natural granularity for the strongly adaptive
+adversary; step adversaries schedule one :class:`Step` at a time.  This
+module defines that step vocabulary.
 """
 
 from __future__ import annotations
@@ -75,13 +75,4 @@ class Step:
         return Step(StepType.CRASH, pid)
 
 
-@dataclass
-class StepRecord:
-    """A step together with its position in the execution, for traces."""
-
-    index: int
-    step: Step
-    decided_after: bool = False
-
-
-__all__ = ["StepType", "Step", "StepRecord"]
+__all__ = ["StepType", "Step"]

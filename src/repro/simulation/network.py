@@ -3,8 +3,8 @@
 The network models the dedicated per-pair channels of the paper's model: a
 sent message sits in the buffer until the adversary schedules its delivery.
 The network never loses or duplicates messages on its own — all scheduling
-power lives in the adversary.  It supports the operations the two execution
-engines need:
+power lives in the adversary.  It supports the operations the execution
+engine needs, window by window or step by step:
 
 * accepting a batch of messages from a sending step (stamping sequence
   numbers and message-chain depths);
@@ -14,8 +14,8 @@ engines need:
 * dropping messages addressed to or sent by crashed processors, when the
   crash adversary decides they are lost.
 
-Internally the buffer is indexed for the access patterns the engines
-actually have: a dict keyed by sequence number makes :meth:`Network.deliver`
+Internally the buffer is indexed for the access patterns the engine
+actually has: a dict keyed by sequence number makes :meth:`Network.deliver`
 O(1), and per-receiver-per-sender deques make the acceptable-window delivery
 (:meth:`Network.take_window_deliveries`) proportional to the number of
 allowed senders rather than to the number of undelivered messages.  Removal
@@ -167,8 +167,8 @@ class Network:
         """The undelivered message with this sequence number, if any.
 
         Used by the verification layer's differential replayer, which
-        re-issues a window-engine trace's deliveries on the step engine by
-        sequence number.
+        re-issues a window trace's deliveries as single steps by sequence
+        number.
         """
         return self._live.get(sequence)
 
@@ -205,8 +205,8 @@ class Network:
         """Remove and return the freshest message from each allowed sender.
 
         Acceptable windows deliver, to each processor ``i``, *the messages
-        just sent to it* by the senders in ``S_i``.  In the window engine
-        each sender produces at most one message per destination per window,
+        just sent to it* by the senders in ``S_i``.  Within a window each
+        sender produces at most one message per destination,
         so this returns at most one message per allowed sender — the most
         recently sent one — leaving older undelivered messages in the buffer
         (they model the asynchrony the adversary may exploit later).

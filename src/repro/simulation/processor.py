@@ -70,7 +70,7 @@ class Processor:
 
         Crashed processors silently send nothing (their sending steps simply
         never get scheduled in a real execution; returning an empty list
-        keeps the engines simple).
+        keeps the engine simple).
         """
         if self.crashed:
             return []

@@ -1,22 +1,22 @@
 """Execution results and traces.
 
-Both execution engines produce an :class:`ExecutionResult` summarising the
+The execution engine produces an :class:`ExecutionResult` summarising the
 quantities the paper's theorems talk about: whether agreement and validity
 held in every reachable configuration along the way, when the first decision
 happened (in acceptable windows for the strongly adaptive model, in
 message-chain length for the crash model), and how much communication was
 used.
 
-When asked (``record_trace=True``), the engines additionally record an
+When asked (``record_trace=True``), the engine additionally records an
 :class:`ExecutionTrace`: a flat, ordered log of every send, delivery, reset,
-crash and decision, plus — for the window engine — the
+crash and decision, plus — for window executions — the
 :class:`~repro.simulation.windows.WindowSpec` of every executed window.
 The trace is the evidence the verification layer
 (:mod:`repro.verification`) replays: the
 :class:`~repro.verification.invariants.InvariantChecker` re-derives the
-paper's trace-level invariants from it without trusting the engines' own
-summary flags, and the differential replayer re-executes it on the other
-engine.
+paper's trace-level invariants from it without trusting the engine's own
+summary flags, and the differential replayer re-executes a window trace
+step by step.
 """
 
 from __future__ import annotations
@@ -72,15 +72,17 @@ class ExecutionTrace:
     """The full event log of one execution, engine-independent evidence.
 
     Attributes:
-        engine: ``"window"`` or ``"step"`` — which engine produced it.
+        engine: ``"window"`` or ``"step"`` — whether windows or single
+            steps were scheduled.
         n: number of processors.
         t: fault bound the execution was run under.
         inputs: the initial input bits.
         seed: the engine's master randomness seed.
-        crash_budget: the step engine's crash cap (``None`` elsewhere).
-        reset_budget: the step engine's reset cap (``None`` = unlimited).
+        crash_budget: the engine's cumulative crash cap (``None`` when not
+            recorded).
+        reset_budget: the engine's total reset cap (``None`` = unlimited).
         events: every recorded event, in execution order.
-        windows: for the window engine, the executed window specifications
+        windows: for window executions, the executed window specifications
             in order; ``windows[w]`` is the spec behind every event with
             ``window == w``.
     """
@@ -96,7 +98,7 @@ class ExecutionTrace:
     windows: List["WindowSpec"] = field(default_factory=list)
 
     # ------------------------------------------------------------------
-    # Recording (called by the engines).
+    # Recording (called by the engine).
     # ------------------------------------------------------------------
     def record_window(self, spec: "WindowSpec") -> None:
         """Append the specification of the window about to execute."""
@@ -151,7 +153,7 @@ class ExecutionTrace:
     def deliveries_by_window(self) -> List[List[TraceEvent]]:
         """Delivery events grouped by window index, in recorded order.
 
-        Only meaningful for window-engine traces; the differential
+        Only meaningful for window traces; the differential
         replayer uses this to re-issue the same deliveries step by step.
         """
         grouped: List[List[TraceEvent]] = [[] for _ in self.windows]
@@ -171,12 +173,14 @@ class ExecutionResult:
         inputs: the initial input bits.
         outputs: the final output bits (``None`` for undecided processors).
         crashed: identities of processors that crashed during the execution.
-        windows_elapsed: number of acceptable windows executed (window
-            engine) or rounds of the round-structured crash schedule.
-        steps_elapsed: number of fine-grained steps executed (step engine).
+        windows_elapsed: number of acceptable windows executed (``0`` when
+            single steps were scheduled).
+        steps_elapsed: number of single steps executed (``0`` when windows
+            were scheduled).
         first_decision_window: index (1-based) of the window in which the
             first processor decided, or ``None`` if no decision occurred.
-        first_decision_step: step index of the first decision (step engine).
+        first_decision_step: step index of the first decision (``None``
+            when windows were scheduled).
         message_chain_length: longest message chain received by any
             processor before it decided — the running-time measure used for
             the crash-failure lower bound (Theorem 17).

@@ -8,29 +8,26 @@ strongly adaptive adversary must structure every infinite execution as a
 concatenation of acceptable windows; the number of windows before the first
 decision is the running-time measure of Theorems 4 and 5.
 
-The :class:`WindowEngine` executes a protocol one acceptable window at a
-time, with the window contents (the sets ``R, S_1, ..., S_n`` plus, for the
-crash-model experiments, a crash set) chosen by a window adversary.  Because
-the window structure is itself the model, this engine is an exact — not
-approximate — realisation of the paper's execution model.
+This module holds the window vocabulary: :class:`WindowSpec` (the sets
+``R, S_1, ..., S_n`` plus, for the crash-model experiments, a crash set) and
+the :class:`WindowAdversary` interface that chooses them.  Executing a
+window is a scheduling policy of the one execution engine,
+:meth:`repro.simulation.engine.Engine.run_window`, which applies the same
+send / receive / reset / crash primitives as a single step, in the order
+Definition 1 prescribes.  Because the window structure is itself the model,
+that policy is an exact — not approximate — realisation of the paper's
+execution model.
 """
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, FrozenSet, List, Optional,
-                    Sequence, Tuple)
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.simulation.configuration import Configuration
-from repro.simulation.errors import (AdversaryBudgetError, InvalidWindowError)
-from repro.simulation.network import Network
-from repro.simulation.processor import Processor
-from repro.simulation.trace import ExecutionResult, ExecutionTrace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.protocols.base import ProtocolFactory
+from repro.simulation.engine import Engine
+from repro.simulation.errors import InvalidWindowError
+from repro.simulation.trace import ExecutionResult
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ class WindowSpec:
 
 
 class WindowAdversary:
-    """Interface for adversaries driving the window engine.
+    """Interface for adversaries that schedule one window at a time.
 
     A window adversary is a full-information adversary: it is handed the
     engine itself and may inspect every processor's state and every pending
@@ -142,10 +139,10 @@ class WindowAdversary:
     :meth:`next_window`.
     """
 
-    def bind(self, engine: "WindowEngine") -> None:
+    def bind(self, engine: Engine) -> None:
         """Called once before the execution starts."""
 
-    def next_window(self, engine: "WindowEngine") -> WindowSpec:
+    def next_window(self, engine: Engine) -> WindowSpec:
         """Return the specification of the next acceptable window."""
         raise NotImplementedError
 
@@ -158,256 +155,6 @@ class WindowAdversary:
         inputs.
         """
         return None
-
-
-class WindowEngine:
-    """Executes a protocol window by window under a window adversary."""
-
-    def __init__(self, factory: "ProtocolFactory", inputs: Sequence[int],
-                 seed: Optional[int] = None,
-                 record_configurations: bool = False,
-                 record_trace: bool = False) -> None:
-        """Build the engine.
-
-        Args:
-            factory: builds the per-processor protocol instances.
-            inputs: the ``n`` initial input bits.
-            seed: master seed for all processor randomness.
-            record_configurations: keep a per-window configuration snapshot
-                (needed by the lower-bound machinery, off by default to keep
-                long executions cheap).
-            record_trace: keep a full :class:`ExecutionTrace` — every
-                window specification, send, delivery, reset, crash and
-                decision — for the verification layer (off by default).
-        """
-        self.factory = factory
-        self.n = factory.n
-        self.t = factory.t
-        self.inputs = tuple(inputs)
-        self.seed = seed
-        self.record_configurations = record_configurations
-        self.trace: Optional[ExecutionTrace] = None
-        if record_trace:
-            self.trace = ExecutionTrace(engine="window", n=self.n, t=self.t,
-                                        inputs=self.inputs, seed=seed)
-        self.network = Network(self.n)
-        protocols = factory.build(list(inputs), seed=seed)
-        self.processors: List[Processor] = [Processor(p) for p in protocols]
-        self.window_index = 0
-        self.total_resets = 0
-        self.total_crashes = 0
-        self._first_decision_window: Optional[int] = None
-        self._configurations: List[Configuration] = []
-        if record_configurations:
-            self._configurations.append(self.configuration())
-
-    # ------------------------------------------------------------------
-    # Inspection (what a full-information adversary can see).
-    # ------------------------------------------------------------------
-    def configuration(self) -> Configuration:
-        """Snapshot the joint processor state."""
-        return Configuration(states=tuple(
-            proc.state_fingerprint() for proc in self.processors))
-
-    def live_processors(self) -> List[int]:
-        """Identities of processors that have not crashed."""
-        return [proc.pid for proc in self.processors if not proc.crashed]
-
-    def crashed_processors(self) -> List[int]:
-        """Identities of crashed processors."""
-        return [proc.pid for proc in self.processors if proc.crashed]
-
-    def current_estimates(self) -> List[Optional[int]]:
-        """Each processor's current estimate, as exposed by the protocol."""
-        return [proc.protocol.current_estimate() for proc in self.processors]
-
-    def outputs(self) -> Tuple[Optional[int], ...]:
-        """Current output bits."""
-        return tuple(proc.output for proc in self.processors)
-
-    def any_decided(self) -> bool:
-        """Whether some processor has decided."""
-        return any(proc.decided for proc in self.processors)
-
-    def all_live_decided(self) -> bool:
-        """Whether every non-crashed processor has decided."""
-        return all(proc.decided for proc in self.processors
-                   if not proc.crashed)
-
-    @property
-    def configurations(self) -> List[Configuration]:
-        """Recorded per-window configurations (if recording was enabled)."""
-        return list(self._configurations)
-
-    # ------------------------------------------------------------------
-    # Cloning (used by lookahead adversaries and the lower-bound
-    # machinery, which must explore alternative continuations of the same
-    # partial execution).
-    # ------------------------------------------------------------------
-    def clone(self) -> "WindowEngine":
-        """A deep copy of the engine, sharing no mutable state."""
-        return copy.deepcopy(self)
-
-    def reseed(self, seed: int) -> None:
-        """Replace every processor's randomness stream.
-
-        Cloned engines carry cloned random-number generators, which would
-        make repeated Monte-Carlo continuations identical; reseeding with
-        distinct values restores independent local randomness, matching the
-        model's assumption that each processor's source is fresh and
-        independent.
-        """
-        master = random.Random(seed)
-        for proc in self.processors:
-            proc.protocol.rng.seed(master.getrandbits(64))
-
-    # ------------------------------------------------------------------
-    # Window execution.
-    # ------------------------------------------------------------------
-    def run_window(self, spec: WindowSpec) -> Configuration:
-        """Execute one acceptable window and return the new configuration.
-
-        The window proceeds exactly as Definition 1 prescribes: crashes
-        (when used in the crash model) take effect first, then all live
-        processors take sending steps, then each processor receives the
-        freshly sent messages from its sender set, and finally the reset
-        steps are applied.
-        """
-        spec.validate(self.n, self.t)
-        trace = self.trace
-        window = self.window_index
-        outputs_before: Optional[Tuple[Optional[int], ...]] = None
-        if trace is not None:
-            trace.record_window(spec)
-            outputs_before = self.outputs()
-        self._apply_crashes(spec.crashes)
-
-        # Phase 1: sending steps for all (live) processors.
-        for proc in self.processors:
-            if proc.crashed:
-                continue
-            messages = proc.send_step()
-            if messages:
-                messages = self.network.submit(
-                    messages, chain_depth=proc.outgoing_chain_depth)
-            if trace is not None:
-                trace.record_send(proc.pid, messages, window=window)
-
-        # Phase 2: receiving steps.  The adversary controls the order of
-        # receiving steps within the window; deprioritised senders are
-        # delivered last.
-        deliver_last = spec.deliver_last
-        for proc in self.processors:
-            if proc.crashed:
-                continue
-            deliveries = self.network.take_window_deliveries(
-                proc.pid, spec.senders_for[proc.pid])
-            if deliver_last:
-                # Stable partition: deliveries arrive sorted by sender, so
-                # this equals sorting by (sender in deliver_last, sender)
-                # without the per-message key calls.
-                deliveries = (
-                    [m for m in deliveries if m.sender not in deliver_last]
-                    + [m for m in deliveries if m.sender in deliver_last])
-            for message in deliveries:
-                if trace is not None:
-                    trace.record_deliver(message, window=window)
-                proc.receive_step(message)
-
-        # Phase 3: resetting steps.
-        for pid in sorted(spec.resets):
-            proc = self.processors[pid]
-            if not proc.crashed:
-                proc.reset()
-                self.total_resets += 1
-                if trace is not None:
-                    trace.record_reset(pid, window=window)
-
-        if trace is not None and outputs_before is not None:
-            for pid, output in enumerate(self.outputs()):
-                if output is not None and outputs_before[pid] != output:
-                    trace.record_decide(pid, output, window=window)
-
-        self.window_index += 1
-        if self._first_decision_window is None and self.any_decided():
-            self._first_decision_window = self.window_index
-        configuration = self.configuration()
-        if self.record_configurations:
-            self._configurations.append(configuration)
-        return configuration
-
-    def _apply_crashes(self, crashes: FrozenSet[int]) -> None:
-        for pid in sorted(crashes):
-            proc = self.processors[pid]
-            if not proc.crashed:
-                proc.crash()
-                self.total_crashes += 1
-                if self.trace is not None:
-                    self.trace.record_crash(pid, window=self.window_index)
-        if self.total_crashes > self.t:
-            raise AdversaryBudgetError(
-                f"adversary crashed {self.total_crashes} > t = {self.t} "
-                f"processors")
-
-    # ------------------------------------------------------------------
-    # Full executions.
-    # ------------------------------------------------------------------
-    def run(self, adversary: WindowAdversary, max_windows: int,
-            stop_when: str = "all") -> ExecutionResult:
-        """Run windows chosen by ``adversary`` until a stop condition.
-
-        Args:
-            adversary: the window adversary choosing each window.
-            max_windows: hard cap on the number of windows (the caller's
-                stand-in for "the adversary gave up"); executions that hit
-                the cap are reported undecided-so-far rather than erroring.
-            stop_when: ``"first"`` stops as soon as any processor decides
-                (the paper's running-time measure), ``"all"`` keeps going
-                until every live processor has decided.
-
-        Returns:
-            An :class:`ExecutionResult` for the (partial) execution.
-        """
-        if stop_when not in ("first", "all"):
-            raise ValueError("stop_when must be 'first' or 'all'")
-        adversary.bind(self)
-        while self.window_index < max_windows:
-            if stop_when == "first" and self.any_decided():
-                break
-            if stop_when == "all" and self.all_live_decided():
-                break
-            spec = adversary.next_window(self)
-            self.run_window(spec)
-        return self.result()
-
-    def result(self) -> ExecutionResult:
-        """Summarise the execution so far."""
-        outputs = self.outputs()
-        chain_depths = [proc.deciding_chain_depth for proc in self.processors
-                        if proc.deciding_chain_depth is not None]
-        return ExecutionResult(
-            n=self.n,
-            t=self.t,
-            inputs=self.inputs,
-            outputs=outputs,
-            crashed=tuple(self.crashed_processors()),
-            windows_elapsed=self.window_index,
-            first_decision_window=self._first_decision_window,
-            message_chain_length=min(chain_depths) if chain_depths else None,
-            messages_sent=self.network.sent_count,
-            messages_delivered=self.network.delivered_count,
-            total_resets=self.total_resets,
-            total_coin_flips=sum(proc.protocol.coin_flips
-                                 for proc in self.processors),
-            agreement_violated=len({o for o in outputs
-                                    if o is not None}) > 1,
-            validity_violated=not {o for o in outputs
-                                   if o is not None}.issubset(
-                                       set(self.inputs))
-            if any(o is not None for o in outputs) else False,
-            configurations=self.configurations,
-            trace=self.trace,
-        )
 
 
 def run_execution(protocol_cls, n: int, t: int, inputs: Sequence[int],
@@ -426,10 +173,10 @@ def run_execution(protocol_cls, n: int, t: int, inputs: Sequence[int],
     from repro.protocols.base import ProtocolFactory
 
     factory = ProtocolFactory(protocol_cls, n=n, t=t, **protocol_kwargs)
-    engine = WindowEngine(factory, inputs, seed=seed,
-                          record_configurations=record_configurations,
-                          record_trace=record_trace)
+    engine = Engine(factory, inputs, seed=seed,
+                    record_configurations=record_configurations,
+                    record_trace=record_trace)
     return engine.run(adversary, max_windows=max_windows, stop_when=stop_when)
 
 
-__all__ = ["WindowSpec", "WindowAdversary", "WindowEngine", "run_execution"]
+__all__ = ["WindowSpec", "WindowAdversary", "run_execution"]

@@ -11,7 +11,7 @@ Check families (see ``STATIC_ANALYSIS.md`` for the full catalog):
 
 * **D** — determinism: the only sanctioned entropy source is an
   injected, explicitly seeded ``random.Random``.
-* **P** — parity: both engines and the invariant checker share one
+* **P** — parity: the engine and the invariant checker share one
   event vocabulary; every mutation operator is contract-tested.
 * **R** — registry: every concrete adversary/protocol is registered and
   exercised by a scenario.

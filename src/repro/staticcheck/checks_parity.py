@@ -1,18 +1,18 @@
 """P — engine/verification parity checks.
 
-The differential machinery (and every claim built on it) assumes the two
-execution engines speak the same event vocabulary and that the
+The verification layer (and every claim built on it) assumes the
+execution engine emits the whole trace event vocabulary and that the
 independent invariant checker understands all of it.  These checks pin
 that vocabulary statically:
 
 * **P1** — every ``ExecutionTrace.record_*`` event recorder defined in
-  ``simulation/trace.py`` is invoked by *both* engines
-  (``simulation/engine.py`` and ``simulation/windows.py``).
+  ``simulation/trace.py`` is invoked by the engine
+  (``simulation/engine.py``).
 * **P2** — every event *kind* those recorders emit appears in
   ``verification/invariants.py``: the checker cannot re-derive
   guarantees from events it never looks at.
 * **P3** — every ``StepType`` member of ``simulation/events.py`` is
-  handled (referenced) by the step engine's dispatch.
+  handled (referenced) by the engine's step dispatch.
 * **P4** — every public mutation operator of ``search/mutations.py``
   (module-level function returning ``Schedule``) is exercised by the
   hypothesis admissibility contract suite
@@ -32,7 +32,7 @@ from repro.staticcheck.report import Finding
 from repro.staticcheck.walker import ProjectFiles
 
 TRACE_FILE = "simulation/trace.py"
-ENGINE_FILES = ("simulation/engine.py", "simulation/windows.py")
+ENGINE_FILES = ("simulation/engine.py",)
 INVARIANTS_FILE = "verification/invariants.py"
 EVENTS_FILE = "simulation/events.py"
 STEP_ENGINE_FILE = "simulation/engine.py"
@@ -63,7 +63,7 @@ def check_parity(project: ProjectFiles,
     kinds = index.trace_event_kinds()
     recorder_lines = _recorder_lines(project)
 
-    # P1: both engines must invoke every event recorder.
+    # P1: the engine must invoke every event recorder.
     if kinds:
         for engine_file in ENGINE_FILES:
             if project.get(engine_file) is None:
@@ -76,8 +76,8 @@ def check_parity(project: ProjectFiles,
                         line=recorder_lines.get(recorder, 1),
                         message=f"event recorder {recorder}() (kind "
                                 f"{kinds[recorder]!r}) is never called "
-                                f"by {engine_file}; the engines must "
-                                "emit the same event vocabulary"))
+                                f"by {engine_file}; the engine must "
+                                "emit the whole event vocabulary"))
 
     # P2: the invariant checker must consume every event kind.
     if kinds and project.get(INVARIANTS_FILE) is not None:
@@ -91,7 +91,7 @@ def check_parity(project: ProjectFiles,
                             f"{recorder}()) is never examined by the "
                             "invariant checker"))
 
-    # P3: the step engine must dispatch on every StepType member.
+    # P3: the engine's step dispatch must handle every StepType member.
     members = index.step_type_members()
     if members and project.get(STEP_ENGINE_FILE) is not None:
         handled = {attr for base, attr
@@ -102,7 +102,7 @@ def check_parity(project: ProjectFiles,
                 findings.append(Finding(
                     code="P3", path=EVENTS_FILE, line=members[member],
                     message=f"StepType.{member} is never handled by the "
-                            "step engine's dispatch"))
+                            "engine's step dispatch"))
 
     # P4: every public mutation operator has a contract test.
     operators = index.mutation_operators()

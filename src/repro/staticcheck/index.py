@@ -1,8 +1,8 @@
 """A lightweight cross-file symbol index over the parsed project.
 
 The checks reason about relationships *between* files — "is this class
-registered over there", "does the step engine handle every ``StepType``
-member" — so the index pre-digests each parse tree into cheap lookups:
+registered over there", "does the engine's step dispatch handle every
+``StepType`` member" — so the index pre-digests each parse tree into cheap lookups:
 class definitions with base names and ``__slots__`` facts, module-level
 dict literals (the registries), string literals and attribute references
 per file, and the scenario tables of the registry-completeness test.
@@ -300,7 +300,7 @@ class SymbolIndex:
         Derived from ``simulation/trace.py``: every ``record_<x>`` method
         of ``ExecutionTrace`` that constructs a ``TraceEvent`` with a
         ``kind=`` keyword (or first positional string) defines one entry
-        of the engines' shared event vocabulary.
+        of the engine's event vocabulary.
         """
         source = self.project.get("simulation/trace.py")
         if source is None:

@@ -31,11 +31,11 @@ CHECK_CODES: Dict[str, str] = {
           "defaults to None)",
     "D6": "numpy.random global-stream call, or a numpy Generator "
           "constructed unseeded",
-    # P — parity: both engines and the invariant checker speak the same
+    # P — parity: the engine and the invariant checker speak the same
     # event vocabulary, and every mutation operator is contract-tested.
-    "P1": "trace event type not recorded by both execution engines",
+    "P1": "trace event type not recorded by the execution engine",
     "P2": "trace event type not consumed by the invariant checker",
-    "P3": "StepType member not handled by the step engine",
+    "P3": "StepType member not handled by the engine's step dispatch",
     "P4": "mutation operator without a hypothesis admissibility contract "
           "test",
     # R — registry: everything concrete is registered and exercised.

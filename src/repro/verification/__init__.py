@@ -3,7 +3,7 @@
 The paper's guarantees — agreement and validity in every reachable
 configuration, faults within the ``t`` budget, executions structured as
 acceptable windows — are *trace* properties.  This package checks them as
-such, independently of the engines' own summary bookkeeping:
+such, independently of the engine's own summary bookkeeping:
 
 * :mod:`repro.verification.invariants` — the
   :class:`~repro.verification.invariants.InvariantChecker` re-derives
@@ -17,9 +17,9 @@ such, independently of the engines' own summary bookkeeping:
   results store.  The CLI front end is ``python -m repro fuzz``.
 * :mod:`repro.verification.shrink` — greedy delta-debugging minimization
   of violating schedules into short counterexample artifacts.
-* :mod:`repro.verification.differential` — compiles window-engine
-  executions into step schedules and replays them on the step engine,
-  asserting both engines realise the same model.
+* :mod:`repro.verification.differential` — compiles window executions
+  into step schedules and replays them through single steps on a fresh
+  engine, asserting a window is exactly its step compilation.
 * :mod:`repro.verification.batched_diff` — replays sampled trials of
   every batched-backend run through the per-trial oracle and asserts
   bit-identical :class:`~repro.simulation.trace.ExecutionResult`\\ s.
@@ -38,8 +38,8 @@ from repro.verification.fuzzer import (COUNTEREXAMPLE_DIR, FUZZ_EXPERIMENT,
                                        run_fuzz_campaign)
 from repro.verification.invariants import (INVARIANTS, InvariantChecker,
                                            VerificationReport, Violation)
-from repro.verification.shrink import (ReplaySetup, ScheduleReplayAdversary,
-                                       ShrinkResult, load_counterexample,
+from repro.verification.shrink import (ReplaySetup, ShrinkResult,
+                                       load_counterexample,
                                        parse_schedule_artifact,
                                        replay_schedule, save_counterexample,
                                        schedule_from_jsonable,
@@ -59,7 +59,6 @@ __all__ = [
     "run_fuzz_campaign",
     "minimize_finding",
     "ReplaySetup",
-    "ScheduleReplayAdversary",
     "ShrinkResult",
     "replay_schedule",
     "shrink_schedule",

@@ -1,7 +1,7 @@
 """Differential harness: the batched backend against the per-trial oracle.
 
 The vectorized engine (:mod:`repro.batched.engine`) is fast precisely
-because it re-implements the window engine's semantics in array form —
+because it re-implements the per-trial window semantics in array form —
 which is also why it must never be trusted on its own.  The per-trial
 path (:func:`repro.runner.spec.execute_trial`) is the bit-identity
 oracle, and this module is the harness that holds the engine to it:

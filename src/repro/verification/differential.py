@@ -1,20 +1,21 @@
-"""Differential cross-engine replay: window engine vs step engine.
+"""Differential replay: a window execution vs its step compilation.
 
-The window engine executes the paper's acceptable-window model directly;
-the step engine executes the same model one fine-grained step at a time.
-An acceptable window is, by Definition 1, just a particular arrangement of
-sending / receiving / resetting steps — so any window-engine execution can
-be *compiled* to a step schedule (crashes, then the live processors'
-sending steps in identity order, then the recorded deliveries in delivery
-order, then the resets) and replayed on the step engine.  If the two
-engines implement the same model, the replay must reproduce the exact same
-execution: same decisions, same message counts, same resets.
+:meth:`~repro.simulation.engine.Engine.run_window` executes the paper's
+acceptable-window model directly.  An acceptable window is, by Definition
+1, just a particular arrangement of sending / receiving / resetting steps —
+so any window execution can be *compiled* to a step schedule (crashes, then
+the live processors' sending steps in identity order, then the recorded
+deliveries in delivery order, then the resets) and replayed on a fresh
+engine through :meth:`~repro.simulation.engine.Engine.apply_step` alone.
+If the window policy arranges the steps the way Definition 1 says, the
+replay must reproduce the exact same execution: same decisions, same
+message counts, same resets.
 
 :func:`differential_replay` runs that comparison for one trial
-specification.  It is both a verification tool (an engine divergence is a
-bug in one of them) and the semantic anchor for the fuzz campaign: a
-violation that reproduces on both engines cannot be an artifact of either
-engine's bookkeeping.
+specification.  It is the reference check that a window equals its step
+compilation, and the semantic anchor for the fuzz campaign: a violation
+that reproduces step by step cannot be an artifact of the window policy's
+batching.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from repro.adversaries.registry import build_adversary
 from repro.protocols.base import ProtocolFactory
 from repro.protocols.registry import get_protocol
 from repro.runner.spec import WINDOW_ENGINE, TrialSpec
-from repro.simulation.engine import StepEngine
+from repro.simulation.engine import Engine
 from repro.simulation.events import Step
 from repro.simulation.trace import ExecutionResult, ExecutionTrace
-from repro.simulation.windows import WindowEngine
 
 
 @dataclass
@@ -39,10 +39,10 @@ class DifferentialReport:
     Attributes:
         n: number of processors.
         t: fault bound.
-        windows: how many windows the window-engine execution ran.
+        windows: how many windows the window execution ran.
         agree: whether the step replay reproduced the window execution.
         mismatches: human-readable descriptions of every divergence.
-        window_outputs: the window engine's final output bits.
+        window_outputs: the window execution's final output bits.
         step_outputs: the step replay's final output bits.
     """
 
@@ -57,20 +57,17 @@ class DifferentialReport:
 
 def replay_trace_on_step_engine(spec: TrialSpec,
                                 trace: ExecutionTrace) -> ExecutionResult:
-    """Re-execute a window-engine trace step by step.
+    """Re-execute a window trace step by step on a fresh engine.
 
-    Both engines stamp network sequence numbers in submission order and the
-    compiled schedule preserves the window engine's submission order, so
-    the trace's delivery events can be re-issued by sequence number.
+    The network stamps sequence numbers in submission order and the
+    compiled schedule preserves the window's submission order, so the
+    trace's delivery events can be re-issued by sequence number.
     """
     info = get_protocol(spec.protocol)
     factory = ProtocolFactory(info.protocol_cls, n=spec.n, t=spec.t,
                               **spec.protocol_kwargs)
-    # The window model caps crashes at t cumulatively and has no global
-    # reset cap, so the replaying step engine gets the same budgets.
-    engine = StepEngine(factory, list(spec.inputs), seed=spec.seed,
-                        crash_budget=spec.t, reset_budget=None,
-                        record_trace=True)
+    engine = Engine(factory, list(spec.inputs), seed=spec.seed,
+                    record_trace=True)
     crashed = set()
     deliveries = trace.deliveries_by_window()
     for window, window_spec in enumerate(trace.windows):
@@ -96,14 +93,14 @@ def replay_trace_on_step_engine(spec: TrialSpec,
 
 
 def differential_replay(spec: TrialSpec) -> DifferentialReport:
-    """Run one window-engine trial, replay it on the step engine, compare.
+    """Run one window trial, replay its step compilation, compare.
 
     Args:
-        spec: a window-engine trial specification (``engine="window"``).
+        spec: a window trial specification (``engine="window"``).
 
     Raises:
-        ValueError: when the spec targets the step engine (there is no
-            canonical reverse compilation).
+        ValueError: when the spec schedules steps (there is no canonical
+            reverse compilation).
     """
     if spec.engine != WINDOW_ENGINE:
         raise ValueError("differential replay needs a window-engine spec, "
@@ -112,8 +109,8 @@ def differential_replay(spec: TrialSpec) -> DifferentialReport:
     adversary = build_adversary(spec.adversary, **spec.adversary_kwargs)
     factory = ProtocolFactory(info.protocol_cls, n=spec.n, t=spec.t,
                               **spec.protocol_kwargs)
-    engine = WindowEngine(factory, list(spec.inputs), seed=spec.seed,
-                          record_trace=True)
+    engine = Engine(factory, list(spec.inputs), seed=spec.seed,
+                    record_trace=True)
     window_result = engine.run(adversary, max_windows=spec.max_windows,
                                stop_when=spec.stop_when)
     assert window_result.trace is not None
@@ -141,7 +138,7 @@ def differential_replay(spec: TrialSpec) -> DifferentialReport:
         if window_value != step_value:
             report.agree = False
             report.mismatches.append(
-                f"{label}: window engine {window_value!r} "
+                f"{label}: window run {window_value!r} "
                 f"vs step replay {step_value!r}")
     return report
 

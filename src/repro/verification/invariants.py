@@ -1,6 +1,6 @@
 """Independent invariant checking over recorded execution traces.
 
-The engines already summarise each execution in an
+The engine already summarises each execution in an
 :class:`~repro.simulation.trace.ExecutionResult`, but those flags are
 computed by the same code that runs the execution — a bookkeeping bug could
 hide a real violation.  :class:`InvariantChecker` re-derives the paper's
@@ -19,11 +19,11 @@ trace-level guarantees from the raw event log
     least ``n - t`` members, at most ``t`` resets per window — and every
     recorded delivery stays inside its window's sender set.
 ``fault-bound``
-    At most ``t`` distinct processors ever crash (and at most the step
+    At most ``t`` distinct processors ever crash (and at most the
     engine's ``crash_budget``, when it recorded one).
 ``reset-budget``
     Per-window resets stay within ``t`` (window model) and total resets
-    within the step engine's ``reset_budget`` (when one was set).
+    within the engine's ``reset_budget`` (when one was set).
 ``message-causality``
     Deliveries reference previously sent messages, no message is
     delivered twice, and network sequence numbers are strictly

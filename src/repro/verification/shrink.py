@@ -2,7 +2,7 @@
 
 A fuzz campaign that finds an invariant violation hands back a *schedule* —
 the concrete list of :class:`~repro.simulation.windows.WindowSpec` objects
-the fuzzer played.  Because the engines are deterministic given the
+the fuzzer played.  Because the engine is deterministic given the
 processor seed and the schedule, replaying that list reproduces the
 violation exactly (the fuzzer's adaptivity is irrelevant once the choices
 are written down).  :func:`shrink_schedule` then minimizes it greedily:
@@ -32,8 +32,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.adversaries.replay import PAD_ERROR, ReplayScheduleAdversary
 from repro.protocols.base import ProtocolFactory
 from repro.protocols.registry import get_protocol
+from repro.simulation.engine import Engine
 from repro.simulation.trace import ExecutionResult
-from repro.simulation.windows import WindowEngine, WindowSpec
+from repro.simulation.windows import WindowSpec
 from repro.verification.invariants import InvariantChecker, VerificationReport
 
 
@@ -58,27 +59,17 @@ class ReplaySetup:
     protocol_kwargs: Dict[str, Any] = field(default_factory=dict)
 
 
-# repro: allow[R1] -- compat alias of the registered replay-schedule class
-class ScheduleReplayAdversary(ReplayScheduleAdversary):
-    """Backwards-compatible alias of the registry's ``replay-schedule``.
-
-    Replays here always cap ``max_windows`` at the schedule length, so the
-    strict no-padding behaviour of the original class is preserved.
-    """
-
-    def __init__(self, schedule: Sequence[WindowSpec]) -> None:
-        super().__init__(schedule, pad=PAD_ERROR)
-
-
 def replay_schedule(setup: ReplaySetup,
                     schedule: Sequence[WindowSpec]) -> ExecutionResult:
     """Re-execute a schedule from scratch, recording a fresh trace."""
     info = get_protocol(setup.protocol)
     factory = ProtocolFactory(info.protocol_cls, n=setup.n, t=setup.t,
                               **setup.protocol_kwargs)
-    engine = WindowEngine(factory, list(setup.inputs), seed=setup.seed,
-                          record_trace=True)
-    return engine.run(ScheduleReplayAdversary(schedule),
+    engine = Engine(factory, list(setup.inputs), seed=setup.seed,
+                    record_trace=True)
+    # The replay is capped at the schedule length, so the strict
+    # no-padding adversary never runs out of windows.
+    return engine.run(ReplayScheduleAdversary(schedule, pad=PAD_ERROR),
                       max_windows=len(schedule), stop_when="all")
 
 
@@ -183,16 +174,6 @@ def shrink_schedule(setup: ReplaySetup, schedule: Sequence[WindowSpec],
 # ----------------------------------------------------------------------
 # Persistence: schedules as JSON artifacts.
 # ----------------------------------------------------------------------
-def window_spec_to_jsonable(spec: WindowSpec) -> Dict[str, Any]:
-    """A plain-JSON encoding of one window specification."""
-    return spec.to_jsonable()
-
-
-def window_spec_from_jsonable(data: Dict[str, Any]) -> WindowSpec:
-    """Rebuild a window specification from its JSON encoding."""
-    return WindowSpec.from_jsonable(data)
-
-
 def schedule_to_jsonable(schedule: Sequence[WindowSpec]) -> List[Dict]:
     """Encode a whole schedule as plain JSON data."""
     return [spec.to_jsonable() for spec in schedule]
@@ -254,12 +235,9 @@ def load_counterexample(path: str) -> Tuple[ReplaySetup, List[WindowSpec],
 
 __all__ = [
     "ReplaySetup",
-    "ScheduleReplayAdversary",
     "replay_schedule",
     "ShrinkResult",
     "shrink_schedule",
-    "window_spec_to_jsonable",
-    "window_spec_from_jsonable",
     "schedule_to_jsonable",
     "schedule_from_jsonable",
     "save_counterexample",

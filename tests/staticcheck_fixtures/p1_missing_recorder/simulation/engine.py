@@ -1,3 +1,3 @@
 def run_step(trace, pid):
-    # The step engine forgot to record deliveries.
+    # The engine forgot to record deliveries.
     trace.record_send(pid)

@@ -1,4 +1,4 @@
-"""P1 fixture: the event vocabulary both engines must emit."""
+"""P1 fixture: the event vocabulary the engine must emit."""
 
 
 class TraceEvent:

@@ -14,7 +14,7 @@ from repro.adversaries.split_vote import (AdaptiveResettingAdversary,
                                           SplitVoteAdversary)
 from repro.core.reset_tolerant import ResetTolerantAgreement
 from repro.protocols.base import ProtocolFactory
-from repro.simulation.windows import WindowEngine
+from repro.simulation.engine import Engine
 import random
 
 
@@ -22,7 +22,7 @@ def make_engine(n=13, t=2, inputs=None, seed=3):
     factory = ProtocolFactory(ResetTolerantAgreement, n=n, t=t)
     if inputs is None:
         inputs = [pid % 2 for pid in range(n)]
-    return WindowEngine(factory, inputs, seed=seed)
+    return Engine(factory, inputs, seed=seed)
 
 
 class TestHelpers:

@@ -7,13 +7,13 @@ from repro.adversaries.byzantine import (ByzantineAdversary,
                                          FlipValueStrategy, SilentStrategy)
 from repro.protocols.base import ProtocolFactory
 from repro.protocols.bracha import DECIDED_MARKER, BrachaAgreement
-from repro.simulation.engine import StepEngine
+from repro.simulation.engine import Engine
 
 
 def run_bracha(n, t, inputs, strategy, corrupted=None, seed=3,
                max_steps=400000):
     factory = ProtocolFactory(BrachaAgreement, n=n, t=t)
-    engine = StepEngine(factory, inputs, seed=seed)
+    engine = Engine(factory, inputs, seed=seed)
     adversary = ByzantineAdversary(
         corrupted=corrupted if corrupted is not None else tuple(range(t)),
         strategy=strategy, seed=seed)

@@ -1,11 +1,11 @@
-"""Fixed-seed golden tests: the legacy wrappers stay bit-identical.
+"""Fixed-seed golden tests: experiment rows stay bit-identical.
 
 ``tests/golden/experiment_rows.json`` was captured from the pre-registry
 experiment functions (the hand-rolled serial loops) at small parameter
-grids and fixed master seeds.  Every wrapper in
-:mod:`repro.analysis.experiments` — and therefore the registry path it
-delegates to — must keep reproducing those rows exactly, bit for bit.
-Regenerate the fixture only on a deliberate, documented behaviour change.
+grids and fixed master seeds.  Every registered experiment, run with the
+same parameters through :meth:`repro.experiments.base.Experiment.run`, must
+keep reproducing those rows exactly, bit for bit.  Regenerate the fixture
+only on a deliberate, documented behaviour change.
 """
 
 import json
@@ -13,22 +13,12 @@ import os
 
 import pytest
 
-from repro.analysis import experiments as legacy
 from repro.experiments import get_experiment
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden", "experiment_rows.json")
 
-WRAPPERS = {
-    "E1": legacy.run_feasibility_experiment,
-    "E2": legacy.run_exponential_rounds_experiment,
-    "E3": legacy.run_lower_bound_experiment,
-    "E4": legacy.run_crash_forgetful_experiment,
-    "E5": legacy.run_committee_experiment,
-    "E6": legacy.run_baseline_experiment,
-    "E7": legacy.run_threshold_ablation,
-    "E8": legacy.run_constants_experiment,
-}
+GOLDEN_EXPERIMENTS = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
 
 
 def _golden():
@@ -41,16 +31,16 @@ def _params(raw):
             for key, value in raw.items()}
 
 
-@pytest.mark.parametrize("name", sorted(WRAPPERS))
-def test_legacy_wrapper_rows_bit_identical(name):
+@pytest.mark.parametrize("name", GOLDEN_EXPERIMENTS)
+def test_experiment_rows_bit_identical(name):
     golden = _golden()[name]
-    rows = WRAPPERS[name](**_params(golden["params"]))
+    rows = get_experiment(name).run(params=_params(golden["params"]))
     assert rows == golden["rows"]
 
 
 @pytest.mark.parametrize("name", ["E2", "E6"])
-def test_registry_run_matches_wrapper_rows(name):
-    """The registry path and the wrapper path are the same code path."""
+def test_serial_run_matches_golden_rows(name):
+    """The serial in-process path reproduces the same rows."""
     golden = _golden()[name]
     params = _params(golden["params"])
     assert get_experiment(name).run(params=params, workers=0) \

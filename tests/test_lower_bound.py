@@ -10,7 +10,8 @@ from repro.core.lower_bound import (best_hybrid, decision_set_separation,
                                     sample_decision_configurations)
 from repro.core.reset_tolerant import ResetTolerantAgreement
 from repro.protocols.base import ProtocolFactory
-from repro.simulation.windows import WindowEngine, WindowSpec
+from repro.simulation.engine import Engine
+from repro.simulation.windows import WindowSpec
 
 
 N, T = 13, 2
@@ -18,7 +19,7 @@ N, T = 13, 2
 
 def make_engine(inputs, seed=1):
     factory = ProtocolFactory(ResetTolerantAgreement, n=N, t=T)
-    return WindowEngine(factory, inputs, seed=seed)
+    return Engine(factory, inputs, seed=seed)
 
 
 class TestDecisionSetSampling:

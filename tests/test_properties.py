@@ -18,7 +18,7 @@ from repro.protocols.base import ProtocolFactory
 from repro.protocols.ben_or import PROPOSE, REPORT, BenOrAgreement
 from repro.protocols.registry import get_protocol
 from repro.simulation.configuration import Configuration
-from repro.simulation.engine import StepEngine
+from repro.simulation.engine import Engine
 from repro.simulation.errors import InvalidWindowError
 from repro.simulation.message import Message, broadcast
 from repro.simulation.network import Network
@@ -217,8 +217,7 @@ def test_bracha_rounds_monotone_under_fuzzed_schedules(seed):
     info = get_protocol("bracha")
     n, t = 7, 2
     factory = ProtocolFactory(info.protocol_cls, n=n, t=t)
-    engine = StepEngine(factory, [pid % 2 for pid in range(n)],
-                        seed=seed)
+    engine = Engine(factory, [pid % 2 for pid in range(n)], seed=seed)
     adversary = StepFuzzer(seed=seed)
     adversary.bind(engine)
     rounds = [proc.protocol.current_round()

@@ -10,7 +10,8 @@ from repro.core.reset_tolerant import VOTE, ResetTolerantAgreement
 from repro.core.thresholds import ThresholdConfig, default_thresholds
 from repro.protocols.base import ProtocolFactory
 from repro.simulation.message import Message
-from repro.simulation.windows import WindowEngine, WindowSpec, run_execution
+from repro.simulation.engine import Engine
+from repro.simulation.windows import WindowSpec, run_execution
 
 
 def make_protocol(pid=0, n=13, t=2, input_bit=1, seed=3, thresholds=None):
@@ -172,7 +173,7 @@ class TestEndToEnd:
 
     def test_volatile_state_round_trips_through_fingerprint(self):
         factory = ProtocolFactory(ResetTolerantAgreement, n=13, t=2)
-        engine = WindowEngine(factory, [1] * 13, seed=1)
+        engine = Engine(factory, [1] * 13, seed=1)
         before = engine.configuration()
         engine.run_window(WindowSpec.full_delivery(13))
         after = engine.configuration()

@@ -1,10 +1,10 @@
-"""Unit tests for the step-level asynchronous engine."""
+"""Unit tests for step scheduling on the engine."""
 
 import pytest
 
 from repro.protocols.base import ProtocolFactory
 from repro.protocols.ben_or import BenOrAgreement
-from repro.simulation.engine import StepAdversary, StepEngine
+from repro.simulation.engine import Engine, StepAdversary
 from repro.simulation.errors import AdversaryBudgetError, InvalidStepError
 from repro.simulation.events import Step, StepType
 
@@ -13,7 +13,7 @@ def make_engine(n=7, t=3, inputs=None, seed=2):
     factory = ProtocolFactory(BenOrAgreement, n=n, t=t)
     if inputs is None:
         inputs = [pid % 2 for pid in range(n)]
-    return StepEngine(factory, inputs, seed=seed)
+    return Engine(factory, inputs, seed=seed)
 
 
 class TestStepTypes:
@@ -84,7 +84,7 @@ class TestStepApplication:
 
     def test_reset_budget_enforced(self):
         factory = ProtocolFactory(BenOrAgreement, n=7, t=3)
-        engine = StepEngine(factory, [0] * 7, seed=1, reset_budget=1)
+        engine = Engine(factory, [0] * 7, seed=1, reset_budget=1)
         engine.apply_step(Step.reset(0))
         with pytest.raises(AdversaryBudgetError):
             engine.apply_step(Step.reset(1))

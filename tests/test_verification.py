@@ -7,10 +7,10 @@ import pytest
 from repro.protocols.base import ProtocolFactory
 from repro.protocols.registry import get_protocol
 from repro.runner import TrialSpec, execute_trial
-from repro.simulation.engine import StepEngine
+from repro.simulation.engine import Engine
 from repro.simulation.events import Step
 from repro.simulation.trace import ExecutionTrace, TraceEvent
-from repro.simulation.windows import WindowEngine, WindowSpec
+from repro.simulation.windows import WindowSpec
 from repro.verification import (InvariantChecker, ReplaySetup,
                                 load_counterexample, replay_schedule,
                                 save_counterexample,
@@ -25,7 +25,7 @@ def _window_engine(protocol="reset-tolerant", n=13, t=2, seed=7,
     factory = ProtocolFactory(info.protocol_cls, n=n, t=t)
     if inputs is None:
         inputs = [pid % 2 for pid in range(n)]
-    return WindowEngine(factory, inputs, seed=seed, record_trace=True)
+    return Engine(factory, inputs, seed=seed, record_trace=True)
 
 
 # ----------------------------------------------------------------------
@@ -60,8 +60,7 @@ class TestTraceRecording:
     def test_step_engine_records_steps_and_crashes(self):
         info = get_protocol("ben-or")
         factory = ProtocolFactory(info.protocol_cls, n=5, t=2)
-        engine = StepEngine(factory, [0, 1, 0, 1, 0], seed=3,
-                            record_trace=True)
+        engine = Engine(factory, [0, 1, 0, 1, 0], seed=3, record_trace=True)
         engine.apply_step(Step.send(0))
         message = engine.pending_messages()[0]
         engine.apply_step(Step.receive(message))
@@ -80,7 +79,7 @@ class TestTraceRecording:
         assert engine.result().trace is engine.trace
         info = get_protocol("reset-tolerant")
         factory = ProtocolFactory(info.protocol_cls, n=13, t=2)
-        silent = WindowEngine(factory, [0] * 13, seed=1)
+        silent = Engine(factory, [0] * 13, seed=1)
         silent.run_window(WindowSpec.full_delivery(13))
         assert silent.result().trace is None
 

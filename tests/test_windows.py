@@ -1,21 +1,21 @@
-"""Unit tests for acceptable windows and the window engine."""
+"""Unit tests for acceptable windows and window scheduling on the engine."""
 
 import pytest
 
 from repro.adversaries.benign import BenignAdversary, SilencingAdversary
 from repro.core.reset_tolerant import ResetTolerantAgreement
 from repro.protocols.base import ProtocolFactory
-from repro.simulation.errors import InvalidWindowError
-from repro.simulation.windows import (WindowAdversary, WindowEngine,
-                                      WindowSpec, run_execution)
+from repro.simulation.errors import AdversaryBudgetError, InvalidWindowError
+from repro.simulation.engine import Engine
+from repro.simulation.windows import (WindowAdversary, WindowSpec,
+                                      run_execution)
 
 
 def make_engine(n=13, t=2, inputs=None, seed=11, record=False):
     factory = ProtocolFactory(ResetTolerantAgreement, n=n, t=t)
     if inputs is None:
         inputs = [pid % 2 for pid in range(n)]
-    return WindowEngine(factory, inputs, seed=seed,
-                        record_configurations=record)
+    return Engine(factory, inputs, seed=seed, record_configurations=record)
 
 
 class TestWindowSpec:
@@ -59,7 +59,7 @@ class TestWindowSpec:
             spec.validate(5, 1)
 
 
-class TestWindowEngine:
+class TestWindowScheduling:
     def test_run_window_counts_windows_and_messages(self):
         engine = make_engine()
         engine.run_window(WindowSpec.full_delivery(engine.n))
@@ -131,6 +131,23 @@ class TestRun:
         engine = make_engine()
         with pytest.raises(ValueError):
             engine.run(BenignAdversary(), max_windows=5, stop_when="never")
+
+    def test_run_needs_exactly_one_cap(self):
+        engine = make_engine()
+        with pytest.raises(ValueError, match="exactly one"):
+            engine.run(BenignAdversary())
+        with pytest.raises(ValueError, match="exactly one"):
+            engine.run(BenignAdversary(), max_windows=5, max_steps=5)
+
+    def test_window_crashes_share_the_crash_budget_of_t(self):
+        engine = make_engine(t=2)
+        everyone = frozenset(range(engine.n))
+        engine.run_window(WindowSpec.uniform(
+            engine.n, everyone, crashes=frozenset({0, 1})))
+        assert engine.crashed_processors() == [0, 1]
+        with pytest.raises(AdversaryBudgetError):
+            engine.run_window(WindowSpec.uniform(
+                engine.n, everyone, crashes=frozenset({2})))
 
     def test_run_respects_max_windows(self):
         class StallingAdversary(WindowAdversary):
