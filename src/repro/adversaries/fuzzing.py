@@ -15,11 +15,19 @@ schedule is minimized into a reproducer by :mod:`repro.verification.shrink`.
 Both fuzzers are seed-deterministic: the same constructor seed yields the
 same schedule against the same engine state, which is what makes fuzz
 campaigns resumable and counterexamples replayable.
+
+:class:`WindowSampler` is the one window distribution: the schedule
+fuzzer draws every window through it, and the guided search
+(:mod:`repro.search`) samples fresh windows and schedules from it.
+:func:`fault_model_probabilities` is the one rule both campaign kinds
+use to pick resets or crashes for the protocol under test.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence
+import random
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.determinism import seeded_rng
 from repro.adversaries.base import FaultBudget, random_subset
@@ -29,16 +37,78 @@ from repro.simulation.events import Step
 from repro.simulation.windows import WindowAdversary, WindowSpec
 
 
+def fault_model_probabilities(fault_model: str) -> Dict[str, float]:
+    """Reset and crash probabilities for a protocol's fault model.
+
+    Resets are the strongly adaptive adversary's weapon, crashes the
+    classical crash adversary's: a crash-model protocol (its registry
+    ``fault_model`` mentions crashes) is fuzzed and searched with crashes
+    only, every other protocol with resets only.
+    """
+    crash_model = "crash" in fault_model.lower()
+    return {"reset_probability": 0.0 if crash_model else 0.35,
+            "crash_probability": 0.25 if crash_model else 0.0}
+
+
+@dataclass(frozen=True)
+class WindowSampler:
+    """The (n, t) system plus a distribution over admissible windows.
+
+    Each window draws, for every processor, an independent sender set of
+    random size in ``[n - t, n]``; with probability ``reset_probability``
+    a random set of at most ``t`` processors is reset; with probability
+    ``crash_probability`` (and crash budget left) a random set of at most
+    ``crashes_left`` processors is crashed; with probability
+    ``deliver_last_probability`` a random sender subset is deprioritised
+    within the window.  Campaigns pick the reset/crash probabilities with
+    :func:`fault_model_probabilities`.
+    """
+
+    n: int
+    t: int
+    reset_probability: float = 0.35
+    crash_probability: float = 0.0
+    deliver_last_probability: float = 0.3
+
+    def window(self, rng: random.Random,
+               crashes_left: int = 0) -> WindowSpec:
+        """One freshly sampled admissible window."""
+        n, t = self.n, self.t
+        senders_for = tuple(
+            random_subset(range(n), rng.randint(n - t, n), rng)
+            for _ in range(n))
+        resets: FrozenSet[int] = frozenset()
+        if t > 0 and rng.random() < self.reset_probability:
+            resets = random_subset(range(n), rng.randint(1, t), rng)
+        crashes: FrozenSet[int] = frozenset()
+        if crashes_left > 0 and rng.random() < self.crash_probability:
+            crashes = random_subset(range(n),
+                                    rng.randint(1, crashes_left), rng)
+        deliver_last: FrozenSet[int] = frozenset()
+        if rng.random() < self.deliver_last_probability:
+            deliver_last = random_subset(range(n), rng.randint(1, n), rng)
+        return WindowSpec(senders_for=senders_for, resets=resets,
+                          crashes=crashes, deliver_last=deliver_last)
+
+    def schedule(self, length: int, rng: random.Random) -> List[WindowSpec]:
+        """A freshly sampled admissible schedule of ``length`` windows."""
+        schedule: List[WindowSpec] = []
+        victims: Set[int] = set()
+        for _ in range(length):
+            spec = self.window(rng, crashes_left=self.t - len(victims))
+            victims |= spec.crashes
+            schedule.append(spec)
+        return schedule
+
+
 class ScheduleFuzzer(WindowAdversary):
     """Samples random admissible acceptable windows (the window engine).
 
-    Each window draws, for every processor, an independent sender set of
-    random size in ``[n - t, n]``; with probability ``reset_probability`` a
-    random set of at most ``t`` processors is reset; with probability
-    ``deliver_last_probability`` a random sender subset is deprioritised
-    within the window (delivered after everyone else); and — when
-    ``crash_probability`` is positive, for crash-model protocols — random
-    crash placements drawn against a cumulative ``t``-victim budget.
+    Every window is drawn through a :class:`WindowSampler` bound to the
+    engine's ``(n, t)``, with crash placements drawn and recorded against
+    a cumulative ``t``-victim :class:`~repro.adversaries.base.FaultBudget`
+    (crashes only happen when ``crash_probability`` is positive, for
+    crash-model protocols).
 
     Args:
         seed: the schedule seed; equal seeds produce equal schedules.
@@ -69,32 +139,25 @@ class ScheduleFuzzer(WindowAdversary):
         self.deliver_last_probability = deliver_last_probability
         self.max_crashes = max_crashes
         self._crash_budget: Optional[FaultBudget] = None
+        self._sampler: Optional[WindowSampler] = None
 
     def bind(self, engine: Engine) -> None:
         limit = engine.t if self.max_crashes is None else self.max_crashes
         self._crash_budget = FaultBudget(min(limit, engine.t))
+        self._sampler = WindowSampler(
+            n=engine.n, t=engine.t,
+            reset_probability=self.reset_probability,
+            crash_probability=self.crash_probability,
+            deliver_last_probability=self.deliver_last_probability)
 
     def next_window(self, engine: Engine) -> WindowSpec:
-        n, t = engine.n, engine.t
-        rng = self.rng
-        senders_for = tuple(
-            random_subset(range(n), rng.randint(n - t, n), rng)
-            for _ in range(n))
-        resets: FrozenSet[int] = frozenset()
-        if t > 0 and rng.random() < self.reset_probability:
-            resets = random_subset(range(n), rng.randint(1, t), rng)
-        crashes: FrozenSet[int] = frozenset()
-        assert self._crash_budget is not None
-        remaining = self._crash_budget.remaining
-        if remaining > 0 and rng.random() < self.crash_probability:
-            victims = random_subset(range(n), rng.randint(1, remaining), rng)
-            crashes = frozenset(pid for pid in sorted(victims)
-                                if self._crash_budget.fault(pid))
-        deliver_last: FrozenSet[int] = frozenset()
-        if rng.random() < self.deliver_last_probability:
-            deliver_last = random_subset(range(n), rng.randint(1, n), rng)
-        return WindowSpec(senders_for=senders_for, resets=resets,
-                          crashes=crashes, deliver_last=deliver_last)
+        assert self._sampler is not None and self._crash_budget is not None
+        budget = self._crash_budget
+        spec = self._sampler.window(self.rng, crashes_left=budget.remaining)
+        if not spec.crashes:
+            return spec
+        return replace(spec, crashes=frozenset(
+            pid for pid in sorted(spec.crashes) if budget.fault(pid)))
 
 
 class StepFuzzer(StepAdversary):
@@ -184,4 +247,5 @@ class StepFuzzer(StepAdversary):
         return Step.send(rng.choice(live))
 
 
-__all__ = ["ScheduleFuzzer", "StepFuzzer"]
+__all__ = ["WindowSampler", "fault_model_probabilities", "ScheduleFuzzer",
+           "StepFuzzer"]

@@ -101,7 +101,8 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.statistics import format_table
 from repro.experiments import available_experiments, get_experiment
@@ -274,36 +275,6 @@ def _print_health(health) -> None:
               f"({entry.get('attempts')} attempts)")
 
 
-def _open_store(args: argparse.Namespace, name: str,
-                params: Dict[str, Any], fault_injector=None, health=None):
-    """Open the run store (unless ``--no-store``), with resume state.
-
-    Returns:
-        ``(store, cached_rows, was_complete)`` — ``(None, 0, False)``
-        when persistence is disabled.
-    """
-    if args.no_store:
-        return None, 0, False
-    store = RunStore.open(args.out, name, params, workers=args.workers,
-                          fault_injector=fault_injector, health=health,
-                          backend=getattr(args, "backend", None))
-    return store, store.row_count, bool(store.manifest.get("completed"))
-
-
-def _finish_store(store: RunStore, cached: int, was_complete: bool,
-                  wall_time: float, unit: str, extra_work: int = 0) -> str:
-    """Complete the run and return the resume-status header fragment.
-
-    A rerun that computed nothing (fully cached, and no extra work such
-    as minimization) keeps the originally stored wall time and completed
-    flag instead of clobbering them with ~0s / partial.
-    """
-    computed = store.row_count - cached
-    if computed or extra_work or not was_complete:
-        store.finish(wall_time)
-    return f"; {cached} cached + {computed} computed {unit} -> {store.path}"
-
-
 class _CampaignTiming:
     """What ``_campaign_timing`` hands the campaign handlers.
 
@@ -326,7 +297,7 @@ def _campaign_timing(args: argparse.Namespace, store, label: str):
     :class:`~repro.telemetry.ProfileSession`), points its sink at the
     run store, opens the root ``campaign`` span, and subscribes the
     live progress renderer.  On exit — *before* the handler stamps the
-    manifest through ``_finish_store`` — the progress line is cleared,
+    manifest through ``_run_campaign`` — the progress line is cleared,
     profile artifacts are saved under ``profile/`` in the run
     directory, and the recorder is flushed and closed, so the final
     manifest summarizes a fully written event log.
@@ -367,17 +338,47 @@ def _campaign_timing(args: argparse.Namespace, store, label: str):
             telemetry.close()
 
 
-def _add_observability_args(parser: argparse.ArgumentParser) -> None:
-    """The telemetry knobs, shared by run/fuzz/search."""
-    parser.add_argument("--no-telemetry", action="store_true",
-                        help="record no telemetry.jsonl event log "
-                             "(results are bit-identical either way)")
-    parser.add_argument("--no-progress", action="store_true",
-                        help="suppress the live progress line")
-    parser.add_argument("--profile", action="store_true",
-                        help="profile the campaign (cProfile + phase "
-                             "timers) into the run's profile/ directory; "
-                             "implies telemetry")
+def _run_campaign(args: argparse.Namespace, name: str,
+                  params: Dict[str, Any], resilience, *, label: str,
+                  title: str, unit: str, execute: Callable[..., Any],
+                  extra_work: Callable[[Any], int] = lambda result: 0):
+    """Run one campaign command: store, timing, manifest, header, health.
+
+    The one path ``run``, ``fuzz`` and ``search`` share.  Opens the run
+    store (unless ``--no-store``), runs ``execute(workers=, store=,
+    policy=, health=, backend=, telemetry=)`` under
+    :func:`_campaign_timing`, and completes the manifest — except on a
+    rerun that computed nothing (every row cached, the run already
+    complete, and ``extra_work(result)`` zero, e.g. no fresh
+    minimization), which keeps the stored wall time.  Prints the header
+    (``title``, wall time, resume counts) and the run-health report, and
+    returns the campaign's result.
+    """
+    from repro.runner import RunHealth
+
+    policy, injector = resilience
+    health = RunHealth()
+    store = None
+    if not args.no_store:
+        store = RunStore.open(args.out, name, params, workers=args.workers,
+                              fault_injector=injector, health=health,
+                              backend=args.backend)
+        cached = store.row_count
+        was_complete = bool(store.manifest.get("completed"))
+    with _campaign_timing(args, store, label) as timing:
+        result = execute(workers=args.workers, store=store, policy=policy,
+                         health=health, backend=args.backend,
+                         telemetry=timing.telemetry)
+    header = f"{title}{timing.wall_time:.1f}s"
+    if store is not None:
+        computed = store.row_count - cached
+        if computed or extra_work(result) or not was_complete:
+            store.finish(timing.wall_time)
+        header += (f"; {cached} cached + {computed} computed {unit} "
+                   f"-> {store.path}")
+    print(header + ") ==")
+    _print_health(health)
+    return result
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -389,10 +390,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("repro run: name at least one experiment, or pass --all",
               file=sys.stderr)
         return 2
-    from repro.runner import RunHealth
-
     try:
-        policy, injector = _execution_policy(args)
+        resilience = _execution_policy(args)
     except ValueError as error:
         return _usage_error("run", error)
     exit_code = 0
@@ -405,26 +404,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             # experiments still regenerate (and persist) their tables.
             exit_code = _usage_error("run", error)
             continue
-        health = RunHealth()
-        store, cached, was_complete = _open_store(
-            args, experiment.name, params, fault_injector=injector,
-            health=health)
-        with _campaign_timing(args, store, f"run {experiment.name}") \
-                as timing:
-            rows = experiment.run(params=params, workers=args.workers,
-                                  store=store, policy=policy,
-                                  health=health, backend=args.backend,
-                                  telemetry=timing.telemetry)
-        wall_time = timing.wall_time
-        header = f"== {experiment.name}: {experiment.title} " \
-                 f"({wall_time:.1f}s"
-        if store is not None:
-            header += _finish_store(store, cached, was_complete, wall_time,
-                                    unit="cells")
-        header += ") =="
-        print(header)
+        rows = _run_campaign(
+            args, experiment.name, params, resilience,
+            label=f"run {experiment.name}",
+            title=f"== {experiment.name}: {experiment.title} (",
+            unit="cells",
+            execute=partial(experiment.run, params=params))
         print(format_table(rows))
-        _print_health(health)
         print()
     return exit_code
 
@@ -591,38 +577,19 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             protocol=args.protocol, trials=args.trials, seed=args.seed,
             n=args.n, t=args.t, max_windows=args.max_windows,
             max_steps=args.max_steps, engine=args.engine)
+        resilience = _execution_policy(args)
     except (KeyError, ValueError) as error:
         return _usage_error("fuzz", error)
-    from repro.runner import RunHealth
-
-    try:
-        policy, injector = _execution_policy(args)
-    except ValueError as error:
-        return _usage_error("fuzz", error)
-    health = RunHealth()
-    store, cached, was_complete = _open_store(
-        args, FUZZ_EXPERIMENT, params, fault_injector=injector,
-        health=health)
-    with _campaign_timing(args, store, "fuzz") as timing:
-        report = run_fuzz_campaign(params, workers=args.workers,
-                                   store=store, minimize=args.minimize,
-                                   policy=policy, health=health,
-                                   backend=args.backend,
-                                   telemetry=timing.telemetry)
-    wall_time = timing.wall_time
-    header = (f"== fuzz: {params['trials']} trials of "
-              f"{params['protocol']} (n={params['n']}, t={params['t']}, "
-              f"{params['engine']} engine, seed {params['seed']}; "
-              f"{wall_time:.1f}s")
-    if store is not None:
-        # Minimization rewrites cached rows, so it counts as work done
-        # this run: the manifest must end up completed with this wall time.
-        header += _finish_store(store, cached, was_complete, wall_time,
-                                unit="trials",
-                                extra_work=report.minimized_trials)
-    header += ") =="
-    print(header)
-    _print_health(health)
+    # Minimization rewrites cached rows, so it counts as work done this
+    # run: the manifest must end up completed with this wall time.
+    report = _run_campaign(
+        args, FUZZ_EXPERIMENT, params, resilience, label="fuzz",
+        title=(f"== fuzz: {params['trials']} trials of "
+               f"{params['protocol']} (n={params['n']}, t={params['t']}, "
+               f"{params['engine']} engine, seed {params['seed']}; "),
+        unit="trials",
+        execute=partial(run_fuzz_campaign, params, minimize=args.minimize),
+        extra_work=lambda report: report.minimized_trials)
     findings = report.findings
     if not findings:
         print(f"no invariant violations in {params['trials']} trials")
@@ -652,38 +619,19 @@ def _cmd_search(args: argparse.Namespace) -> int:
             population=args.population, windows=args.windows,
             seed=args.seed, n=args.n, t=args.t, workload=args.workload,
             verify=not args.no_verify, target_score=args.target_score)
+        resilience = _execution_policy(args)
     except (KeyError, ValueError) as error:
         return _usage_error("search", error)
-    from repro.runner import RunHealth
-
-    try:
-        policy, injector = _execution_policy(args)
-    except ValueError as error:
-        return _usage_error("search", error)
-    health = RunHealth()
-    store, cached, was_complete = _open_store(
-        args, SEARCH_EXPERIMENT, params, fault_injector=injector,
-        health=health)
-    with _campaign_timing(args, store, "search") as timing:
-        report = run_search_campaign(params, workers=args.workers,
-                                     store=store, policy=policy,
-                                     health=health, backend=args.backend,
-                                     telemetry=timing.telemetry)
-    wall_time = timing.wall_time
-    header = (f"== search: {params['strategy']} x "
-              f"{params['generations']}x{params['population']} toward "
-              f"{params['objective']} on {params['protocol']} "
-              f"(n={params['n']}, t={params['t']}, "
-              f"horizon {params['windows']} windows, "
-              f"seed {params['seed']}; {wall_time:.1f}s")
-    if store is not None:
-        # Writing the best-schedule artifact counts as work done, so the
-        # manifest ends up completed even on a fully cached rerun.
-        header += _finish_store(store, cached, was_complete, wall_time,
-                                unit="evaluations", extra_work=1)
-    header += ") =="
-    print(header)
-    _print_health(health)
+    report = _run_campaign(
+        args, SEARCH_EXPERIMENT, params, resilience, label="search",
+        title=(f"== search: {params['strategy']} x "
+               f"{params['generations']}x{params['population']} toward "
+               f"{params['objective']} on {params['protocol']} "
+               f"(n={params['n']}, t={params['t']}, "
+               f"horizon {params['windows']} windows, "
+               f"seed {params['seed']}; "),
+        unit="evaluations",
+        execute=partial(run_search_campaign, params))
     print(format_table(report.generation_summary()))
     print(f"\nbest score: {report.best_score} "
           f"(generation {report.best_generation})")
@@ -819,10 +767,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
-    """The supervising executor's knobs, shared by run/fuzz/search."""
+def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
+    """The knobs shared by run/fuzz/search: store, resilience, telemetry."""
     from repro.faults import CHAOS_ENV
 
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker processes (0 = serial; default: "
+                             "$REPRO_WORKERS or the CPU count)")
+    parser.add_argument("--out", default=DEFAULT_OUT,
+                        help="results-store root (default: results/)")
+    parser.add_argument("--no-store", action="store_true",
+                        help="print results only, persist nothing")
     parser.add_argument("--max-retries", type=int, default=2,
                         help="re-executions of a failed chunk/trial "
                              "before quarantine (default: 2; 0 disables)")
@@ -840,6 +795,15 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
                              "supported trial groups (bit-identical "
                              "results), 'auto' does so when numpy is "
                              "available (default: trial)")
+    parser.add_argument("--no-telemetry", action="store_true",
+                        help="record no telemetry.jsonl event log "
+                             "(results are bit-identical either way)")
+    parser.add_argument("--no-progress", action="store_true",
+                        help="suppress the live progress line")
+    parser.add_argument("--profile", action="store_true",
+                        help="profile the campaign (cProfile + phase "
+                             "timers) into the run's profile/ directory; "
+                             "implies telemetry")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -872,20 +836,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run every registered experiment")
     run_parser.add_argument("--quick", action="store_true",
                             help="apply the quick (smoke-sized) overrides")
-    run_parser.add_argument("--workers", type=int, default=None,
-                            help="worker processes (0 = serial; default: "
-                                 "$REPRO_WORKERS or the CPU count)")
-    run_parser.add_argument("--out", default=DEFAULT_OUT,
-                            help="results-store root (default: results/)")
-    run_parser.add_argument("--no-store", action="store_true",
-                            help="print tables only, persist nothing")
     run_parser.add_argument("--seed", type=int, default=None,
                             help="override the master seed")
     run_parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                             help="override one experiment parameter "
                                  "(repeatable; value is a Python literal)")
-    _add_resilience_args(run_parser)
-    _add_observability_args(run_parser)
+    _add_campaign_args(run_parser)
     run_parser.set_defaults(func=_cmd_run)
 
     fuzz_parser = subparsers.add_parser(
@@ -914,18 +870,10 @@ def build_parser() -> argparse.ArgumentParser:
                              help="window cap per trial (default: 60)")
     fuzz_parser.add_argument("--max-steps", type=int, default=6000,
                              help="step cap per trial (default: 6000)")
-    fuzz_parser.add_argument("--workers", type=int, default=None,
-                             help="worker processes (0 = serial; default: "
-                                  "$REPRO_WORKERS or the CPU count)")
     fuzz_parser.add_argument("--minimize", action="store_true",
                              help="shrink violating schedules into "
                                   "counterexample artifacts")
-    fuzz_parser.add_argument("--out", default=DEFAULT_OUT,
-                             help="results-store root (default: results/)")
-    fuzz_parser.add_argument("--no-store", action="store_true",
-                             help="print findings only, persist nothing")
-    _add_resilience_args(fuzz_parser)
-    _add_observability_args(fuzz_parser)
+    _add_campaign_args(fuzz_parser)
     fuzz_parser.set_defaults(func=_cmd_fuzz)
 
     search_parser = subparsers.add_parser(
@@ -966,18 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
     search_parser.add_argument("--target-score", type=float, default=None,
                                help="stop once the running best reaches "
                                     "this score (budget is unchanged)")
-    search_parser.add_argument("--workers", type=int, default=None,
-                               help="worker processes (0 = serial; "
-                                    "default: $REPRO_WORKERS or the CPU "
-                                    "count)")
-    search_parser.add_argument("--out", default=DEFAULT_OUT,
-                               help="results-store root "
-                                    "(default: results/)")
-    search_parser.add_argument("--no-store", action="store_true",
-                               help="print the summary only, persist "
-                                    "nothing")
-    _add_resilience_args(search_parser)
-    _add_observability_args(search_parser)
+    _add_campaign_args(search_parser)
     search_parser.set_defaults(func=_cmd_search)
 
     replay_parser = subparsers.add_parser(

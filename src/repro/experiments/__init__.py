@@ -16,8 +16,7 @@ Quickstart::
     rows = get_experiment("E2").run(quick=True)   # or params={...}
 """
 
-from repro.experiments.base import (Cell, Experiment, Row, RowStore,
-                                    cell_key_id)
+from repro.experiments.base import Cell, Experiment, Row, cell_key_id
 from repro.experiments.registry import (available_experiments,
                                         get_experiment, register)
 
@@ -25,7 +24,6 @@ __all__ = [
     "Cell",
     "Experiment",
     "Row",
-    "RowStore",
     "cell_key_id",
     "available_experiments",
     "get_experiment",

@@ -1,4 +1,4 @@
-"""The declarative experiment model: cells, experiments, and the run loop.
+"""The declarative experiment model: cells, experiments, and the campaign loop.
 
 An :class:`Experiment` describes one table of EXPERIMENTS.md as data: a
 name, a parameter grid (full-size defaults plus quick-mode overrides), a
@@ -17,18 +17,30 @@ is drawn while cells are *built* (in the exact order the pre-registry
 serial loops drew them), which cells later *execute* never perturbs any
 other cell — that is what makes both the bit-identical golden rows and
 the results store's cell-level resume possible.
+
+:func:`run_cells` is the one campaign loop.  Experiments, fuzz campaigns
+(:mod:`repro.verification.fuzzer`, one cell per trial) and search
+generations (:mod:`repro.search.campaign`, one cell per candidate) all
+run through it: it skips the cells the store already holds, streams the
+rest through the one executor, writes each row as its cell completes,
+and turns a cell whose trials failed for good into a ``None`` row that a
+resume retries.  Each caller records the run-health ledger and the
+``trials_total`` gauge once per campaign.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro.runner import TrialSpec, iter_trials
 from repro.runner.health import RunHealth, TrialFailure
 from repro.simulation.trace import ExecutionResult
+
+if TYPE_CHECKING:
+    from repro.results.store import RunStore
 
 Row = Dict[str, Any]
 CellBuilder = Callable[[Dict[str, Any], random.Random], List["Cell"]]
@@ -37,7 +49,7 @@ Finalizer = Callable[[List[Row], Dict[str, Any]], List[Row]]
 
 @dataclass
 class Cell:
-    """One experiment cell: the trials behind one output row.
+    """One campaign cell: the trials behind one output row.
 
     Attributes:
         key: stable, JSON-serialisable identity of the cell within its run
@@ -53,24 +65,6 @@ class Cell:
     key: Tuple[Any, ...]
     specs: Tuple[TrialSpec, ...]
     build_row: Callable[[Sequence[ExecutionResult]], Row]
-
-
-class RowStore:
-    """The storage interface :meth:`Experiment.run` writes through.
-
-    :class:`repro.results.RunStore` is the real implementation; the base
-    class documents the contract and doubles as an in-memory null store.
-    """
-
-    def completed_rows(self) -> Dict[str, Row]:
-        """Rows already on disk, keyed by :func:`cell_key_id`."""
-        return {}
-
-    def write_row(self, index: int, key: Tuple[Any, ...], row: Row) -> None:
-        """Persist one freshly computed row."""
-
-    def record_health(self, health: Optional["RunHealth"]) -> None:
-        """Persist one execution's run-health ledger (no-op by default)."""
 
 
 def cell_key_id(key: Sequence[Any]) -> str:
@@ -138,82 +132,31 @@ class Experiment:
 
     def run(self, params: Optional[Mapping[str, Any]] = None, *,
             quick: bool = False, workers: Optional[int] = None,
-            store: Optional[RowStore] = None,
+            store: Optional["RunStore"] = None,
             policy: Optional[Any] = None,
             health: Optional[RunHealth] = None,
             backend: Optional[str] = None,
             telemetry: Optional[Any] = None) -> List[Row]:
         """Run the experiment and return its rows.
 
-        Cells whose rows the ``store`` already holds are skipped entirely
-        (the resume path); the remaining cells' specs are submitted as
-        one streamed batch — full worker fan-out, with each row built
-        (and, with a store, written to disk) as soon as its cell's
-        results arrive.  Rows are identical with or without a store
-        because every seed is fixed at cell-build time.
-
-        Execution always goes through the one executor
-        (:class:`~repro.runner.supervisor.SupervisedRunner`): retries and
-        broken-pool recovery are on by default, tunable via ``policy``.
-        A cell whose trials exhausted every recovery rung yields no row —
-        its failure is recorded in ``health`` (and, with a store, in the
-        manifest's ``run_health`` block) instead of killing the run; a
-        later resume retries exactly the missing cells.
-
-        ``backend`` selects the execution backend: ``"batched"`` (or
-        ``"auto"`` with numpy present) runs each vectorizable spec group
-        as one chunk on the batched engine, with bit-identical results by
-        contract.  Chaos applies to batched chunks too.
-
-        ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry`
-        recorder: each pending cell's consumption becomes a ``cell``
-        span and the expected trial total is gauged up front.  Rows are
-        bit-identical with or without it.
+        Builds the cells, runs them through :func:`run_cells` (see there
+        for resume, failures and the keyword arguments), records the
+        health ledger into the ``store`` once, and appends the finalizer
+        rows.  A failed cell has no row; a later resume retries it.
         """
-        from repro.runner.supervisor import ExecutionPolicy
-
         merged = self.resolve_params(params, quick=quick)
-        rng = random.Random(merged["seed"])
-        cells = self.build_cells(merged, rng)
-        if policy is None:
-            policy = ExecutionPolicy()
+        cells = self.build_cells(merged, random.Random(merged["seed"]))
         if health is None:
             health = RunHealth()
-        completed = store.completed_rows() if store is not None else {}
-        pending = [(index, cell) for index, cell in enumerate(cells)
-                   if cell_key_id(cell.key) not in completed]
+        completed = stored_rows(store)
         if telemetry is not None:
             telemetry.gauge("cells_total", len(cells))
-            telemetry.gauge("trials_total", sum(
-                len(cell.specs) for _, cell in pending))
-        stream = iter_trials(
-            [spec for _, cell in pending for spec in cell.specs],
-            workers=workers, policy=policy, health=health,
-            backend=backend, telemetry=telemetry)
-        fresh: Dict[int, Row] = {}
-        for index, cell in pending:
-            if telemetry is not None:
-                # Chunk/batch/trial spans recorded while this cell's
-                # results are consumed nest under its span; a chunk
-                # crossing cell boundaries books under the cell that
-                # consumed its first spec (see PERFORMANCE.md).
-                with telemetry.span("cell", cell=list(cell.key)):
-                    chunk = [next(stream) for _ in cell.specs]
-            else:
-                chunk = [next(stream) for _ in cell.specs]
-            if _cell_failed(chunk):
-                # The failure is already in the health ledger; the cell
-                # stays unwritten so a resume retries it.
-                continue
-            fresh[index] = cell.build_row(chunk)
-            if store is not None:
-                store.write_row(index, cell.key, fresh[index])
-        rows: List[Row] = []
-        for index, cell in enumerate(cells):
-            stored = completed.get(cell_key_id(cell.key))
-            row = fresh.get(index) if stored is None else stored
-            if row is not None:
-                rows.append(row)
+            telemetry.gauge("trials_total", pending_trials(cells, completed))
+        rows = [row for row in run_cells(
+                    cells, completed, workers=workers, store=store,
+                    policy=policy, health=health, backend=backend,
+                    telemetry=telemetry)
+                if row is not None]
         if store is not None:
             store.record_health(health)
         if self.finalize is not None:
@@ -221,9 +164,69 @@ class Experiment:
         return rows
 
 
-def _cell_failed(chunk: Sequence[Any]) -> bool:
-    """Whether any trial in a cell's result chunk failed for good."""
-    return any(isinstance(item, TrialFailure) for item in chunk)
+def stored_rows(store: Optional["RunStore"]) -> Dict[str, Row]:
+    """The rows a campaign's store already holds (none without a store)."""
+    return store.completed_rows() if store is not None else {}
 
 
-__all__ = ["Cell", "Experiment", "Row", "RowStore", "cell_key_id"]
+def pending_trials(cells: Sequence[Cell], completed: Mapping[str, Row]
+                   ) -> int:
+    """How many trials :func:`run_cells` will execute for ``cells``."""
+    return sum(len(cell.specs) for cell in cells
+               if cell_key_id(cell.key) not in completed)
+
+
+def run_cells(cells: Sequence[Cell], completed: Mapping[str, Row], *,
+              start: int = 0, workers: Optional[int] = None,
+              store: Optional["RunStore"] = None,
+              policy: Optional[Any] = None,
+              health: Optional[RunHealth] = None,
+              backend: Optional[str] = None,
+              telemetry: Optional[Any] = None) -> List[Optional[Row]]:
+    """The campaign loop: run every cell not in ``completed``, stream rows.
+
+    Cells whose rows ``completed`` holds (keyed by :func:`cell_key_id`)
+    are skipped — the resume path.  The other cells' specs go to the one
+    executor (:class:`~repro.runner.supervisor.SupervisedRunner`, whose
+    default ``policy`` keeps retries and pool recovery on) as one
+    streamed batch, and each row is built, and written to ``store`` at
+    index ``start + position``, as soon as its cell's results arrive.
+    ``backend="batched"`` vectorizes supported spec groups, bit-identical
+    by contract.  A cell with a trial that failed for good yields
+    ``None``: the failure is in ``health``, and the unwritten cell is
+    retried on resume.  Recording ``health`` into the store is the
+    caller's job, once per campaign.
+
+    With ``telemetry``, a cell of more than one trial is consumed inside
+    a ``cell`` span (a chunk crossing cells books under the cell that
+    consumed its first spec); a one-trial cell gets none, since its
+    ``trial`` span already carries the cell key as ``tag``.
+
+    Returns:
+        One entry per cell, in order: the stored row, the fresh row, or
+        ``None`` for a failed cell.
+    """
+    pending = [(start + offset, cell) for offset, cell in enumerate(cells)
+               if cell_key_id(cell.key) not in completed]
+    stream = iter_trials(
+        [spec for _, cell in pending for spec in cell.specs],
+        workers=workers, policy=policy, health=health, backend=backend,
+        telemetry=telemetry)
+    fresh: Dict[int, Row] = {}
+    for index, cell in pending:
+        if telemetry is not None and len(cell.specs) > 1:
+            with telemetry.span("cell", cell=list(cell.key)):
+                chunk = [next(stream) for _ in cell.specs]
+        else:
+            chunk = [next(stream) for _ in cell.specs]
+        if any(isinstance(item, TrialFailure) for item in chunk):
+            continue
+        fresh[index] = cell.build_row(chunk)
+        if store is not None:
+            store.write_row(index, cell.key, fresh[index])
+    return [completed.get(cell_key_id(cell.key), fresh.get(start + offset))
+            for offset, cell in enumerate(cells)]
+
+
+__all__ = ["Cell", "Experiment", "Row", "cell_key_id", "pending_trials",
+           "run_cells", "stored_rows"]

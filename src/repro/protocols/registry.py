@@ -9,7 +9,7 @@ derive the maximum admissible ``t`` for a given ``n`` uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Type
+from typing import Callable, Dict, Optional, Type
 
 from repro.core.reset_tolerant import ResetTolerantAgreement
 from repro.protocols.base import Protocol
@@ -74,4 +74,26 @@ def available_protocols() -> Dict[str, ProtocolInfo]:
     return dict(_REGISTRY)
 
 
-__all__ = ["ProtocolInfo", "get_protocol", "available_protocols"]
+def resolve_fault_bound(protocol: str, n: int, t: Optional[int]) -> int:
+    """Validate a campaign's ``(protocol, n, t)`` and return the bound ``t``.
+
+    ``t=None`` means the protocol's maximum for ``n``.  Raises
+    ``KeyError`` for an unknown protocol and ``ValueError`` for a system
+    the protocol cannot run with any fault, or a bound with ``t >= n``.
+    """
+    info = get_protocol(protocol)
+    if n <= 1:
+        raise ValueError(f"n must be at least 2, got {n}")
+    if t is None:
+        t = info.max_faults(n)
+    if t <= 0:
+        raise ValueError(
+            f"protocol {protocol!r} tolerates no faults at n={n}; "
+            f"choose a larger n")
+    if t >= n:
+        raise ValueError(f"fault bound t={t} must satisfy t < n={n}")
+    return t
+
+
+__all__ = ["ProtocolInfo", "get_protocol", "available_protocols",
+           "resolve_fault_bound"]

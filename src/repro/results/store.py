@@ -16,7 +16,7 @@ Layout::
 Rows stream to ``rows.jsonl`` the moment their cell completes (the file is
 flushed per line), so a killed run keeps everything it finished.  On
 rerun, :meth:`RunStore.completed_rows` feeds the already-stored rows back
-to :meth:`repro.experiments.base.Experiment.run`, which skips those cells.
+to :func:`repro.experiments.base.run_cells`, which skips those cells.
 Synthetic finalizer rows (the E2/E4 exponential fits) are *never* stored;
 they are recomputed from the data rows when a run is rendered.
 
@@ -46,7 +46,7 @@ import warnings
 from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from repro.experiments.base import Row, RowStore, cell_key_id
+from repro.experiments.base import Row, cell_key_id
 from repro.runner.health import (RunHealth, empty_health_block,
                                  merge_health_block)
 
@@ -153,7 +153,7 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-class RunStore(RowStore):
+class RunStore:
     """One run directory: the manifest plus streaming JSONL row writes."""
 
     def __init__(self, path: str, experiment: str,
@@ -230,11 +230,13 @@ class RunStore(RowStore):
         if self._telemetry is not None:
             self._telemetry.count(name, delta)
 
-    # -- the RowStore contract ---------------------------------------
+    # -- rows ---------------------------------------------------------
     def completed_rows(self) -> Dict[str, Row]:
+        """Rows already on disk, keyed by :func:`cell_key_id`."""
         return {key: row for key, (_, row) in self._rows.items()}
 
     def write_row(self, index: int, key: Sequence[Any], row: Row) -> None:
+        """Persist one freshly computed row (append one JSONL line)."""
         key_id = cell_key_id(key)
         record = {"index": index, "key": _jsonable(list(key)),
                   "row": _jsonable(row)}

@@ -10,12 +10,18 @@ independent :class:`~repro.verification.invariants.InvariantChecker`;
 violating candidates are shrunk into counterexample artifacts by the
 existing :mod:`repro.verification.shrink` machinery.
 
-Campaigns persist through :class:`repro.results.RunStore` under the
-pseudo-experiment name ``"search"``: one row per candidate evaluation,
-streamed as generations finish.  Because candidate genomes are a pure
-function of the campaign seed and the observed scores, a resumed campaign
-re-derives the proposal sequence and skips every evaluation the store
-already holds — kill/resume is bit-identical to an uninterrupted run.
+Each generation is one call of the shared campaign loop
+(:func:`repro.experiments.base.run_cells`), one cell per candidate, so
+resume, streamed rows and failure isolation work exactly as for
+experiment cells.  A candidate whose evaluation failed through every
+recovery rung has no row: it scores ``-inf`` for the strategy and is
+retried on resume.  Campaigns persist through
+:class:`repro.results.RunStore` under the pseudo-experiment name
+``"search"``: one row per candidate evaluation, streamed as evaluations
+finish.  Because candidate genomes are a pure function of the campaign
+seed and the observed scores, a resumed campaign re-derives the proposal
+sequence and skips every evaluation the store already holds — kill/resume
+is bit-identical to an uninterrupted run.
 The best-found schedule is written as ``best-schedule.json`` in the run
 directory, in the same self-contained artifact format as the fuzz
 counterexamples, so ``repro replay`` (and the ``replay-schedule``
@@ -27,24 +33,29 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.protocols.registry import get_protocol
+from repro.adversaries.fuzzing import (WindowSampler,
+                                       fault_model_probabilities)
+from repro.experiments.base import (Cell, pending_trials, run_cells,
+                                    stored_rows)
+from repro.protocols.registry import get_protocol, resolve_fault_bound
 from repro.results.store import RunStore
-from repro.runner import TrialSpec, derive_seed, iter_trials
-from repro.search.mutations import Schedule, WindowSampler, is_admissible
+from repro.runner import TrialSpec, derive_seed
+from repro.runner.health import RunHealth
+from repro.search.mutations import Schedule, is_admissible
 from repro.search.objectives import OBJECTIVES, Objective, build_objective
 from repro.search.strategies import (STRATEGIES, SearchStrategy,
                                      build_strategy)
 from repro.simulation.trace import ExecutionResult
 from repro.verification.invariants import InvariantChecker
-from repro.verification.shrink import (ReplaySetup,
+from repro.verification.shrink import (COUNTEREXAMPLE_DIR, ReplaySetup,
                                        parse_schedule_artifact,
-                                       save_counterexample,
                                        schedule_to_jsonable,
-                                       shrink_schedule)
+                                       shrink_and_save)
 from repro.workloads.inputs import split, unanimous
 
 SEARCH_EXPERIMENT = "search"
@@ -52,9 +63,6 @@ SEARCH_EXPERIMENT = "search"
 
 BEST_ARTIFACT = "best-schedule.json"
 """File name of the best-found schedule artifact inside a run directory."""
-
-COUNTEREXAMPLE_DIR = "counterexamples"
-"""Subdirectory of a search run holding shrunk violating schedules."""
 
 _ENGINE_SALT = 0xE9E9E9
 
@@ -114,19 +122,9 @@ def resolve_search_params(protocol: str = "reset-tolerant",
             allotted evaluation budget stays ``generations *
             population``; a hit simply stops spending it).
     """
-    info = get_protocol(protocol)
     if n is None:
         n = 12
-    if n <= 1:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if t is None:
-        t = info.max_faults(n)
-    if t <= 0:
-        raise ValueError(
-            f"protocol {protocol!r} tolerates no faults at n={n}; "
-            f"choose a larger n")
-    if t >= n:
-        raise ValueError(f"fault bound t={t} must satisfy t < n={n}")
+    t = resolve_fault_bound(protocol, n, t)
     if strategy not in STRATEGIES:
         known = ", ".join(sorted(STRATEGIES))
         raise ValueError(
@@ -164,15 +162,13 @@ def resolve_search_params(protocol: str = "reset-tolerant",
 def campaign_sampler(params: Dict[str, Any]) -> WindowSampler:
     """The window-sampling distribution, following the fault model.
 
-    Resets are the strongly adaptive adversary's weapon, crashes the
-    classical crash adversary's — the same convention fuzz campaigns use.
+    Resets or crashes follow the protocol's fault model by the same rule
+    fuzz campaigns use (:func:`fault_model_probabilities`).
     """
-    crash_model = \
-        "crash" in get_protocol(params["protocol"]).fault_model.lower()
     return WindowSampler(
         n=params["n"], t=params["t"],
-        reset_probability=0.0 if crash_model else 0.35,
-        crash_probability=0.25 if crash_model else 0.0)
+        **fault_model_probabilities(
+            get_protocol(params["protocol"]).fault_model))
 
 
 def campaign_strategy(params: Dict[str, Any]) -> SearchStrategy:
@@ -275,9 +271,16 @@ class SearchReport:
 
 
 def _evaluation_row(params: Dict[str, Any], objective: Objective,
-                    checker: InvariantChecker, generation: int,
-                    candidate: int, result: ExecutionResult,
-                    best_so_far: float) -> Dict[str, Any]:
+                    checker: InvariantChecker, store: Optional[RunStore],
+                    best_so_far: float, generation: int, candidate: int,
+                    schedule: Schedule,
+                    results: Sequence[ExecutionResult]) -> Dict[str, Any]:
+    """The row of one candidate's one-result cell.
+
+    A violating candidate of a stored campaign is shrunk into a
+    counterexample artifact before its row is written.
+    """
+    (result,) = results
     if params.get("verify", True):
         report = checker.check_result(result)
         ok: Optional[bool] = report.ok
@@ -286,7 +289,7 @@ def _evaluation_row(params: Dict[str, Any], objective: Objective,
     else:
         ok, violations = None, "-"  # not checked (verify=False)
         score = objective.score(result)
-    return {
+    row = {
         "generation": generation,
         "candidate": candidate,
         "score": _score_to_stored(score),
@@ -299,19 +302,13 @@ def _evaluation_row(params: Dict[str, Any], objective: Objective,
         "best_score": _score_to_stored(max(best_so_far, score)),
         "counterexample": None,
     }
-
-
-def _shrink_finding(params: Dict[str, Any], schedule: Schedule,
-                    store: RunStore, generation: int,
-                    candidate: int) -> str:
-    """Shrink one violating candidate into a counterexample artifact."""
-    setup = campaign_setup(params)
-    shrunk = shrink_schedule(setup, schedule)
-    relative = os.path.join(
-        COUNTEREXAMPLE_DIR, f"gen-{generation}-cand-{candidate}.json")
-    save_counterexample(store.artifact_path(relative), setup,
-                        shrunk.schedule, shrunk.violations)
-    return relative
+    if ok is False and store is not None:
+        relative = os.path.join(
+            COUNTEREXAMPLE_DIR, f"gen-{generation}-cand-{candidate}.json")
+        shrink_and_save(campaign_setup(params), schedule,
+                        store.artifact_path(relative))
+        row["counterexample"] = relative
+    return row
 
 
 def save_best_artifact(path: str, params: Dict[str, Any],
@@ -350,7 +347,7 @@ def run_search_campaign(params: Dict[str, Any],
                         workers: Optional[int] = None,
                         store: Optional[RunStore] = None,
                         policy: Optional[Any] = None,
-                        health: Optional[Any] = None,
+                        health: Optional[RunHealth] = None,
                         backend: Optional[str] = None,
                         telemetry: Optional[Any] = None) -> SearchReport:
     """Run (or resume) a search campaign.
@@ -362,30 +359,18 @@ def run_search_campaign(params: Dict[str, Any],
         store: an open results store; evaluations whose rows it already
             holds are skipped (their scores feed the strategy from cache),
             and the best-schedule artifact is written into it.
-        policy: execution policy for the supervising executor (retries,
-            watchdog, chaos); default: retries on, no watchdog, no chaos.
-        health: the run-health ledger recovery actions are recorded into.
-        backend: execution backend (``trial`` / ``batched`` / ``auto``);
-            ``batched`` vectorizes each generation's candidate
-            evaluations, with bit-identical scores by contract.
-        telemetry: an optional :class:`~repro.telemetry.Telemetry`
-            recorder; each generation becomes a ``generation`` span and
-            the expected evaluation total is gauged up front.  Scores
-            are bit-identical with or without it.
+        policy, health, backend, telemetry: as for
+            :func:`repro.experiments.base.run_cells`; the health ledger
+            is recorded into the store once, at the end.  With
+            telemetry, each generation becomes a ``generation`` span and
+            the evaluation budget is gauged up front.
     """
-    from repro.experiments.base import cell_key_id
-    from repro.runner.health import RunHealth, TrialFailure
-    from repro.runner.supervisor import ExecutionPolicy
-
-    if policy is None:
-        policy = ExecutionPolicy()
     if health is None:
         health = RunHealth()
     strategy = campaign_strategy(params)
     objective = campaign_objective(params)
     checker = InvariantChecker()
-    completed: Dict[str, Dict[str, Any]] = \
-        store.completed_rows() if store is not None else {}
+    completed = stored_rows(store)
     report = SearchReport(
         params=params,
         run_dir=store.path if store is not None else None)
@@ -398,60 +383,35 @@ def run_search_campaign(params: Dict[str, Any],
         assert all(is_admissible(genome, params["n"], params["t"])
                    for genome in genomes), \
             "strategy proposed an inadmissible schedule"
-        keys = [(SEARCH_EXPERIMENT, generation, candidate)
-                for candidate in range(len(genomes))]
-        pending = [candidate for candidate, key in enumerate(keys)
-                   if cell_key_id(key) not in completed]
-        fresh: Dict[int, Dict[str, Any]] = {}
-        with ExitStack() as span_scope:
-            if telemetry is not None:
-                span_scope.enter_context(telemetry.span(
-                    "generation", generation=generation,
-                    candidates=len(pending)))
-            stream = iter_trials(
-                [candidate_spec(params, objective, genomes[candidate],
-                                generation, candidate)
-                 for candidate in pending],
-                workers=workers, policy=policy, health=health,
-                backend=backend, telemetry=telemetry)
-            for candidate in pending:
-                result = next(stream)
-                if isinstance(result, TrialFailure):
-                    # The failure is in the health ledger; the candidate
-                    # gets a synthesized in-memory row (never persisted,
-                    # so a resumed campaign retries it) scoring -inf
-                    # below.
-                    report.failed_evaluations += 1
-                    fresh[candidate] = {
-                        "generation": generation, "candidate": candidate,
-                        "score": None, "undecided_windows": 0,
-                        "decided": False, "windows": 0, "total_resets": 0,
-                        "ok": None, "violations": "-",
-                        "best_score": _score_to_stored(best_so_far),
-                        "counterexample": None, "failed": True}
-                    continue
-                row = _evaluation_row(params, objective, checker,
-                                      generation, candidate, result,
-                                      best_so_far)
-                if row["ok"] is False and store is not None:
-                    row["counterexample"] = _shrink_finding(
-                        params, genomes[candidate], store, generation,
-                        candidate)
-                fresh[candidate] = row
-                report.computed_evaluations += 1
-                if store is not None:
-                    index = generation * params["population"] + candidate
-                    store.write_row(index, keys[candidate], row)
-        rows = [completed.get(cell_key_id(key), fresh.get(candidate))
-                for candidate, key in enumerate(keys)]
+        evaluate = partial(_evaluation_row, params, objective, checker,
+                           store, best_so_far, generation)
+        cells = [Cell(key=(SEARCH_EXPERIMENT, generation, candidate),
+                      specs=(candidate_spec(params, objective, genome,
+                                            generation, candidate),),
+                      build_row=partial(evaluate, candidate, genome))
+                 for candidate, genome in enumerate(genomes)]
+        pending = pending_trials(cells, completed)
+        span = (telemetry.span("generation", generation=generation,
+                               candidates=pending)
+                if telemetry is not None else nullcontext())
+        with span:
+            rows = run_cells(cells, completed,
+                             start=generation * params["population"],
+                             workers=workers, store=store, policy=policy,
+                             health=health, backend=backend,
+                             telemetry=telemetry)
+        failed = rows.count(None)
+        report.failed_evaluations += failed
+        report.computed_evaluations += pending - failed
         # A failed candidate scores -inf: it never becomes the best, and
         # strategies treat it exactly like a maximally bad schedule.
-        scores = [-math.inf if row.get("failed")
+        scores = [-math.inf if row is None
                   else _score_from_stored(row["score"]) for row in rows]
-        frontiers = [int(row["undecided_windows"]) for row in rows]
+        frontiers = [0 if row is None else int(row["undecided_windows"])
+                     for row in rows]
         best_so_far = max(best_so_far, max(scores))
         strategy.observe(generation, genomes, scores, frontiers)
-        report.rows.extend(row for row in rows if not row.get("failed"))
+        report.rows.extend(row for row in rows if row is not None)
         target = params.get("target_score")
         if target is not None and best_so_far >= target:
             break  # target hit: stop spending the remaining budget

@@ -32,67 +32,13 @@ The operators mirror the adversary's levers in the paper's model:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import FrozenSet, List, Sequence, Set
 
 from repro.adversaries.base import random_subset
+from repro.adversaries.fuzzing import WindowSampler
 from repro.simulation.windows import WindowSpec
 
 Schedule = List[WindowSpec]
-
-
-@dataclass(frozen=True)
-class WindowSampler:
-    """The (n, t) system plus the window-sampling distribution.
-
-    Mirrors the :class:`~repro.adversaries.fuzzing.ScheduleFuzzer`
-    *shape* — independent sender sets of size in ``[n - t, n]``,
-    probabilistic resets / crashes / deliver-last — with the crash draw
-    bounded so schedule-level sampling respects the cumulative budget.
-    The probabilities differ from the fuzzer's defaults; comparisons
-    against fuzzer baselines (E9, the acceptance test) pass the
-    sampler's probabilities to the fuzzer explicitly so both draw from
-    the same distribution.
-    Campaigns set ``crash_probability`` positive (and
-    ``reset_probability`` to 0) for crash-model protocols, mirroring how
-    fuzz campaigns follow the fault model under test.
-    """
-
-    n: int
-    t: int
-    reset_probability: float = 0.35
-    crash_probability: float = 0.0
-    deliver_last_probability: float = 0.3
-
-    def window(self, rng: random.Random,
-               crashes_left: int = 0) -> WindowSpec:
-        """One freshly sampled admissible window."""
-        n, t = self.n, self.t
-        senders_for = tuple(
-            random_subset(range(n), rng.randint(n - t, n), rng)
-            for _ in range(n))
-        resets: FrozenSet[int] = frozenset()
-        if t > 0 and rng.random() < self.reset_probability:
-            resets = random_subset(range(n), rng.randint(1, t), rng)
-        crashes: FrozenSet[int] = frozenset()
-        if crashes_left > 0 and rng.random() < self.crash_probability:
-            crashes = random_subset(range(n),
-                                    rng.randint(1, crashes_left), rng)
-        deliver_last: FrozenSet[int] = frozenset()
-        if rng.random() < self.deliver_last_probability:
-            deliver_last = random_subset(range(n), rng.randint(1, n), rng)
-        return WindowSpec(senders_for=senders_for, resets=resets,
-                          crashes=crashes, deliver_last=deliver_last)
-
-    def schedule(self, length: int, rng: random.Random) -> Schedule:
-        """A freshly sampled admissible schedule of ``length`` windows."""
-        schedule: Schedule = []
-        victims: Set[int] = set()
-        for _ in range(length):
-            spec = self.window(rng, crashes_left=self.t - len(victims))
-            victims |= spec.crashes
-            schedule.append(spec)
-        return schedule
 
 
 def crashed_victims(schedule: Sequence[WindowSpec]) -> Set[int]:

@@ -31,20 +31,19 @@ from repro.verification.batched_diff import (DiffMismatch, DiffReport,
 from repro.verification.differential import (DifferentialReport,
                                              differential_replay,
                                              replay_trace_on_step_engine)
-from repro.verification.fuzzer import (COUNTEREXAMPLE_DIR, FUZZ_EXPERIMENT,
-                                       FuzzReport, fuzz_trial_spec,
+from repro.verification.fuzzer import (FUZZ_EXPERIMENT, FuzzReport, fuzz_trial_spec,
                                        minimize_finding,
                                        resolve_fuzz_params,
                                        run_fuzz_campaign)
 from repro.verification.invariants import (INVARIANTS, InvariantChecker,
                                            VerificationReport, Violation)
-from repro.verification.shrink import (ReplaySetup, ShrinkResult,
-                                       load_counterexample,
+from repro.verification.shrink import (COUNTEREXAMPLE_DIR, ReplaySetup,
+                                       ShrinkResult, load_counterexample,
                                        parse_schedule_artifact,
                                        replay_schedule, save_counterexample,
                                        schedule_from_jsonable,
                                        schedule_to_jsonable,
-                                       shrink_schedule)
+                                       shrink_and_save, shrink_schedule)
 
 __all__ = [
     "INVARIANTS",
@@ -62,6 +61,7 @@ __all__ = [
     "ShrinkResult",
     "replay_schedule",
     "shrink_schedule",
+    "shrink_and_save",
     "schedule_to_jsonable",
     "schedule_from_jsonable",
     "save_counterexample",

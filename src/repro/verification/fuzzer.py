@@ -10,35 +10,41 @@ through :mod:`repro.runner` exactly like experiment cells, so worker count
 affects wall-clock time only — ``repro fuzz --trials 200 --seed 0`` yields
 bit-identical findings at ``--workers 0``, ``1`` and ``4``.
 
-Campaigns persist through :class:`repro.results.RunStore` under the
+A campaign is one cell per trial of the shared campaign loop
+(:func:`repro.experiments.base.run_cells`), so resume, streamed rows and
+failure isolation work exactly as for experiment cells.  Campaigns
+persist through :class:`repro.results.RunStore` under the
 pseudo-experiment name ``"fuzz"``: one row per trial, streamed as trials
-finish, so an interrupted campaign resumes where it stopped.  Violating
-trials are (optionally) minimized by :mod:`repro.verification.shrink` and
-written as self-contained counterexample JSON artifacts under
-``<run_dir>/counterexamples/``.
+finish, so an interrupted campaign resumes where it stopped; a trial
+that failed through every recovery rung has no row and is retried on
+resume.  Violating trials are (optionally) minimized by
+:mod:`repro.verification.shrink` and written as self-contained
+counterexample JSON artifacts under ``<run_dir>/counterexamples/``.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.adversaries.fuzzing import ScheduleFuzzer, StepFuzzer
-from repro.protocols.registry import get_protocol
+from repro.adversaries.fuzzing import (ScheduleFuzzer, StepFuzzer,
+                                       fault_model_probabilities)
+from repro.experiments.base import (Cell, pending_trials, run_cells,
+                                    stored_rows)
+from repro.protocols.registry import get_protocol, resolve_fault_bound
 from repro.results.store import RunStore
-from repro.runner import (STEP_ENGINE, WINDOW_ENGINE, TrialSpec, derive_seed,
-                          iter_trials)
+from repro.runner import STEP_ENGINE, WINDOW_ENGINE, TrialSpec, derive_seed
+from repro.runner.health import RunHealth
 from repro.simulation.trace import ExecutionResult
 from repro.verification.invariants import InvariantChecker
-from repro.verification.shrink import (ReplaySetup, save_counterexample,
-                                       shrink_schedule)
+from repro.verification.shrink import (COUNTEREXAMPLE_DIR, ReplaySetup,
+                                       shrink_and_save)
 
 FUZZ_EXPERIMENT = "fuzz"
 """Results-store experiment name fuzz campaigns are filed under."""
-
-COUNTEREXAMPLE_DIR = "counterexamples"
-"""Subdirectory of a fuzz run holding minimized schedule artifacts."""
 
 ROW_SCHEMA: Tuple[str, ...] = (
     "trial", "protocol", "engine", "n", "t", "inputs", "engine_seed",
@@ -72,16 +78,7 @@ def resolve_fuzz_params(protocol: str = "reset-tolerant",
                          f"{STEP_ENGINE!r}, got {engine!r}")
     if n is None:
         n = 9 if engine == WINDOW_ENGINE else 7
-    if n <= 1:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if t is None:
-        t = info.max_faults(n)
-    if t <= 0:
-        raise ValueError(
-            f"protocol {protocol!r} tolerates no faults at n={n}; "
-            f"choose a larger n")
-    if t >= n:
-        raise ValueError(f"fault bound t={t} must satisfy t < n={n}")
+    t = resolve_fault_bound(protocol, n, t)
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     return {"protocol": protocol, "engine": engine, "n": n, "t": t,
@@ -104,16 +101,11 @@ def fuzz_trial_spec(params: Dict[str, Any], index: int) -> TrialSpec:
     adversary_seed = rng.getrandbits(32)
     engine_seed = rng.getrandbits(32)
     if params["engine"] == WINDOW_ENGINE:
-        crash_model = \
-            "crash" in get_protocol(params["protocol"]).fault_model.lower()
+        # Fault placements follow the model under test.
         adversary_kwargs: Dict[str, Any] = {
             "seed": adversary_seed,
-            # Fault placements follow the model under test: resets are the
-            # strongly adaptive adversary's weapon, crashes the classical
-            # crash adversary's.
-            "reset_probability": 0.0 if crash_model else 0.35,
-            "crash_probability": 0.25 if crash_model else 0.0,
-        }
+            **fault_model_probabilities(
+                get_protocol(params["protocol"]).fault_model)}
         return TrialSpec(
             protocol=params["protocol"], adversary="schedule-fuzzer",
             n=n, t=t, inputs=inputs, seed=engine_seed,
@@ -137,7 +129,9 @@ def _trial_checker(params: Dict[str, Any],
 
 
 def _trial_row(params: Dict[str, Any], index: int, spec: TrialSpec,
-               result: ExecutionResult) -> Dict[str, Any]:
+               results: Sequence[ExecutionResult]) -> Dict[str, Any]:
+    """The row of one trial: its one-result cell, invariant-checked."""
+    (result,) = results
     report = _trial_checker(params, spec).check_result(result)
     return {
         "trial": index,
@@ -215,12 +209,16 @@ def minimize_finding(params: Dict[str, Any], index: int,
     setup = ReplaySetup(protocol=spec.protocol, n=spec.n, t=spec.t,
                         inputs=spec.inputs, seed=spec.seed,
                         protocol_kwargs=dict(spec.protocol_kwargs))
-    shrunk = shrink_schedule(setup, result.trace.windows,
+    shrunk = shrink_and_save(setup, result.trace.windows, artifact_path,
                              checker=_trial_checker(params, spec))
-    if artifact_path is not None:
-        save_counterexample(artifact_path, setup, shrunk.schedule,
-                            shrunk.violations)
     return len(shrunk.schedule), shrunk.violations
+
+
+def fuzz_cell(params: Dict[str, Any], index: int) -> Cell:
+    """Trial ``index`` of a campaign as a one-trial cell of the run loop."""
+    spec = fuzz_trial_spec(params, index)
+    return Cell(key=(FUZZ_EXPERIMENT, index), specs=(spec,),
+                build_row=partial(_trial_row, params, index, spec))
 
 
 def run_fuzz_campaign(params: Dict[str, Any],
@@ -228,7 +226,7 @@ def run_fuzz_campaign(params: Dict[str, Any],
                       store: Optional[RunStore] = None,
                       minimize: bool = False,
                       policy: Optional[Any] = None,
-                      health: Optional[Any] = None,
+                      health: Optional[RunHealth] = None,
                       backend: Optional[str] = None,
                       telemetry: Optional[Any] = None) -> FuzzReport:
     """Run (or resume) a fuzz campaign.
@@ -242,79 +240,41 @@ def run_fuzz_campaign(params: Dict[str, Any],
             the minimized schedule as a counterexample artifact (requires
             a store for the artifact files; unstored campaigns record the
             minimized size only).
-        policy: execution policy for the supervising executor (retries,
-            watchdog, chaos); default: retries on, no watchdog, no chaos.
-        health: the run-health ledger recovery actions are recorded into.
-        backend: execution backend (``trial`` / ``batched`` / ``auto``);
-            ``batched`` vectorizes supported fuzz trials, with
-            bit-identical results by contract.
-        telemetry: an optional :class:`~repro.telemetry.Telemetry`
-            recorder threaded through the trial fan-out; rows are
-            bit-identical with or without it.
+        policy, health, backend, telemetry: as for
+            :func:`repro.experiments.base.run_cells`; the health ledger
+            is recorded into the store once, at the end.
     """
-    import os
-
-    from repro.experiments.base import cell_key_id
-    from repro.runner.health import RunHealth, TrialFailure
-    from repro.runner.supervisor import ExecutionPolicy
-
-    if policy is None:
-        policy = ExecutionPolicy()
     if health is None:
         health = RunHealth()
-    specs = {index: fuzz_trial_spec(params, index)
-             for index in range(params["trials"])}
-    completed: Dict[str, Dict[str, Any]] = \
-        store.completed_rows() if store is not None else {}
-    pending = [index for index in range(params["trials"])
-               if cell_key_id((FUZZ_EXPERIMENT, index)) not in completed]
+    cells = [fuzz_cell(params, index) for index in range(params["trials"])]
+    completed = stored_rows(store)
+    pending = pending_trials(cells, completed)
     if telemetry is not None:
-        telemetry.gauge("trials_total", len(pending))
-    stream = iter_trials([specs[index] for index in pending],
-                         workers=workers, policy=policy, health=health,
-                         backend=backend, telemetry=telemetry)
-    fresh: Dict[int, Dict[str, Any]] = {}
-    failed = 0
-    for index in pending:
-        result = next(stream)
-        if isinstance(result, TrialFailure):
-            # Recorded in the health ledger; the trial stays unwritten so
-            # a resumed campaign retries it.
-            failed += 1
-            continue
-        row = _trial_row(params, index, specs[index], result)
-        fresh[index] = row
-        if store is not None:
-            # Stream rows as trials finish, so a killed campaign resumes.
-            store.write_row(index, (FUZZ_EXPERIMENT, index), row)
+        telemetry.gauge("trials_total", pending)
+    rows = run_cells(cells, completed, workers=workers, store=store,
+                     policy=policy, health=health, backend=backend,
+                     telemetry=telemetry)
     if store is not None:
         store.record_health(health)
-    rows: List[Dict[str, Any]] = []
-    for index in range(params["trials"]):
-        stored = completed.get(cell_key_id((FUZZ_EXPERIMENT, index)))
-        row = fresh.get(index) if stored is None else stored
-        if row is not None:
-            rows.append(row)
-    report = FuzzReport(params=params, rows=rows,
+    failed = rows.count(None)
+    report = FuzzReport(params=params,
+                        rows=[row for row in rows if row is not None],
                         run_dir=store.path if store is not None else None,
-                        computed_trials=len(pending) - failed,
+                        computed_trials=pending - failed,
                         failed_trials=failed)
     if minimize and params["engine"] == WINDOW_ENGINE:
         for row in report.findings:
             if row.get("minimized_windows") is not None:
                 continue  # already minimized in a previous (resumed) run
             report.minimized_trials += 1
-            artifact: Optional[str] = None
+            relative = os.path.join(COUNTEREXAMPLE_DIR,
+                                    f"trial-{row['trial']}.json")
+            artifact = (store.artifact_path(relative)
+                        if store is not None else None)
+            row["minimized_windows"], _ = minimize_finding(
+                params, row["trial"], artifact)
             if store is not None:
-                artifact = os.path.join(
-                    store.path, COUNTEREXAMPLE_DIR,
-                    f"trial-{row['trial']}.json")
-            minimized, _ = minimize_finding(params, row["trial"], artifact)
-            row["minimized_windows"] = minimized
-            if artifact is not None:
-                row["counterexample"] = os.path.join(
-                    COUNTEREXAMPLE_DIR, f"trial-{row['trial']}.json")
-            if store is not None:
+                row["counterexample"] = relative
                 # Rewriting the row appends a fresh line; the loader keeps
                 # the last record per key, so the minimized row wins.
                 store.write_row(row["trial"],
@@ -330,6 +290,7 @@ __all__ = [
     "StepFuzzer",
     "resolve_fuzz_params",
     "fuzz_trial_spec",
+    "fuzz_cell",
     "FuzzReport",
     "run_fuzz_campaign",
     "minimize_finding",

@@ -19,7 +19,9 @@ are written down).  :func:`shrink_schedule` then minimizes it greedily:
 The result is a short, mostly-benign schedule in which every remaining
 fault is load-bearing.  :func:`save_counterexample` /
 :func:`load_counterexample` persist schedules as JSON so campaigns can
-check them in as first-class artifacts.
+check them in as first-class artifacts; :func:`shrink_and_save` is the
+one shrink-then-persist step fuzz and search campaigns share, filing
+artifacts under :data:`COUNTEREXAMPLE_DIR` of their run directory.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from repro.simulation.engine import Engine
 from repro.simulation.trace import ExecutionResult
 from repro.simulation.windows import WindowSpec
 from repro.verification.invariants import InvariantChecker, VerificationReport
+
+COUNTEREXAMPLE_DIR = "counterexamples"
+"""Subdirectory of a fuzz or search run holding shrunk violating schedules."""
 
 
 @dataclass(frozen=True)
@@ -171,6 +176,21 @@ def shrink_schedule(setup: ReplaySetup, schedule: Sequence[WindowSpec],
         replays=replays)
 
 
+def shrink_and_save(setup: ReplaySetup, schedule: Sequence[WindowSpec],
+                    path: Optional[str] = None,
+                    checker: Optional[InvariantChecker] = None
+                    ) -> ShrinkResult:
+    """Shrink a violating schedule and, given ``path``, save the artifact.
+
+    The minimized schedule and its violations go to ``path`` through
+    :func:`save_counterexample`; without a path only the result returns.
+    """
+    shrunk = shrink_schedule(setup, schedule, checker=checker)
+    if path is not None:
+        save_counterexample(path, setup, shrunk.schedule, shrunk.violations)
+    return shrunk
+
+
 # ----------------------------------------------------------------------
 # Persistence: schedules as JSON artifacts.
 # ----------------------------------------------------------------------
@@ -234,10 +254,12 @@ def load_counterexample(path: str) -> Tuple[ReplaySetup, List[WindowSpec],
 
 
 __all__ = [
+    "COUNTEREXAMPLE_DIR",
     "ReplaySetup",
     "replay_schedule",
     "ShrinkResult",
     "shrink_schedule",
+    "shrink_and_save",
     "schedule_to_jsonable",
     "schedule_from_jsonable",
     "save_counterexample",

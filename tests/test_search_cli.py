@@ -34,6 +34,29 @@ class TestSearchCli:
         assert "search run" in rendered
         assert "generation" in rendered
 
+    def test_cached_rerun_keeps_the_stored_wall_time(self, tmp_path,
+                                                     capsys):
+        out = str(tmp_path / "results")
+        assert main(_search_args(out)) == 0
+        capsys.readouterr()
+        params = resolve_search_params(generations=3, population=4,
+                                       windows=40, seed=3)
+        manifest_path = os.path.join(
+            RunStore.open(out, SEARCH_EXPERIMENT, params).path,
+            "manifest.json")
+        manifest = json.load(open(manifest_path))
+        assert manifest["completed"] is True
+        # A sentinel wall time no real run produces: a fully cached rerun
+        # computes nothing, so it must keep the stored value.
+        manifest["wall_time_seconds"] = 1234.5
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        assert main(_search_args(out)) == 0
+        assert "12 cached + 0 computed" in capsys.readouterr().out
+        rerun = json.load(open(manifest_path))
+        assert rerun["completed"] is True
+        assert rerun["wall_time_seconds"] == 1234.5
+
     def test_campaign_artifact_replays_clean(self, tmp_path, capsys):
         out = str(tmp_path / "results")
         assert main(_search_args(out)) == 0
