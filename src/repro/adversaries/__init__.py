@@ -19,7 +19,8 @@ from repro.adversaries.byzantine import (ByzantineAdversary,
 from repro.adversaries.crash import (CrashAtDecisionAdversary,
                                      CrashSplitVoteAdversary,
                                      StaticCrashAdversary)
-from repro.adversaries.fuzzing import ScheduleFuzzer, StepFuzzer
+from repro.adversaries.fuzzing import (ScheduleFuzzer, StepFuzzer,
+                                       WindowSampler)
 from repro.adversaries.interpolation import (CandidateEvaluation,
                                              LookaheadAdversary,
                                              interpolate_windows)
@@ -50,5 +51,6 @@ __all__ = [
     "SplitVoteAdversary",
     "ScheduleFuzzer",
     "StepFuzzer",
+    "WindowSampler",
     "ReplayScheduleAdversary",
 ]

@@ -148,7 +148,7 @@ class Experiment:
         cells = self.build_cells(merged, random.Random(merged["seed"]))
         if health is None:
             health = RunHealth()
-        completed = stored_rows(store)
+        completed = store.completed_rows() if store is not None else {}
         if telemetry is not None:
             telemetry.gauge("cells_total", len(cells))
             telemetry.gauge("trials_total", pending_trials(cells, completed))
@@ -164,16 +164,17 @@ class Experiment:
         return rows
 
 
-def stored_rows(store: Optional["RunStore"]) -> Dict[str, Row]:
-    """The rows a campaign's store already holds (none without a store)."""
-    return store.completed_rows() if store is not None else {}
-
-
 def pending_trials(cells: Sequence[Cell], completed: Mapping[str, Row]
                    ) -> int:
     """How many trials :func:`run_cells` will execute for ``cells``."""
-    return sum(len(cell.specs) for cell in cells
-               if cell_key_id(cell.key) not in completed)
+    return sum(len(cell.specs) for _, cell in _pending(cells, completed))
+
+
+def _pending(cells: Sequence[Cell], completed: Mapping[str, Row],
+             start: int = 0) -> List[Tuple[int, Cell]]:
+    """The cells ``completed`` does not hold, with their store indices."""
+    return [(start + offset, cell) for offset, cell in enumerate(cells)
+            if cell_key_id(cell.key) not in completed]
 
 
 def run_cells(cells: Sequence[Cell], completed: Mapping[str, Row], *,
@@ -199,22 +200,28 @@ def run_cells(cells: Sequence[Cell], completed: Mapping[str, Row], *,
 
     With ``telemetry``, a cell of more than one trial is consumed inside
     a ``cell`` span (a chunk crossing cells books under the cell that
-    consumed its first spec); a one-trial cell gets none, since its
-    ``trial`` span already carries the cell key as ``tag``.
+    consumed its first spec).  On the per-trial backend a one-trial cell
+    gets none, since its ``trial`` span already carries the cell key as
+    ``tag``; on the batched backend every cell keeps its span, because a
+    batched chunk records one ``batch`` span and no ``trial`` spans.
 
     Returns:
         One entry per cell, in order: the stored row, the fresh row, or
         ``None`` for a failed cell.
     """
-    pending = [(start + offset, cell) for offset, cell in enumerate(cells)
-               if cell_key_id(cell.key) not in completed]
+    # Imported lazily: repro.batched builds on repro.runner, and the
+    # executor below imports it anyway.
+    from repro.batched.support import BACKEND_BATCHED, resolve_backend
+
+    batched = resolve_backend(backend) == BACKEND_BATCHED
+    pending = _pending(cells, completed, start)
     stream = iter_trials(
         [spec for _, cell in pending for spec in cell.specs],
         workers=workers, policy=policy, health=health, backend=backend,
         telemetry=telemetry)
     fresh: Dict[int, Row] = {}
     for index, cell in pending:
-        if telemetry is not None and len(cell.specs) > 1:
+        if telemetry is not None and (batched or len(cell.specs) > 1):
             with telemetry.span("cell", cell=list(cell.key)):
                 chunk = [next(stream) for _ in cell.specs]
         else:
@@ -229,4 +236,4 @@ def run_cells(cells: Sequence[Cell], completed: Mapping[str, Row], *,
 
 
 __all__ = ["Cell", "Experiment", "Row", "cell_key_id", "pending_trials",
-           "run_cells", "stored_rows"]
+           "run_cells"]

@@ -32,9 +32,8 @@ from repro.search.campaign import (BEST_ARTIFACT, COUNTEREXAMPLE_DIR,
                                    resolve_search_params,
                                    run_search_campaign, save_best_artifact)
 from repro.search.mutations import (POINT_MUTATIONS, Schedule,
-                                    WindowSampler, crashed_victims,
-                                    flip_deliver_last, is_admissible,
-                                    mutate, perturb_delivery,
+                                    crashed_victims, flip_deliver_last,
+                                    is_admissible, mutate, perturb_delivery,
                                     regrow_tail, relocate_crashes,
                                     relocate_resets, splice)
 from repro.search.objectives import (OBJECTIVES, InvariantViolationObjective,
@@ -62,7 +61,6 @@ __all__ = [
     "save_best_artifact",
     "load_schedule_artifact",
     "Schedule",
-    "WindowSampler",
     "is_admissible",
     "crashed_victims",
     "mutate",

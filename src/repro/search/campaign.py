@@ -40,8 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.adversaries.fuzzing import (WindowSampler,
                                        fault_model_probabilities)
-from repro.experiments.base import (Cell, pending_trials, run_cells,
-                                    stored_rows)
+from repro.experiments.base import Cell, pending_trials, run_cells
 from repro.protocols.registry import get_protocol, resolve_fault_bound
 from repro.results.store import RunStore
 from repro.runner import TrialSpec, derive_seed
@@ -370,7 +369,7 @@ def run_search_campaign(params: Dict[str, Any],
     strategy = campaign_strategy(params)
     objective = campaign_objective(params)
     checker = InvariantChecker()
-    completed = stored_rows(store)
+    completed = store.completed_rows() if store is not None else {}
     report = SearchReport(
         params=params,
         run_dir=store.path if store is not None else None)

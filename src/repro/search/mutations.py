@@ -237,7 +237,6 @@ def mutate(schedule: Sequence[WindowSpec], frontier: int,
 
 __all__ = [
     "Schedule",
-    "WindowSampler",
     "crashed_victims",
     "is_admissible",
     "perturb_delivery",

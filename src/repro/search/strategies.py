@@ -24,8 +24,9 @@ import math
 import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
+from repro.adversaries.fuzzing import WindowSampler
 from repro.runner import derive_seed
-from repro.search.mutations import Schedule, WindowSampler, mutate, splice
+from repro.search.mutations import Schedule, mutate, splice
 
 _STRATEGY_SALT = 0x5EA2C4
 

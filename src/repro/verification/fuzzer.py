@@ -32,8 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.adversaries.fuzzing import (ScheduleFuzzer, StepFuzzer,
                                        fault_model_probabilities)
-from repro.experiments.base import (Cell, pending_trials, run_cells,
-                                    stored_rows)
+from repro.experiments.base import Cell, pending_trials, run_cells
 from repro.protocols.registry import get_protocol, resolve_fault_bound
 from repro.results.store import RunStore
 from repro.runner import STEP_ENGINE, WINDOW_ENGINE, TrialSpec, derive_seed
@@ -247,7 +246,7 @@ def run_fuzz_campaign(params: Dict[str, Any],
     if health is None:
         health = RunHealth()
     cells = [fuzz_cell(params, index) for index in range(params["trials"])]
-    completed = stored_rows(store)
+    completed = store.completed_rows() if store is not None else {}
     pending = pending_trials(cells, completed)
     if telemetry is not None:
         telemetry.gauge("trials_total", pending)

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.search.mutations import (POINT_MUTATIONS, WindowSampler,
-                                    crashed_victims, flip_deliver_last,
-                                    is_admissible, mutate, perturb_delivery,
+from repro.adversaries.fuzzing import WindowSampler
+from repro.search.mutations import (POINT_MUTATIONS, crashed_victims,
+                                    flip_deliver_last, is_admissible,
+                                    mutate, perturb_delivery,
                                     regrow_tail, relocate_crashes,
                                     relocate_resets, splice)
 

@@ -220,6 +220,34 @@ class TestBatchSpans:
                     for cell in experiment.cells(params=params)}
         assert delivered == expected
 
+    @pytest.mark.parametrize("backend", ["trial", "batched"])
+    def test_one_trial_cells_stay_attributed(self, backend):
+        """A one-trial cell is named by its trial tag or its cell span.
+
+        E1's cells hold one trial each: the per-trial backend opens no
+        ``cell`` span (the ``trial`` span's tag is the key), while a
+        batched chunk has no ``trial`` spans, so its cells keep theirs.
+        """
+        from repro.batched import numpy_ok
+
+        if backend == "batched" and not numpy_ok():
+            pytest.skip("batched backend needs numpy >= 2.0")
+        experiment = get_experiment("E1")
+        params = experiment.resolve_params(None, quick=True)
+        events = []
+        telemetry = Telemetry()
+        telemetry.add_listener(events.append)
+        experiment.run(params=params, workers=0, backend=backend,
+                       telemetry=telemetry)
+        spans = [event for event in events if event["kind"] == "span"]
+        keys = sorted(list(cell.key)
+                      for cell in experiment.cells(params=params))
+        if backend == "trial":
+            assert not [span for span in spans if span["name"] == "cell"]
+            named = [span["tag"] for span in spans if span["name"] == "trial"]
+        else:
+            named = [span["cell"] for span in spans if span["name"] == "cell"]
+        assert sorted(named) == keys
 
     def test_pool_workers_return_batched_phase_timers(self):
         """Under --profile, worker-side engine phases reach the session."""
