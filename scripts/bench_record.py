@@ -3,8 +3,9 @@
 
 Runs the ``benchmarks/`` suite under pytest-benchmark with a JSON report,
 distills the report into a compact ``BENCH_<n>.json`` file at the repo
-root (the performance trajectory), and compares against the previous
-``BENCH_*.json``: any benchmark whose mean grew by more than the allowed
+root (the performance trajectory), and compares each benchmark against its
+latest point in any ``BENCH_*.json`` (each file records only the suite it
+was run on): any benchmark whose mean grew by more than the allowed
 regression factor (default 20%) fails the run with a non-zero exit code.
 
 Usage::
@@ -34,19 +35,27 @@ import tempfile
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATTERN = os.path.join(REPO_ROOT, "BENCH_*.json")
 
 
-def find_previous() -> tuple:
-    """(index, path) of the highest-numbered BENCH_<n>.json, or (None, None)."""
-    best_index, best_path = None, None
-    for path in glob.glob(BENCH_PATTERN):
+def find_previous(root: str = REPO_ROOT) -> tuple:
+    """(highest index, {benchmark name: (stats, file name)}).
+
+    Each benchmark maps to its point in the highest-numbered
+    ``BENCH_<n>.json`` under ``root`` that records it; the index is
+    ``None`` when there is no trajectory file yet.
+    """
+    files = []
+    for path in glob.glob(os.path.join(root, "BENCH_*.json")):
         match = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path))
         if match:
-            index = int(match.group(1))
-            if best_index is None or index > best_index:
-                best_index, best_path = index, path
-    return best_index, best_path
+            files.append((int(match.group(1)), path))
+    latest = {}
+    for _, path in sorted(files):
+        with open(path) as handle:
+            benchmarks = json.load(handle).get("benchmarks", {})
+        for name, stats in benchmarks.items():
+            latest[name] = (stats, os.path.basename(path))
+    return (max(files)[0] if files else None), latest
 
 
 def run_benchmarks(pytest_args: list) -> dict:
@@ -147,19 +156,17 @@ def main() -> int:
     parser.add_argument("--dry-run", action="store_true")
     args, pytest_args = parser.parse_known_args()
 
-    previous_index, previous_path = find_previous()
+    previous_index, latest = find_previous()
     report = run_benchmarks(pytest_args)
     benchmarks = distill(report)
     if not benchmarks:
         print("no benchmarks were collected", file=sys.stderr)
         return 2
 
-    regressions = []
-    if previous_path:
-        with open(previous_path) as handle:
-            previous = json.load(handle)
-        regressions = compare(previous.get("benchmarks", {}), benchmarks,
-                              args.threshold)
+    previous = {name: stats for name, (stats, _) in latest.items()}
+    regressions = compare(previous, benchmarks, args.threshold)
+    sources = ", ".join(sorted({latest[name][1] for name in benchmarks
+                                if name in latest})) or None
 
     index = args.index
     if index is None:
@@ -182,13 +189,15 @@ def main() -> int:
         print(f"wrote {out_path} ({len(benchmarks)} benchmarks)")
 
     if regressions:
-        print(f"\nREGRESSION versus {os.path.basename(previous_path)} "
+        print(f"\nREGRESSION versus {sources} "
               f"(>{args.threshold:.0f}% slower):", file=sys.stderr)
         for line in regressions:
             print(f"  {line}", file=sys.stderr)
         return 1
-    if previous_path:
-        print(f"no regressions versus {os.path.basename(previous_path)}")
+    if sources:
+        print(f"no regressions versus {sources}")
+    else:
+        print("no earlier point for these benchmarks")
     return 0
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,8 @@ class TrialSummary:
         std: sample standard deviation (ddof=1; 0.0 for a single trial).
         minimum: smallest observation.
         maximum: largest observation.
-        ci_low, ci_high: 95% confidence interval for the mean (t-interval).
+        confidence: level of the ``ci_low``/``ci_high`` t-interval for the
+            mean, which is computed (with scipy) only when read.
     """
 
     count: int
@@ -37,8 +37,24 @@ class TrialSummary:
     std: float
     minimum: float
     maximum: float
-    ci_low: float
-    ci_high: float
+    confidence: float
+
+    @property
+    def ci_low(self) -> float:
+        return self._t_interval()[0]
+
+    @property
+    def ci_high(self) -> float:
+        return self._t_interval()[1]
+
+    def _t_interval(self) -> Tuple[float, float]:
+        if self.count < 2 or self.std <= 0:
+            return self.mean, self.mean
+        from scipy import stats
+        low, high = stats.t.interval(self.confidence, self.count - 1,
+                                     loc=self.mean,
+                                     scale=self.std / math.sqrt(self.count))
+        return float(low), float(high)
 
 
 def summarize_trials(values: Sequence[float],
@@ -50,16 +66,9 @@ def summarize_trials(values: Sequence[float],
     mean = float(np.mean(data))
     median = float(np.median(data))
     std = float(np.std(data, ddof=1)) if len(data) > 1 else 0.0
-    if len(data) > 1 and std > 0:
-        sem = std / math.sqrt(len(data))
-        low, high = stats.t.interval(confidence, len(data) - 1, loc=mean,
-                                     scale=sem)
-    else:
-        low = high = mean
     return TrialSummary(count=len(data), mean=mean, median=median, std=std,
                         minimum=float(np.min(data)),
-                        maximum=float(np.max(data)), ci_low=float(low),
-                        ci_high=float(high))
+                        maximum=float(np.max(data)), confidence=confidence)
 
 
 @dataclass(frozen=True)
@@ -93,15 +102,27 @@ def fit_exponential(xs: Sequence[float],
                     ys: Sequence[float]) -> ExponentialFit:
     """Fit ``y = a * exp(b * x)`` by linear regression on ``log y``.
 
+    The regression is ``scipy.stats.linregress``'s own closed form, so
+    slope, intercept and r are bit-identical to it.
+
     Raises:
-        ValueError: when fewer than two positive observations are supplied.
+        ValueError: when fewer than two positive observations are supplied,
+            or when they all share one ``x``.
     """
     pairs = [(x, y) for x, y in zip(xs, ys) if y > 0]
     if len(pairs) < 2:
         raise ValueError("need at least two positive points for a fit")
     x_arr = np.asarray([x for x, _ in pairs], dtype=float)
     log_y = np.log(np.asarray([y for _, y in pairs], dtype=float))
-    slope, intercept, r_value, _, _ = stats.linregress(x_arr, log_y)
+    if np.amax(x_arr) == np.amin(x_arr):
+        raise ValueError("cannot fit a slope when all x values are equal")
+    ssxm, ssxym, _, ssym = np.cov(x_arr, log_y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r_value = math.nan if ssxym == 0 else 0.0
+    else:
+        r_value = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    intercept = np.mean(log_y) - slope * np.mean(x_arr)
     return ExponentialFit(a=float(math.exp(intercept)), b=float(slope),
                           r_squared=float(r_value ** 2))
 

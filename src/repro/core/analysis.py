@@ -19,18 +19,26 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from scipy import stats
-
 from repro.core.thresholds import ThresholdConfig
 
 
 def binomial_tail_at_least(n: int, k: int, p: float = 0.5) -> float:
-    """``P[Binomial(n, p) >= k]`` (1.0 when ``k <= 0``, 0.0 when ``k > n``)."""
+    """``P[Binomial(n, p) >= k]`` (1.0 when ``k <= 0``, 0.0 when ``k > n``).
+
+    Summed exactly in integers over the common denominator ``den ** n``
+    (``p = num / den``), so the result is the correctly rounded float of
+    the true tail.
+    """
     if k <= 0:
         return 1.0
     if k > n:
         return 0.0
-    return float(stats.binom.sf(k - 1, n, p))
+    num, den = float(p).as_integer_ratio()
+    choose, total = math.comb(n, k), 0
+    for i in range(k, n + 1):
+        total += choose * num ** i * (den - num) ** (n - i)
+        choose = choose * (n - i) // (i + 1)
+    return total / den ** n
 
 
 def probability_all_coins_agree(n: int) -> float:

@@ -157,3 +157,30 @@ def test_compare_ignores_non_numeric_rates():
     previous = {"b": {"extra_info": {"x_per_sec": "fast"}}}
     current = {"b": {"extra_info": {"x_per_sec": 1.0}}}
     assert bench.compare(previous, current, 20.0) == []
+
+
+def test_find_previous_takes_each_benchmark_from_its_latest_file(tmp_path):
+    bench = _bench_record()
+
+    def write(index, benchmarks):
+        (tmp_path / f"BENCH_{index}.json").write_text(
+            json.dumps({"index": index, "benchmarks": benchmarks}))
+
+    write(5, {"batched": {"mean_seconds": 1.0},
+              "shared": {"mean_seconds": 9.0}})
+    write(6, {"shared": {"mean_seconds": 2.0}})
+    write(7, {"telemetry": {"mean_seconds": 3.0}})
+    (tmp_path / "BENCH_notes.json").write_text("{}")
+    index, latest = bench.find_previous(str(tmp_path))
+    assert index == 7
+    assert latest == {"batched": ({"mean_seconds": 1.0}, "BENCH_5.json"),
+                      "shared": ({"mean_seconds": 2.0}, "BENCH_6.json"),
+                      "telemetry": ({"mean_seconds": 3.0}, "BENCH_7.json")}
+    # The batched point in BENCH_5 still gates, though BENCH_7 is newer.
+    previous = {name: stats for name, (stats, _) in latest.items()}
+    slow = bench.compare(previous, {"batched": {"mean_seconds": 1.5}}, 20.0)
+    assert len(slow) == 1 and slow[0].startswith("batched")
+
+
+def test_find_previous_without_trajectory(tmp_path):
+    assert _bench_record().find_previous(str(tmp_path)) == (None, {})
