@@ -2,12 +2,15 @@
 
 This package holds the ``batched`` execution backend: many trials of one
 experiment cell run inside a single process with per-processor state laid
-out as numpy arrays over ``trials x processors``.  The per-trial engines
-in :mod:`repro.simulation` remain the semantic ground truth — every
-result produced here is required to be bit-identical to what
-:func:`repro.runner.spec.execute_trial` returns for the same spec, and
-:mod:`repro.verification.batched_diff` re-checks that on sampled subsets
-of real runs.
+out as numpy arrays over ``trials x processors``.  It vectorizes one
+protocol, ``reset-tolerant``, under four window adversaries (``benign``,
+``silencing``, ``split-vote``, ``adaptive-resetting``): the traffic of the
+E1/E2/E7/E9 experiments.  Every other spec runs per trial.  The
+per-trial engines in :mod:`repro.simulation` remain the semantic ground
+truth — every result produced here is required to be bit-identical to
+what :func:`repro.runner.spec.execute_trial` returns for the same spec,
+and :mod:`repro.verification.batched_diff` re-checks that on sampled
+subsets of real runs.
 
 Import surface:
 
@@ -18,11 +21,8 @@ Import surface:
 * :class:`~repro.batched.engine.BatchedWindowEngine` — the vectorized
   engine, and :func:`~repro.batched.engine.run_group`, which
   :class:`~repro.runner.supervisor.SupervisedRunner` runs for each
-  batched chunk (import lazily; it requires numpy).
-
-``repro.batched.support`` imports without numpy installed; the engine
-does not, which is why the runner defers importing it until a batched
-chunk actually runs.
+  batched chunk.  The runner imports the engine only when a batched
+  chunk actually runs.
 """
 
 from repro.batched.support import (

@@ -1,10 +1,10 @@
 """The vectorized window engine: many trials of one cell in one process.
 
 :class:`BatchedWindowEngine` executes a batch of same-shaped
-:class:`~repro.runner.spec.TrialSpec` objects (one protocol, one adversary
-class, one ``(n, t)``) with every piece of per-processor state laid out as
-numpy arrays over ``trials x processors``.  It is a *re-implementation* of
-the per-trial window pipeline —
+:class:`~repro.runner.spec.TrialSpec` objects (the reset-tolerant protocol,
+one adversary class, one ``(n, t)``) with every piece of per-processor
+state laid out as numpy arrays over ``trials x processors``.  It is a
+*re-implementation* of the per-trial window pipeline —
 :meth:`~repro.simulation.engine.Engine.run_window`,
 :class:`~repro.simulation.network.Network`,
 :class:`~repro.simulation.processor.Processor` and the protocol objects —
@@ -31,17 +31,16 @@ Bit identity dictates the design:
   no pop reaches below the ring's high-water mark; a pop that would read
   an overwritten slot **quarantines** the trial (see below).
 * **Vote bookkeeping** uses one ``uint64`` sender bitmask per (trial,
-  processor, round-slot, [phase]): insertion, duplicate-sender overwrite
-  and tally counts (``np.bitwise_count``) are all O(1) array ops.  Round
-  slots form a ring of ``RING_SLOTS`` future rounds; a message further
-  ahead than the ring covers also quarantines its trial.
+  processor, round-slot): insertion, duplicate-sender overwrite and tally
+  counts (``np.bitwise_count``) are all O(1) array ops.  Round slots
+  form a ring of ``RING_SLOTS`` future rounds; a message further ahead
+  than the ring covers also quarantines its trial.
 
 **Quarantine** is the batch's escape hatch: a trial whose execution
 leaves the vectorizable envelope (deep channel backlog, far-future
-round, crash budget overflow) is dropped from the batch *without a
-result* and reported back to the caller; :func:`run_group` re-runs it
-through the per-trial oracle.  Quarantine therefore affects speed, never
-values.
+round) is dropped from the batch *without a result* and reported back
+to the caller; :func:`run_group` re-runs it through the per-trial
+oracle.  Quarantine therefore affects speed, never values.
 
 The engine stops per trial exactly like ``Engine.run`` with a window cap:
 the stop predicate (``stop_when``) is evaluated *before* each window, and a
@@ -60,7 +59,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.batched.support import effective_thresholds, replay_windows
+from repro.batched.support import effective_thresholds
 from repro.determinism import seeded_rng
 from repro.runner.spec import TrialSpec, execute_trial
 from repro.simulation.trace import ExecutionResult
@@ -71,17 +70,13 @@ RING_SLOTS = 8
 CHANNEL_DEPTH = 8
 """Messages retained per directed channel before old entries may evict."""
 
-_REPORT = 0
-_PROPOSE = 1
-
 # One channel message is packed into a single int64 —
-# [round:24][chain:24][value+1:2][tag:1] — so a push is one scatter and a
-# pop one gather instead of three of each.  support.py caps max_windows
-# far below the 24-bit field widths.
-_ROUND_SHIFT = 27
-_CHAIN_SHIFT = 3
+# [round:24][chain:24][value+1:2] — so a push is one scatter and a pop one
+# gather instead of three of each.  support.py caps max_windows far below
+# the 24-bit field widths.
+_ROUND_SHIFT = 26
+_CHAIN_SHIFT = 2
 _CHAIN_MASK = 0xFFFFFF
-_VALUE_SHIFT = 1
 
 
 def _popcount(mask: np.ndarray) -> np.ndarray:
@@ -124,10 +119,9 @@ class BatchedWindowEngine:
     need the per-trial oracle.
     """
 
-    _COMPACT = ("orig", "active", "window", "max_windows", "inputs_arr",
-                "crashed", "pending", "output", "max_chain",
-                "deciding_chain", "first_decision", "sent", "delivered",
-                "resets_total", "crash_total", "coin_total", "ch_pack",
+    _COMPACT = ("orig", "active", "window", "max_windows", "pending",
+                "output", "max_chain", "deciding_chain", "first_decision",
+                "sent", "delivered", "resets_total", "coin_total", "ch_pack",
                 "ch_pos")
 
     def __init__(self, specs: Sequence[TrialSpec],
@@ -139,7 +133,6 @@ class BatchedWindowEngine:
         first = self.specs[0]
         self.n = first.n
         self.t = first.t
-        self.protocol_name = first.protocol
         self.stop_first = first.stop_when == "first"
         self.size = len(self.specs)
         trials, n = self.size, self.n
@@ -149,16 +142,12 @@ class BatchedWindowEngine:
         self.window = np.zeros(trials, dtype=np.int64)
         self.max_windows = np.array([spec.max_windows for spec in self.specs],
                                     dtype=np.int64)
-        self.inputs_arr = np.array([spec.inputs for spec in self.specs],
-                                   dtype=np.int8)
         self.first_decision = np.full(trials, -1, dtype=np.int64)
         self.sent = np.zeros(trials, dtype=np.int64)
         self.delivered = np.zeros(trials, dtype=np.int64)
         self.resets_total = np.zeros(trials, dtype=np.int64)
-        self.crash_total = np.zeros(trials, dtype=np.int64)
         self.coin_total = np.zeros(trials, dtype=np.int64)
 
-        self.crashed = np.zeros((trials, n), dtype=bool)
         self.pending = np.ones((trials, n), dtype=bool)
         self.output = np.full((trials, n), -1, dtype=np.int8)
         self.max_chain = np.zeros((trials, n), dtype=np.int32)
@@ -169,7 +158,6 @@ class BatchedWindowEngine:
         # Per-channel cursor state, one int64 per (trial, receiver,
         # sender): [high-water:32][top:32].  One gather/scatter moves both.
         self.ch_pos = np.zeros((trials, n, n), dtype=np.int64)
-        self.has_tag = first.protocol == "ben-or"
 
         # Per-(trial, processor) RNG replicas, derived exactly as
         # ProtocolFactory.build derives them.  Each stream feeds nothing
@@ -184,20 +172,13 @@ class BatchedWindowEngine:
         self.results: List[Optional[ExecutionResult]] = [None] * trials
         self.quarantined: List[int] = []
 
-        if first.protocol == "reset-tolerant":
-            self.kernel: Any = _ResetTolerantKernel(
-                self, effective_thresholds(first))
-        else:
-            self.kernel = _BenOrKernel(self)
-        self.fast_capable = first.protocol == "reset-tolerant"
+        self.kernel = _ResetTolerantKernel(self, effective_thresholds(first))
 
         adversary = first.adversary
         if adversary == "benign":
             self.driver: Any = _BenignDriver()
         elif adversary == "silencing":
             self.driver = _SilencingDriver(self)
-        elif adversary == "replay-schedule":
-            self.driver = _ReplayDriver(self)
         else:
             self.driver = _SplitVoteDriver(
                 self, adaptive=(adversary == "adaptive-resetting"))
@@ -229,9 +210,8 @@ class BatchedWindowEngine:
                 break
             if remaining * 2 <= self.active.shape[0]:
                 self._compact()
-            senders, deliver_last, resets, crashes = \
-                self.driver.next_window(self)
-            self._run_window(senders, deliver_last, resets, crashes)
+            senders, deliver_last, resets = self.driver.next_window(self)
+            self._run_window(senders, deliver_last, resets)
         return self.results, self.quarantined
 
     def _finish_ready(self) -> None:
@@ -244,8 +224,9 @@ class BatchedWindowEngine:
         if self.stop_first:
             stopped = decided.any(axis=1)
         else:
-            # "all": every live processor decided (vacuous when all crashed).
-            stopped = (decided | self.crashed).all(axis=1)
+            # "all": every processor decided (no supported adversary
+            # crashes one).
+            stopped = decided.all(axis=1)
         done = self.active & (stopped | (self.window >= self.max_windows))
         if not done.any():
             return
@@ -267,8 +248,7 @@ class BatchedWindowEngine:
             t=self.t,
             inputs=tuple(spec.inputs),
             outputs=outputs,
-            crashed=tuple(int(pid) for pid
-                          in np.flatnonzero(self.crashed[i]).tolist()),
+            crashed=(),
             windows_elapsed=int(self.window[i]),
             first_decision_window=(None if first_decision < 0
                                    else first_decision),
@@ -314,47 +294,33 @@ class BatchedWindowEngine:
     # ------------------------------------------------------------------
     # One acceptable window (mirrors Engine.run_window phase order).
     # ------------------------------------------------------------------
-    def _run_window(self, senders: Tuple[str, np.ndarray],
+    def _run_window(self, senders: np.ndarray,
                     deliver_last: Optional[np.ndarray],
-                    resets: Optional[np.ndarray],
-                    crashes: Optional[np.ndarray]) -> None:
-        if resets is None and crashes is None and self.fast_capable \
-                and self._fast_ready():
-            self._fast_rt_window(senders, deliver_last)
+                    resets: Optional[np.ndarray]) -> None:
+        if resets is None and self._fast_ready():
+            self._fast_window(senders, deliver_last)
             return
         # The general path interleaves sending/delivery/reset work too
         # tightly to split; it all books under "deliver".
         with self._phase("deliver"):
-            self._slow_window(senders, deliver_last, resets, crashes)
+            self._slow_window(senders, deliver_last, resets)
 
-    def _slow_window(self, senders: Tuple[str, np.ndarray],
+    def _slow_window(self, senders: np.ndarray,
                      deliver_last: Optional[np.ndarray],
-                     resets: Optional[np.ndarray],
-                     crashes: Optional[np.ndarray]) -> None:
+                     resets: Optional[np.ndarray]) -> None:
         act = self.active.copy()
-        act_procs = np.broadcast_to(act[:, None], self.crashed.shape)
+        act_procs = np.broadcast_to(act[:, None], self.pending.shape)
+        kernel = self.kernel
 
-        # Crashes land before any step of the window (replay only).
-        if crashes is not None and crashes.any():
-            fresh = crashes & ~self.crashed & act_procs
-            self.crashed |= fresh
-            self.crash_total += fresh.sum(axis=1, dtype=np.int64)
-            over = act & (self.crash_total > self.t)
-            if over.any():  # statically excluded; kept as a hard backstop
-                self._quarantine(over)
-                act = act & ~over
-                act_procs = np.broadcast_to(act[:, None], self.crashed.shape)
-
-        # Phase 1: every live processor takes its sending step.  The
-        # pending flag is consumed for all of them; only those whose
-        # protocol composes messages actually broadcast.
-        live = ~self.crashed & act_procs
-        sending = live & self.pending & self.kernel.sends_allowed()
-        self.pending &= ~live
+        # Phase 1: every active processor takes its sending step.  The
+        # pending flag is consumed for all of them; only those that are
+        # synchronised and hold an estimate actually broadcast.
+        sending = act_procs & self.pending & ~kernel.resync \
+            & (kernel.round >= 0) & (kernel.est >= 0)
+        self.pending &= ~act_procs
         if sending.any():
             self.sent += sending.sum(axis=1, dtype=np.int64) * self.n
-            rounds, values, tags = self.kernel.compose()
-            self._push(sending, rounds, values, tags,
+            self._push(sending, kernel.round, kernel.est,
                        (self.max_chain + 1).astype(np.int32))
 
         # Phase 2: receiving steps.  Receivers are mutually independent
@@ -363,15 +329,10 @@ class BatchedWindowEngine:
         # senders first — delivers in exactly the per-receiver order the
         # oracle uses (sorted senders, deliver_last stably last).
         dl_any = deliver_last is not None and bool(deliver_last.any())
-        receiving = ~self.crashed & act_procs
         passes = (False, True) if dl_any else (False,)
         for last_pass in passes:
             for sender in range(self.n):
-                mode, mask = senders
-                if mode == "uniform":
-                    base = receiving & mask[:, sender, None]
-                else:
-                    base = receiving & mask[:, :, sender]
+                base = act_procs & senders[:, sender, None]
                 if dl_any:
                     gate = deliver_last[:, sender]
                     base = base & (gate if last_pass else ~gate)[:, None]
@@ -380,7 +341,7 @@ class BatchedWindowEngine:
 
         # Phase 3: resets, in any order (each touches only its own state).
         if resets is not None:
-            to_reset = resets & ~self.crashed & act_procs
+            to_reset = resets & act_procs
             if to_reset.any():
                 self.resets_total += to_reset.sum(axis=1, dtype=np.int64)
                 self.pending |= to_reset
@@ -392,7 +353,7 @@ class BatchedWindowEngine:
             self.first_decision[newly] = self.window[newly]
 
     # ------------------------------------------------------------------
-    # Synchronized fast path (reset-tolerant kernel only).
+    # Synchronized fast path.
     #
     # In the steady state of the benign, silencing and split-vote
     # workloads every live processor sits at the same round with an empty
@@ -409,8 +370,6 @@ class BatchedWindowEngine:
         """Whether every active trial is in the synchronized state."""
         act_procs = self.active[:, None]
         kernel = self.kernel
-        if (self.crashed & act_procs).any():
-            return False
         if (kernel.resync & act_procs).any():
             return False
         if (~self.pending & act_procs).any():
@@ -421,8 +380,8 @@ class BatchedWindowEngine:
             return False
         return not (kernel.vmask.any(axis=2) & act_procs).any()
 
-    def _fast_rt_window(self, senders: Tuple[str, np.ndarray],
-                        deliver_last: Optional[np.ndarray]) -> None:
+    def _fast_window(self, senders: np.ndarray,
+                     deliver_last: Optional[np.ndarray]) -> None:
         timers = self.phase_timers
         mark = time.perf_counter() if timers is not None else 0.0
         kernel = self.kernel
@@ -438,7 +397,7 @@ class BatchedWindowEngine:
         chain_sent = (self.max_chain + 1).astype(np.int32)
         packed = (kernel.round.astype(np.int64) << _ROUND_SHIFT) \
             | (chain_sent.astype(np.int64) << _CHAIN_SHIFT) \
-            | ((est_sent.astype(np.int64) + 1) << _VALUE_SHIFT)
+            | (est_sent.astype(np.int64) + 1)
         send3 = act_procs[:, None, :]
         pos = self.ch_pos
         top = pos & 0xFFFFFFFF
@@ -456,13 +415,8 @@ class BatchedWindowEngine:
                   where=send3)
 
         # Phase 2: pop this window's vote on every permitted channel.
-        mode, mask = senders
-        act3 = act[:, None, None]
-        if mode == "uniform":
-            deliv = np.empty((act.shape[0], n, n), dtype=bool)
-            np.copyto(deliv, act3 & mask[:, None, :])
-        else:
-            deliv = act3 & mask
+        deliv = np.empty((act.shape[0], n, n), dtype=bool)
+        np.copyto(deliv, act[:, None, None] & senders[:, None, :])
         self.ch_pos -= deliv
         got = deliv.sum(axis=2)
         self.delivered += got.sum(axis=1)
@@ -547,8 +501,7 @@ class BatchedWindowEngine:
                 + (time.perf_counter() - mark)
 
     def _push(self, sending: np.ndarray, rounds: np.ndarray,
-              values: np.ndarray, tags: Optional[np.ndarray],
-              chains: np.ndarray) -> None:
+              values: np.ndarray, chains: np.ndarray) -> None:
         """Broadcast each sender's message onto all n channel rings."""
         tt, ss = np.nonzero(sending)
         if not tt.size:
@@ -561,9 +514,7 @@ class BatchedWindowEngine:
         slot = top % CHANNEL_DEPTH
         packed = (rounds[tt, ss].astype(np.int64) << _ROUND_SHIFT) \
             | (chains[tt, ss].astype(np.int64) << _CHAIN_SHIFT) \
-            | ((values[tt, ss].astype(np.int64) + 1) << _VALUE_SHIFT)
-        if tags is not None:
-            packed |= tags[tt, ss].astype(np.int64)
+            | (values[tt, ss].astype(np.int64) + 1)
         self.ch_pack[tcol, rrow, scol, slot] = packed[:, None]
         new_top = top + 1
         self.ch_pos[tcol, rrow, scol] = \
@@ -588,8 +539,7 @@ class BatchedWindowEngine:
         msg_round = (packed >> _ROUND_SHIFT).astype(np.int32)
         msg_chain = ((packed >> _CHAIN_SHIFT) & _CHAIN_MASK) \
             .astype(np.int32)
-        msg_value = (((packed >> _VALUE_SHIFT) & 3) - 1).astype(np.int8)
-        msg_tag = (packed & 1).astype(np.int8) if self.has_tag else None
+        msg_value = ((packed & 3) - 1).astype(np.int8)
         self.ch_pos[tt, rr, sender] = (pos & ~np.int64(0xFFFFFFFF)) | position
         self.delivered += has.sum(axis=1, dtype=np.int64)
         self.pending |= has
@@ -597,7 +547,7 @@ class BatchedWindowEngine:
         growing = msg_chain > chain_max
         if growing.any():
             self.max_chain[tt[growing], rr[growing]] = msg_chain[growing]
-        self.kernel.insert(sender, tt, rr, msg_round, msg_value, msg_tag)
+        self.kernel.insert(sender, tt, rr, msg_round, msg_value)
 
     def _draw_coins(self, tt: np.ndarray, pp: np.ndarray) -> np.ndarray:
         """One coin flip per (trial, processor) pair, drawn on demand.
@@ -615,7 +565,7 @@ class BatchedWindowEngine:
 
 
 # ----------------------------------------------------------------------
-# Protocol kernels.
+# Protocol kernel.
 # ----------------------------------------------------------------------
 class _ResetTolerantKernel:
     """Vectorized ``ResetTolerantAgreement`` state machine.
@@ -641,7 +591,8 @@ class _ResetTolerantKernel:
         self.t3 = thresholds.t3
         trials, n = eng.size, eng.n
         self.round = np.ones((trials, n), dtype=np.int32)
-        self.est = eng.inputs_arr.copy()
+        self.est = np.array([spec.inputs for spec in eng.specs],
+                            dtype=np.int8)
         self.resync = np.zeros((trials, n), dtype=bool)
         self.base_set = np.zeros((trials, n), dtype=bool)
         self.base_round = np.ones((trials, n), dtype=np.int32)
@@ -653,30 +604,8 @@ class _ResetTolerantKernel:
         for name in self._FIELDS:
             setattr(self, name, getattr(self, name)[keep])
 
-    # -- sending ---------------------------------------------------------
-    def sends_allowed(self) -> np.ndarray:
-        return ~self.resync & (self.round >= 0) & (self.est >= 0)
-
-    def compose(self) -> Tuple[np.ndarray, np.ndarray, None]:
-        return self.round, self.est, None
-
-    # -- adversary views -------------------------------------------------
-    def adversary_estimate(self) -> np.ndarray:
-        return self.est
-
-    def will_send(self) -> np.ndarray:
-        return ~self.resync & (self.round >= 0)
-
-    def waiting(self) -> int:
-        return self.t1
-
-    def default_block_threshold(self) -> np.ndarray:
-        return np.full(self.round.shape[0], self.t3, dtype=np.int64)
-
-    # -- receiving -------------------------------------------------------
     def insert(self, sender: int, tt: np.ndarray, pp: np.ndarray,
-               msg_round: np.ndarray, msg_value: np.ndarray,
-               msg_tag: Optional[np.ndarray]) -> None:
+               msg_round: np.ndarray, msg_value: np.ndarray) -> None:
         bit = np.uint64(1) << np.uint64(sender)
         current = self.round[tt, pp]
         resync = self.resync[tt, pp]
@@ -798,171 +727,6 @@ class _ResetTolerantKernel:
         self.vones[resetting] = np.uint64(0)
 
 
-class _BenOrKernel:
-    """Vectorized ``BenOrAgreement`` state machine.
-
-    Same ring layout as the reset-tolerant kernel with an extra phase
-    axis: slot ``(slot_base + (r - round)) % RING_SLOTS`` holds round
-    ``r``'s report (tag 0) and proposal (tag 1) bitmasks.  The report
-    slot survives the report->propose transition (late reports for the
-    current round are rejected by the skip rule, exactly like the
-    oracle's processed-key set); both planes clear when the round
-    advances.
-    """
-
-    _FIELDS = ("round", "phase", "est", "prop", "slot_base", "bmask",
-               "bones", "bnone")
-
-    def __init__(self, eng: BatchedWindowEngine) -> None:
-        self.eng = eng
-        self.quorum = eng.n - eng.t
-        trials, n = eng.size, eng.n
-        self.round = np.ones((trials, n), dtype=np.int32)
-        self.phase = np.zeros((trials, n), dtype=np.int8)
-        self.est = eng.inputs_arr.copy()
-        self.prop = np.full((trials, n), -1, dtype=np.int8)
-        self.slot_base = np.zeros((trials, n), dtype=np.int32)
-        self.bmask = np.zeros((trials, n, RING_SLOTS, 2), dtype=np.uint64)
-        self.bones = np.zeros((trials, n, RING_SLOTS, 2), dtype=np.uint64)
-        self.bnone = np.zeros((trials, n, RING_SLOTS, 2), dtype=np.uint64)
-
-    def gather(self, keep: np.ndarray) -> None:
-        for name in self._FIELDS:
-            setattr(self, name, getattr(self, name)[keep])
-
-    # -- sending ---------------------------------------------------------
-    def sends_allowed(self) -> np.ndarray:
-        return np.ones(self.round.shape, dtype=bool)
-
-    def compose(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        values = np.where(self.phase == _REPORT, self.est, self.prop)
-        return self.round, values.astype(np.int8), self.phase
-
-    # -- adversary views -------------------------------------------------
-    def adversary_estimate(self) -> np.ndarray:
-        return np.where(self.phase == _REPORT, self.est, self.prop)
-
-    def will_send(self) -> np.ndarray:
-        return np.ones(self.round.shape, dtype=bool)
-
-    def waiting(self) -> int:
-        return self.quorum
-
-    def default_block_threshold(self) -> np.ndarray:
-        # _default_block_threshold inspects processor 0's phase.
-        return np.where(self.phase[:, 0] == _REPORT,
-                        self.eng.n // 2 + 1, 1).astype(np.int64)
-
-    # -- receiving -------------------------------------------------------
-    def insert(self, sender: int, tt: np.ndarray, pp: np.ndarray,
-               msg_round: np.ndarray, msg_value: np.ndarray,
-               msg_tag: Optional[np.ndarray]) -> None:
-        bit = np.uint64(1) << np.uint64(sender)
-        offset = msg_round - self.round[tt, pp]
-        # Skip: past rounds, and current-round reports once the processor
-        # already moved to its proposal phase (the oracle's processed set).
-        skip = (offset < 0) | ((offset == 0) & (msg_tag == _REPORT)
-                               & (self.phase[tt, pp] == _PROPOSE))
-        overflow = offset >= RING_SLOTS
-        if overflow.any():
-            self.eng._quarantine_trials(tt[overflow])
-        keep = ~skip & ~overflow
-        if keep.all():
-            value = msg_value
-            tg = msg_tag.astype(np.int64)
-        else:
-            if not keep.any():
-                return
-            tt, pp = tt[keep], pp[keep]
-            offset = offset[keep]
-            value = msg_value[keep]
-            tg = msg_tag[keep].astype(np.int64)
-        sl = (self.slot_base[tt, pp] + offset) % RING_SLOTS
-        mask0 = self.bmask[tt, pp, sl, tg]
-        self.bmask[tt, pp, sl, tg] = mask0 | bit
-        ones0 = self.bones[tt, pp, sl, tg]
-        self.bones[tt, pp, sl, tg] = np.where(value == 1, ones0 | bit,
-                                              ones0 & ~bit)
-        none0 = self.bnone[tt, pp, sl, tg]
-        self.bnone[tt, pp, sl, tg] = np.where(value == -1, none0 | bit,
-                                              none0 & ~bit)
-        self._advance_cascade(tt, pp)
-
-    def _advance_cascade(self, tt: np.ndarray, pp: np.ndarray) -> None:
-        """The oracle's ``_maybe_advance`` while-loop, vectorized."""
-        eng = self.eng
-        n = eng.n
-        while tt.size:
-            sl0 = self.slot_base[tt, pp]
-            ph = self.phase[tt, pp].astype(np.int64)
-            count = _popcount(self.bmask[tt, pp, sl0, ph])
-            go = count >= self.quorum
-            if not go.any():
-                return
-            tt, pp = tt[go], pp[go]
-            sl0, ph = sl0[go], ph[go]
-            finishing_report = ph == _REPORT
-            if finishing_report.any():
-                rt = tt[finishing_report]
-                rp = pp[finishing_report]
-                rs = sl0[finishing_report]
-                ones = _popcount(self.bones[rt, rp, rs, _REPORT])
-                zeros = _popcount(self.bmask[rt, rp, rs, _REPORT]) - ones
-                proposal = np.where(
-                    2 * ones > n, 1,
-                    np.where(2 * zeros > n, 0, -1)).astype(np.int8)
-                self.prop[rt, rp] = proposal
-                self.phase[rt, rp] = _PROPOSE
-            finishing_proposal = ~finishing_report
-            if finishing_proposal.any():
-                qt = tt[finishing_proposal]
-                qp = pp[finishing_proposal]
-                qs = sl0[finishing_proposal]
-                ones = _popcount(self.bones[qt, qp, qs, _PROPOSE])
-                nones = _popcount(self.bnone[qt, qp, qs, _PROPOSE])
-                zeros = _popcount(self.bmask[qt, qp, qs, _PROPOSE]) \
-                    - ones - nones
-                # Strictly-greater scan over (0, 1): ties favour 0.
-                strongest = np.where(
-                    ones > zeros, 1,
-                    np.where(zeros > 0, 0, -1)).astype(np.int8)
-                strongest_count = np.where(ones > zeros, ones, zeros)
-                deciding = ((strongest >= 0)
-                            & (strongest_count >= eng.t + 1)
-                            & (eng.output[qt, qp] < 0))
-                if deciding.any():
-                    dt, dp = qt[deciding], qp[deciding]
-                    eng.output[dt, dp] = strongest[deciding]
-                    eng.deciding_chain[dt, dp] = eng.max_chain[dt, dp]
-                estimate = strongest.copy()
-                flipping = strongest < 0
-                if flipping.any():
-                    estimate[flipping] = eng._draw_coins(qt[flipping],
-                                                         qp[flipping])
-                self.est[qt, qp] = estimate
-                self.bmask[qt, qp, qs] = np.uint64(0)
-                self.bones[qt, qp, qs] = np.uint64(0)
-                self.bnone[qt, qp, qs] = np.uint64(0)
-                self.slot_base[qt, qp] = \
-                    ((qs + 1) % RING_SLOTS).astype(np.int32)
-                self.round[qt, qp] += 1
-                self.phase[qt, qp] = _REPORT
-            # Loop: report finishers now check their proposal plane,
-            # round finishers the next round's report plane.
-
-    def reset(self, resetting: np.ndarray) -> None:
-        # Full restart (unreachable under the supported adversary set —
-        # support.py declines ben-or specs whose schedules reset).
-        self.round[resetting] = 1
-        self.phase[resetting] = _REPORT
-        self.est = np.where(resetting, self.eng.inputs_arr, self.est)
-        self.prop[resetting] = -1
-        self.slot_base[resetting] = 0
-        self.bmask[resetting] = np.uint64(0)
-        self.bones[resetting] = np.uint64(0)
-        self.bnone[resetting] = np.uint64(0)
-
-
 # ----------------------------------------------------------------------
 # Adversary drivers.
 # ----------------------------------------------------------------------
@@ -970,8 +734,7 @@ class _BenignDriver:
     """Full delivery, no faults."""
 
     def next_window(self, eng: BatchedWindowEngine):
-        return ("uniform", np.ones(eng.crashed.shape, dtype=bool)), \
-            None, None, None
+        return np.ones(eng.pending.shape, dtype=bool), None, None
 
     def gather(self, keep: np.ndarray) -> None:
         pass
@@ -981,7 +744,7 @@ class _SilencingDriver:
     """Constant sender exclusion (``silenced`` defaults to ``range(t)``)."""
 
     def __init__(self, eng: BatchedWindowEngine) -> None:
-        self.smask = np.ones(eng.crashed.shape, dtype=bool)
+        self.smask = np.ones((eng.size, eng.n), dtype=bool)
         for i, spec in enumerate(eng.specs):
             silenced = spec.adversary_kwargs.get("silenced")
             if silenced is None:
@@ -991,69 +754,10 @@ class _SilencingDriver:
                     self.smask[i, pid] = False
 
     def next_window(self, eng: BatchedWindowEngine):
-        return ("uniform", self.smask), None, None, None
+        return self.smask, None, None
 
     def gather(self, keep: np.ndarray) -> None:
         self.smask = self.smask[keep]
-
-
-class _ReplayDriver:
-    """Per-trial fixed schedules with benign/repeat padding.
-
-    All active trials share one window index (a trial leaves the batch
-    forever when it stops), so a single position counter replays every
-    schedule in lock-step, exactly like per-trial
-    ``ReplayScheduleAdversary`` instances would.
-    """
-
-    def __init__(self, eng: BatchedWindowEngine) -> None:
-        n = eng.n
-        self.pads: List[str] = []
-        self.schedules: List[List[Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                        np.ndarray]]] = []
-        for spec in eng.specs:
-            self.pads.append(spec.adversary_kwargs.get("pad", "benign"))
-            compiled = []
-            for window in replay_windows(spec):
-                senders = np.zeros((n, n), dtype=bool)
-                for receiver, allowed in enumerate(window.senders_for):
-                    senders[receiver, list(allowed)] = True
-                resets = np.zeros(n, dtype=bool)
-                resets[list(window.resets)] = True
-                crashes = np.zeros(n, dtype=bool)
-                crashes[list(window.crashes)] = True
-                deliver_last = np.zeros(n, dtype=bool)
-                deliver_last[list(window.deliver_last)] = True
-                compiled.append((senders, resets, crashes, deliver_last))
-            self.schedules.append(compiled)
-        self._position = 0
-
-    def next_window(self, eng: BatchedWindowEngine):
-        position = self._position
-        self._position += 1
-        trials, n = eng.crashed.shape
-        senders = np.ones((trials, n, n), dtype=bool)
-        resets = np.zeros((trials, n), dtype=bool)
-        crashes = np.zeros((trials, n), dtype=bool)
-        deliver_last = np.zeros((trials, n), dtype=bool)
-        for i in np.flatnonzero(eng.active):
-            schedule = self.schedules[int(i)]
-            if position < len(schedule):
-                window = schedule[position]
-            elif self.pads[int(i)] == "repeat" and schedule:
-                window = schedule[-1]
-            else:
-                continue  # benign padding: defaults already full delivery
-            senders[i], resets[i], crashes[i], deliver_last[i] = window
-        return (("per_receiver", senders),
-                deliver_last if deliver_last.any() else None,
-                resets if resets.any() else None,
-                crashes if crashes.any() else None)
-
-    def gather(self, keep: np.ndarray) -> None:
-        keep_list = [int(i) for i in keep]
-        self.pads = [self.pads[i] for i in keep_list]
-        self.schedules = [self.schedules[i] for i in keep_list]
 
 
 class _SplitVoteDriver:
@@ -1082,17 +786,16 @@ class _SplitVoteDriver:
 
     def next_window(self, eng: BatchedWindowEngine):
         kernel = eng.kernel
-        estimate = kernel.adversary_estimate()
-        live = ~eng.crashed
-        zeros_mask = live & (estimate == 0)
-        ones_mask = live & (estimate == 1)
+        estimate = kernel.est
+        zeros_mask = estimate == 0
+        ones_mask = estimate == 1
         num_zeros = zeros_mask.sum(axis=1, dtype=np.int64)
         num_ones = ones_mask.sum(axis=1, dtype=np.int64)
         threshold = np.where(self.block_threshold >= 0, self.block_threshold,
-                             kernel.default_block_threshold())
-        waiting = kernel.waiting()
-        senders_total = (live & kernel.will_send()).sum(axis=1,
-                                                        dtype=np.int64)
+                             kernel.t3)
+        waiting = kernel.t1
+        senders_total = (~kernel.resync & (kernel.round >= 0)).sum(
+            axis=1, dtype=np.int64)
         majority_is_zero = num_zeros >= num_ones
         majority_count = np.where(majority_is_zero, num_zeros, num_ones)
         minority_count = num_zeros + num_ones - majority_count
@@ -1127,8 +830,7 @@ class _SplitVoteDriver:
         if self.adaptive:
             in_pool_rank = np.cumsum(majority_pool, axis=1)
             resets = majority_pool & (in_pool_rank <= self.budget[:, None])
-        return ("uniform", smask), \
-            (deliver_last if deliver_last.any() else None), resets, None
+        return smask, (deliver_last if deliver_last.any() else None), resets
 
     def gather(self, keep: np.ndarray) -> None:
         keep_list = [int(i) for i in keep]

@@ -1,15 +1,15 @@
 """Capability gating and batch grouping for the vectorized backend.
 
-The batched engine (:mod:`repro.batched.engine`) vectorizes a *subset* of
-the trial space — the hot (protocol, adversary) combinations behind the
-E1/E2 workloads and the search/fuzz inner loops.  Everything else must
-keep flowing through the per-trial engines, which remain the bit-identity
-oracle.  This module is the single place where that boundary is defined:
+The batched engine (:mod:`repro.batched.engine`) vectorizes exactly the
+traffic behind the paper's Section 3 result: the reset-tolerant protocol
+under the benign, silencing, split-vote and adaptive-resetting
+adversaries (the E1/E2/E7/E9 workloads).  Everything else keeps flowing
+through the per-trial engines, which remain the bit-identity oracle.
+This module is the single place where that boundary is defined:
 
-* :func:`numpy_ok` — whether a vector backend exists at all.  numpy is an
-  optional dependency of this package; when it is missing (or too old to
-  provide ``np.bitwise_count``) every spec simply reports unsupported and
-  the runner degrades to the per-trial path.
+* :func:`numpy_ok` — whether numpy provides ``np.bitwise_count``
+  (numpy >= 2.0); without it every spec reports unsupported and the
+  runner degrades to the per-trial path.
 * :func:`unsupported_reason` — ``None`` when a spec is vectorizable, else
   a short human-readable reason (counted as `fallback_reason:<reason>`).
 * :func:`batch_signature` — the grouping key: specs with equal signatures
@@ -23,9 +23,9 @@ oracle.  This module is the single place where that boundary is defined:
 
 The support checks are deliberately conservative: whenever the per-trial
 oracle would *raise* for a spec (invalid thresholds, oversized silenced
-set, ``pad="error"`` replay exhaustion, crash budget overflow), the spec
-is declared unsupported so the per-trial path reproduces the exact
-failure instead of the batch engine having to emulate exception timing.
+set, invalid reset fraction), the spec is declared unsupported so the
+per-trial path reproduces the exact failure instead of the batch engine
+having to emulate exception timing.
 """
 
 from __future__ import annotations
@@ -33,14 +33,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.thresholds import ThresholdConfig, default_thresholds
 from repro.runner.spec import TrialSpec
-from repro.simulation.windows import WindowSpec
-
-try:  # numpy is optional: absence just disables the batched backend.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
 
 BACKEND_TRIAL = "trial"
 BACKEND_BATCHED = "batched"
@@ -66,7 +62,7 @@ _ADAPTIVE_KWARGS = frozenset({"block_threshold", "seed", "reset_fraction"})
 
 def numpy_ok() -> bool:
     """Whether the vector backend's numpy requirements are met."""
-    return _np is not None and hasattr(_np, "bitwise_count")
+    return hasattr(np, "bitwise_count")
 
 
 def effective_thresholds(spec: TrialSpec) -> ThresholdConfig:
@@ -85,17 +81,6 @@ def effective_thresholds(spec: TrialSpec) -> ThresholdConfig:
     if kwargs.get("validate_thresholds", True):
         thresholds.require_valid()
     return thresholds
-
-
-def replay_windows(spec: TrialSpec) -> Tuple[WindowSpec, ...]:
-    """The decoded, validated schedule of a replay-schedule spec."""
-    windows = tuple(
-        entry if isinstance(entry, WindowSpec)
-        else WindowSpec.from_jsonable(entry)
-        for entry in spec.adversary_kwargs.get("schedule", ()))
-    for window in windows:
-        window.validate(spec.n, spec.t)
-    return windows
 
 
 def _adversary_reason(spec: TrialSpec) -> Optional[str]:
@@ -130,33 +115,6 @@ def _adversary_reason(spec: TrialSpec) -> Optional[str]:
             if not isinstance(fraction, (int, float)) or \
                     not 0.0 <= fraction <= 1.0:
                 return "invalid reset_fraction (oracle raises)"
-            if spec.protocol == "ben-or" and int(spec.t * fraction) > 0:
-                # A reset restarts Ben-Or at round 1, so every buffered
-                # message looks far-future to the ring; such trials would
-                # all quarantine, so the batch declines them up front.
-                return "resets restart ben-or rounds"
-        return None
-    if adversary == "replay-schedule":
-        if set(kwargs) - {"schedule", "pad"}:
-            return "unsupported replay kwargs"
-        pad = kwargs.get("pad", "benign")
-        schedule = kwargs.get("schedule", ())
-        if pad == "error":
-            return "pad='error' raises on exhaustion"
-        if pad == "repeat" and not schedule:
-            return "pad='repeat' with empty schedule (oracle raises)"
-        if pad not in ("benign", "repeat"):
-            return "unknown pad mode (oracle raises)"
-        try:
-            windows = replay_windows(spec)
-        except Exception:
-            return "malformed or invalid schedule window (oracle raises)"
-        crashed = frozenset().union(*(w.crashes for w in windows)) \
-            if windows else frozenset()
-        if len(crashed) > spec.t:
-            return "crash budget overflow (oracle raises)"
-        if spec.protocol == "ben-or" and any(w.resets for w in windows):
-            return "resets restart ben-or rounds"
         return None
     return f"adversary {adversary!r} not vectorized"
 
@@ -179,39 +137,28 @@ def unsupported_reason(spec: TrialSpec) -> Optional[str]:
         return f"n > {MAX_PROCESSORS} (sender bitmask width)"
     if spec.max_windows > MAX_WINDOW_CAP:
         return f"max_windows > {MAX_WINDOW_CAP} (packed round field)"
-    if spec.protocol == "reset-tolerant":
-        if set(spec.protocol_kwargs) - _RT_KWARGS:
-            return "unsupported protocol kwargs"
-        try:
-            effective_thresholds(spec)
-        except Exception:
-            return "invalid thresholds (oracle raises)"
-    elif spec.protocol == "ben-or":
-        if spec.protocol_kwargs:
-            return "unsupported protocol kwargs"
-        if not spec.t < spec.n / 2:
-            return "ben-or needs t < n/2 (oracle raises)"
-    else:
+    if spec.protocol != "reset-tolerant":
         return f"protocol {spec.protocol!r} not vectorized"
+    if set(spec.protocol_kwargs) - _RT_KWARGS:
+        return "unsupported protocol kwargs"
+    try:
+        effective_thresholds(spec)
+    except Exception:
+        return "invalid thresholds (oracle raises)"
     return _adversary_reason(spec)
 
 
 def batch_signature(spec: TrialSpec) -> Tuple[Any, ...]:
     """The grouping key for one batched-engine run.
 
-    Trials in one batch must share the protocol's scalar parameters
-    (thresholds become scalars in the kernels) and the stop rule; seeds,
-    inputs, window caps and per-trial adversary kwargs may all differ.
-    Only call on specs :func:`unsupported_reason` accepted.
+    Trials in one batch must share the thresholds (they become scalars in
+    the kernel) and the stop rule; seeds, inputs, window caps and
+    per-trial adversary kwargs may all differ.  Only call on specs
+    :func:`unsupported_reason` accepted.
     """
-    if spec.protocol == "reset-tolerant":
-        thresholds = effective_thresholds(spec)
-        protocol_key: Tuple[Any, ...] = (
-            thresholds.t1, thresholds.t2, thresholds.t3)
-    else:
-        protocol_key = ()
-    return (spec.protocol, protocol_key, spec.adversary, spec.n, spec.t,
-            spec.stop_when)
+    thresholds = effective_thresholds(spec)
+    return (spec.protocol, (thresholds.t1, thresholds.t2, thresholds.t3),
+            spec.adversary, spec.n, spec.t, spec.stop_when)
 
 
 class BatchPlan(NamedTuple):
@@ -278,7 +225,6 @@ __all__ = [
     "effective_thresholds",
     "group_specs",
     "numpy_ok",
-    "replay_windows",
     "resolve_backend",
     "unsupported_reason",
 ]

@@ -792,9 +792,13 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default="trial",
                         choices=("trial", "batched", "auto"),
                         help="execution backend: 'batched' vectorizes "
-                             "supported trial groups (bit-identical "
-                             "results), 'auto' does so when numpy is "
-                             "available (default: trial)")
+                             "reset-tolerant trial groups under the "
+                             "benign, silencing, split-vote and "
+                             "adaptive-resetting adversaries and runs "
+                             "the rest per trial (bit-identical results; "
+                             "fuzz specs and search candidates never "
+                             "batch), 'auto' does so when numpy >= 2.0 "
+                             "is available (default: trial)")
     parser.add_argument("--no-telemetry", action="store_true",
                         help="record no telemetry.jsonl event log "
                              "(results are bit-identical either way)")

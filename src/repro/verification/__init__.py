@@ -23,11 +23,10 @@ such, independently of the engine's own summary bookkeeping:
 * :mod:`repro.verification.batched_diff` — replays sampled trials of
   every batched-backend run through the per-trial oracle and asserts
   bit-identical :class:`~repro.simulation.trace.ExecutionResult`\\ s.
+  Import it from its module: it is also a ``python -m`` entry point, so
+  the package does not import it eagerly.
 """
 
-from repro.verification.batched_diff import (DiffMismatch, DiffReport,
-                                             diff_experiment_cells,
-                                             diff_specs)
 from repro.verification.differential import (DifferentialReport,
                                              differential_replay,
                                              replay_trace_on_step_engine)
@@ -70,8 +69,4 @@ __all__ = [
     "DifferentialReport",
     "differential_replay",
     "replay_trace_on_step_engine",
-    "DiffMismatch",
-    "DiffReport",
-    "diff_specs",
-    "diff_experiment_cells",
 ]

@@ -12,7 +12,7 @@ oracle, and this module is the harness that holds the engine to it:
   :class:`~repro.simulation.trace.ExecutionResult` field by field.
 * :func:`diff_experiment_cells` — build the harness input from an
   experiment's (quick) cell grid, so CI can differential-test the real
-  E1/E2 workloads rather than synthetic specs.
+  E1/E2/E7/E9 workloads rather than synthetic specs.
 
 Sampling is seed-deterministic (``sample_seed``), so a CI failure
 reproduces locally with the same command line.  ``sample=1.0`` replays
@@ -21,7 +21,7 @@ grids.
 
 Run as a module for the CI smoke check::
 
-    python -m repro.verification.batched_diff --experiments E1 E2 \\
+    python -m repro.verification.batched_diff --experiments E1 E2 E7 E9 \\
         --quick --sample 0.5
 """
 

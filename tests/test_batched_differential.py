@@ -1,12 +1,15 @@
 """The differential harness and the backend plumbing, end to end.
 
 Covers the differential-coverage contract: batched-vs-trial bit-identity
-on the real E1/E2 quick grids, across worker counts 0/1/4, under injected
+on the real E1/E2/E9 quick grids, across worker counts 0/1/4, under injected
 chaos faults and a raising engine, and — via hypothesis — under every
 admissible partition of a spec list into sub-batches.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,10 +19,12 @@ from repro.batched import numpy_ok, resolve_backend
 from repro.experiments import get_experiment
 from repro.runner import RunHealth, TrialSpec, run_trials
 from repro.runner.spec import execute_trial
-from repro.verification import diff_experiment_cells, diff_specs
+from repro.verification.batched_diff import diff_experiment_cells, diff_specs
 
 pytestmark = pytest.mark.skipif(
     not numpy_ok(), reason="batched backend needs numpy >= 2.0")
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _quick_specs(name):
@@ -40,12 +45,26 @@ def _split_vote_specs(count, base_seed=99, n=8, t=1):
 
 # -- the harness itself -------------------------------------------------
 
-@pytest.mark.parametrize("name", ["E1", "E2"])
+@pytest.mark.parametrize("name", ["E1", "E2", "E9"])
 def test_harness_passes_on_quick_grids(name):
     report = diff_experiment_cells(name, quick=True, sample=1.0)
     assert report.ok, report.summary()
     assert report.batched > 0
     assert report.replayed == report.batched  # sample=1.0 replays all
+
+
+def test_harness_module_runs_without_runtime_warning():
+    """``python -m`` on the harness must not find it already imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO_ROOT, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    completed = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.verification.batched_diff", "--experiments", "E2",
+         "--quick"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert completed.returncode == 0, completed.stderr
 
 
 def test_harness_sampling_is_deterministic_and_partial():

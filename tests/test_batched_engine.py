@@ -1,9 +1,9 @@
 """The batched engine against the per-trial oracle, shape by shape.
 
-Every (protocol, adversary, stop rule) combination the batched backend
-claims to vectorize is exercised here with a grid of seed-deterministic
-specs — mixed inputs, mixed seeds, replay schedules with resets, crashes
-and deliver-last perturbations — and each trial's full
+Every (adversary, stop rule) combination the batched backend claims to
+vectorize for the reset-tolerant protocol is exercised here with a grid
+of seed-deterministic specs — mixed inputs, mixed seeds, resets and
+deliver-last perturbations — and each trial's full
 :class:`~repro.simulation.trace.ExecutionResult` must equal what
 :func:`~repro.runner.spec.execute_trial` produces.  This is the
 bit-identity contract at its finest grain; the differential harness
@@ -84,20 +84,10 @@ SHAPES = {
         "reset-tolerant", "benign", 8, 1, 12, 1),
     "rt-benign-first": lambda: _specs(
         "reset-tolerant", "benign", 8, 1, 12, 2, stop_when="first"),
-    "benor-benign-all": lambda: _specs(
-        "ben-or", "benign", 8, 1, 12, 3),
-    "benor-benign-first": lambda: _specs(
-        "ben-or", "benign", 7, 2, 12, 4, stop_when="first"),
     "rt-silencing": lambda: _specs(
         "reset-tolerant", "silencing", 8, 1, 12, 5),
-    "benor-silencing": lambda: _specs(
-        "ben-or", "silencing", 9, 2, 12, 6,
-        adversary_kwargs_fn=lambda r: {"silenced": (0, 1)}),
     "rt-split-vote": lambda: _specs(
         "reset-tolerant", "split-vote", 8, 1, 16, 7,
-        adversary_kwargs_fn=_seeded),
-    "benor-split-vote": lambda: _specs(
-        "ben-or", "split-vote", 8, 1, 16, 8, stop_when="first",
         adversary_kwargs_fn=_seeded),
     "rt-adaptive": lambda: _specs(
         "reset-tolerant", "adaptive-resetting", 8, 1, 16, 9,
@@ -109,16 +99,6 @@ SHAPES = {
         stop_when="first",
         adversary_kwargs_fn=lambda r: {"seed": r.getrandbits(32),
                                        "reset_fraction": 0.5}),
-    "rt-replay-benign-pad": lambda: _specs(
-        "reset-tolerant", "replay-schedule", 8, 1, 12, 11,
-        adversary_kwargs_fn=_replay_kwargs(8, 1, True, True, "benign")),
-    "rt-replay-repeat-pad": lambda: _specs(
-        "reset-tolerant", "replay-schedule", 8, 1, 12, 12,
-        stop_when="first",
-        adversary_kwargs_fn=_replay_kwargs(8, 1, True, False, "repeat")),
-    "benor-replay-benign-pad": lambda: _specs(
-        "ben-or", "replay-schedule", 8, 1, 12, 13,
-        adversary_kwargs_fn=_replay_kwargs(8, 1, False, True, "benign")),
 }
 
 
@@ -168,12 +148,41 @@ def test_support_gate_declines_what_the_oracle_rejects():
     assert "not vectorized" in unsupported_reason(TrialSpec(**byzantine))
 
 
-def test_ben_or_resets_are_declined():
-    spec = TrialSpec(
-        protocol="ben-or", adversary="adaptive-resetting", n=8, t=1,
-        inputs=(0, 1) * 4, seed=7,
-        adversary_kwargs={"seed": 3, "reset_fraction": 1.0})
-    assert "resets restart ben-or" in unsupported_reason(spec)
+def test_ben_or_and_replay_specs_fall_back_per_trial():
+    """Only the reset-tolerant protocol under the four window adversaries
+    batches; Ben-Or and replayed schedules run on the per-trial oracle."""
+    from repro.batched.support import group_specs
+    from repro.runner import run_trials
+
+    mixed = (
+        _specs("ben-or", "benign", 8, 1, 3, 30)
+        + _specs("ben-or", "split-vote", 8, 1, 3, 31, stop_when="first",
+                 adversary_kwargs_fn=_seeded)
+        + _specs("reset-tolerant", "replay-schedule", 8, 1, 3, 32,
+                 adversary_kwargs_fn=_replay_kwargs(8, 1, True, True,
+                                                    "benign"))
+        + _specs("ben-or", "replay-schedule", 8, 1, 3, 33,
+                 adversary_kwargs_fn=_replay_kwargs(8, 1, True, True,
+                                                    "repeat"))
+        + _specs("reset-tolerant", "split-vote", 8, 1, 4, 34,
+                 adversary_kwargs_fn=_seeded))
+    plan = group_specs(mixed)
+    assert [members for _, members in plan.groups] == [[12, 13, 14, 15]]
+    assert plan.per_trial == list(range(12))
+    assert plan.reasons == {
+        "protocol 'ben-or' not vectorized": 9,
+        "adversary 'replay-schedule' not vectorized": 3}
+    for index in range(12):
+        reason = unsupported_reason(mixed[index])
+        assert reason == ("adversary 'replay-schedule' not vectorized"
+                          if 6 <= index < 9
+                          else "protocol 'ben-or' not vectorized")
+    oracle = [execute_trial(spec) for spec in mixed]
+    assert any(result.total_resets for result in oracle[6:12])
+    assert any(result.crashed for result in oracle[6:12])
+    for workers in (0, 2):
+        assert run_trials(mixed, workers=workers,
+                          backend="batched") == oracle
 
 
 def test_grouping_falls_back_and_runner_interleaves_in_order():
