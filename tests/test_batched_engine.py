@@ -5,7 +5,9 @@ vectorize for the reset-tolerant protocol is exercised here with a grid
 of seed-deterministic specs — mixed inputs, mixed seeds, resets and
 deliver-last perturbations — and each trial's full
 :class:`~repro.simulation.trace.ExecutionResult` must equal what
-:func:`~repro.runner.spec.execute_trial` produces.  This is the
+:func:`~repro.runner.spec.execute_trial` produces.  The shapes it
+declines (Ben-Or, replayed schedules) must carry their fallback reason
+and still match the oracle through the per-trial path.  This is the
 bit-identity contract at its finest grain; the differential harness
 (``test_batched_differential.py``) re-checks it on the real experiment
 grids and through the runner stack.
@@ -102,6 +104,35 @@ SHAPES = {
 }
 
 
+_BEN_OR = "protocol 'ben-or' not vectorized"
+_REPLAY = "adversary 'replay-schedule' not vectorized"
+
+# Shapes the batched backend declines: each must carry its fallback reason
+# and still come back from ``backend="batched"`` equal to the oracle.
+DECLINED_SHAPES = {
+    "benor-benign-all": (_BEN_OR, lambda: _specs(
+        "ben-or", "benign", 8, 1, 12, 3)),
+    "benor-benign-first": (_BEN_OR, lambda: _specs(
+        "ben-or", "benign", 7, 2, 12, 4, stop_when="first")),
+    "benor-silencing": (_BEN_OR, lambda: _specs(
+        "ben-or", "silencing", 9, 2, 12, 6,
+        adversary_kwargs_fn=lambda r: {"silenced": (0, 1)})),
+    "benor-split-vote": (_BEN_OR, lambda: _specs(
+        "ben-or", "split-vote", 8, 1, 16, 8, stop_when="first",
+        adversary_kwargs_fn=_seeded)),
+    "rt-replay-benign-pad": (_REPLAY, lambda: _specs(
+        "reset-tolerant", "replay-schedule", 8, 1, 12, 11,
+        adversary_kwargs_fn=_replay_kwargs(8, 1, True, True, "benign"))),
+    "rt-replay-repeat-pad": (_REPLAY, lambda: _specs(
+        "reset-tolerant", "replay-schedule", 8, 1, 12, 12,
+        stop_when="first",
+        adversary_kwargs_fn=_replay_kwargs(8, 1, True, False, "repeat"))),
+    "benor-replay-benign-pad": (_BEN_OR, lambda: _specs(
+        "ben-or", "replay-schedule", 8, 1, 12, 13,
+        adversary_kwargs_fn=_replay_kwargs(8, 1, False, True, "benign"))),
+}
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES), ids=sorted(SHAPES))
 def test_engine_is_bit_identical_to_oracle(shape):
     from repro.batched.engine import BatchedWindowEngine
@@ -148,6 +179,31 @@ def test_support_gate_declines_what_the_oracle_rejects():
     assert "not vectorized" in unsupported_reason(TrialSpec(**byzantine))
 
 
+@pytest.mark.parametrize("shape", sorted(DECLINED_SHAPES),
+                         ids=sorted(DECLINED_SHAPES))
+def test_declined_shape_matches_oracle_per_trial(shape):
+    from repro.batched.support import group_specs
+    from repro.runner import run_trials
+
+    reason, build = DECLINED_SHAPES[shape]
+    specs = build()
+    for spec in specs:
+        assert unsupported_reason(spec) == reason
+    plan = group_specs(specs)
+    assert plan.groups == [] and plan.per_trial == list(range(len(specs)))
+    assert plan.reasons == {reason: len(specs)}
+    assert run_trials(specs, workers=0, backend="batched") == \
+        [execute_trial(spec) for spec in specs]
+
+
+def test_ben_or_resets_are_declined():
+    spec = TrialSpec(
+        protocol="ben-or", adversary="adaptive-resetting", n=8, t=1,
+        inputs=(0, 1) * 4, seed=7,
+        adversary_kwargs={"seed": 3, "reset_fraction": 1.0})
+    assert unsupported_reason(spec) == _BEN_OR
+
+
 def test_ben_or_and_replay_specs_fall_back_per_trial():
     """Only the reset-tolerant protocol under the four window adversaries
     batches; Ben-Or and replayed schedules run on the per-trial oracle."""
@@ -169,14 +225,10 @@ def test_ben_or_and_replay_specs_fall_back_per_trial():
     plan = group_specs(mixed)
     assert [members for _, members in plan.groups] == [[12, 13, 14, 15]]
     assert plan.per_trial == list(range(12))
-    assert plan.reasons == {
-        "protocol 'ben-or' not vectorized": 9,
-        "adversary 'replay-schedule' not vectorized": 3}
+    assert plan.reasons == {_BEN_OR: 9, _REPLAY: 3}
     for index in range(12):
         reason = unsupported_reason(mixed[index])
-        assert reason == ("adversary 'replay-schedule' not vectorized"
-                          if 6 <= index < 9
-                          else "protocol 'ben-or' not vectorized")
+        assert reason == (_REPLAY if 6 <= index < 9 else _BEN_OR)
     oracle = [execute_trial(spec) for spec in mixed]
     assert any(result.total_resets for result in oracle[6:12])
     assert any(result.crashed for result in oracle[6:12])
