@@ -218,6 +218,9 @@ class StepFuzzer(StepAdversary):
             self._resets_left = min(self._resets_left, engine.reset_budget)
 
     def _deliverable(self, engine: Engine) -> List:
+        if not engine.total_crashes:
+            # Only Engine.crash marks a processor crashed, and it counts.
+            return engine.pending_messages()
         return [message for message in engine.pending_messages()
                 if not engine.processors[message.receiver].crashed]
 

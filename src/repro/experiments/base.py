@@ -11,12 +11,13 @@ experiments through the single code path implemented here.
 
 A :class:`Cell` is one output row: a stable identity key, the
 :class:`~repro.runner.spec.TrialSpec` batch backing the row (empty for
-analytic experiments such as E3/E5/E8), and a ``build_row`` callback that
-turns the cell's execution results into the row dict.  Because every seed
-is drawn while cells are *built* (in the exact order the pre-registry
-serial loops drew them), which cells later *execute* never perturbs any
-other cell — that is what makes both the bit-identical golden rows and
-the results store's cell-level resume possible.
+analytic experiments such as E3/E5/E8), an optional per-trial reducer the
+executor applies where each trial ran, and a ``build_row`` callback that
+turns the cell's (reduced) execution results into the row dict.  Because
+every seed is drawn while cells are *built* (in the exact order the
+pre-registry serial loops drew them), which cells later *execute* never
+perturbs any other cell — that is what makes both the bit-identical
+golden rows and the results store's cell-level resume possible.
 
 :func:`run_cells` is the one campaign loop.  Experiments, fuzz campaigns
 (:mod:`repro.verification.fuzzer`, one cell per trial) and search
@@ -35,9 +36,8 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
                     Optional, Sequence, Tuple)
 
-from repro.runner import TrialSpec, iter_trials
+from repro.runner import Reducer, TrialSpec, iter_trials
 from repro.runner.health import RunHealth, TrialFailure
-from repro.simulation.trace import ExecutionResult
 
 if TYPE_CHECKING:
     from repro.results.store import RunStore
@@ -57,14 +57,21 @@ class Cell:
             already-completed cells on resume.
         specs: the trial specs backing the row, in submission order.
             Analytic cells carry no specs and compute their row directly.
-        build_row: maps the cell's results (aligned with ``specs``) to the
-            row dict.  All randomness must come from seeds drawn at
-            cell-build time, never at row-build time.
+        build_row: maps the cell's results (aligned with ``specs``, each
+            already through ``reduce``) to the row dict.  All randomness
+            must come from seeds drawn at cell-build time, never at
+            row-build time.
+        reduce: optional ``reduce(spec, result)`` applied to each trial's
+            result where the trial ran, so a worker ships back only what
+            ``build_row`` needs (a verdict instead of a whole trace).  It
+            crosses the pool, so it must pickle: a module-level function
+            or a ``functools.partial`` of one.
     """
 
     key: Tuple[Any, ...]
     specs: Tuple[TrialSpec, ...]
-    build_row: Callable[[Sequence[ExecutionResult]], Row]
+    build_row: Callable[[Sequence[Any]], Row]
+    reduce: Optional[Reducer] = None
 
 
 def cell_key_id(key: Sequence[Any]) -> str:
@@ -190,7 +197,8 @@ def run_cells(cells: Sequence[Cell], completed: Mapping[str, Row], *,
     are skipped — the resume path.  The other cells' specs go to the one
     executor (:class:`~repro.runner.supervisor.SupervisedRunner`, whose
     default ``policy`` keeps retries and pool recovery on) as one
-    streamed batch, and each row is built, and written to ``store`` at
+    streamed batch, each with its cell's ``reduce`` applied where the
+    trial runs, and each row is built, and written to ``store`` at
     index ``start + position``, as soon as its cell's results arrive.
     ``backend="batched"`` vectorizes supported spec groups, bit-identical
     by contract.  A cell with a trial that failed for good yields
@@ -218,7 +226,8 @@ def run_cells(cells: Sequence[Cell], completed: Mapping[str, Row], *,
     stream = iter_trials(
         [spec for _, cell in pending for spec in cell.specs],
         workers=workers, policy=policy, health=health, backend=backend,
-        telemetry=telemetry)
+        telemetry=telemetry,
+        reducers=[cell.reduce for _, cell in pending for _ in cell.specs])
     fresh: Dict[int, Row] = {}
     for index, cell in pending:
         if telemetry is not None and (batched or len(cell.specs) > 1):

@@ -21,8 +21,8 @@ from repro.runner.health import (RunHealth, TrialFailure,
 from repro.runner.parallel import default_workers, iter_trials, run_trials
 from repro.runner.spec import (STEP_ENGINE, WINDOW_ENGINE, TrialSpec,
                                derive_seed, execute_trial)
-from repro.runner.supervisor import (ExecutionPolicy, RetryPolicy,
-                                     SupervisedRunner)
+from repro.runner.supervisor import (ExecutionPolicy, Reducer,
+                                     RetryPolicy, SupervisedRunner)
 
 __all__ = [
     "TrialSpec",
@@ -33,6 +33,7 @@ __all__ = [
     "SupervisedRunner",
     "ExecutionPolicy",
     "RetryPolicy",
+    "Reducer",
     "RunHealth",
     "TrialFailure",
     "empty_health_block",

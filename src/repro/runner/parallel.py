@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import (Any, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.runner.spec import TrialSpec
 
@@ -75,13 +76,17 @@ def iter_trials(specs: Iterable[TrialSpec],
                 workers: Optional[int] = None,
                 policy=None, health=None,
                 backend: Optional[str] = None,
-                telemetry: Optional[Any] = None) -> Iterator[Any]:
-    """Like :func:`run_trials`, but stream results in submission order."""
+                telemetry: Optional[Any] = None,
+                reducers: Optional[Sequence[Any]] = None) -> Iterator[Any]:
+    """Like :func:`run_trials`, but stream results in submission order,
+    each through its spec's entry of ``reducers`` (see
+    :meth:`~repro.runner.supervisor.SupervisedRunner.iter_results`)."""
     # Imported lazily: the supervisor builds on this module.
     from repro.runner.supervisor import SupervisedRunner
     return SupervisedRunner(workers=workers, policy=policy, health=health,
                             backend=backend,
-                            telemetry=telemetry).iter_results(specs)
+                            telemetry=telemetry).iter_results(specs,
+                                                              reducers)
 
 
 __all__ = ["run_trials", "iter_trials", "default_workers"]

@@ -32,8 +32,12 @@ Because retries re-execute *deterministic* specs, every recovered result
 is bit-identical to what a fault-free run would have produced: the
 supervisor changes wall-clock time and the health counters, never values.
 The executor yields exactly one item per submitted spec, in submission
-order — an ``ExecutionResult``, or a ``TrialFailure`` for specs it gave
-up on — as soon as the chunks holding it and every earlier spec resolve.
+order — an ``ExecutionResult`` (or what the spec's reducer made of it),
+or a ``TrialFailure`` for specs it gave up on — as soon as the chunks
+holding it and every earlier spec resolve.  A per-trial reducer runs
+right after its trial, wherever the trial ran (a worker, the serial
+loop or quarantine), so a result too large to ship, such as a recorded
+trace, can be boiled down before it crosses the pool.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ import time
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, wait)
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from repro.faults.injector import (QUARANTINE_SCOPE, SERIAL_SCOPE,
                                    WORKER_SCOPE, ChaosConfig, FaultInjector,
@@ -111,12 +115,20 @@ class ExecutionPolicy:
                 "(--trial-timeout), or hung workers would hang the run")
 
 
+#: A per-trial reducer ``reduce(spec, result)``, applied where the trial
+#: ran.  It crosses the pool with its chunk, so it must pickle: a
+#: module-level function or a ``functools.partial`` of one.
+Reducer = Callable[[TrialSpec, Any], Any]
+
+
 class _Chunk(NamedTuple):
-    """Submission positions and specs of one chunk; ``signature`` is set
-    exactly when the chunk is a batched group."""
+    """Submission positions, specs and per-spec reducers (``None`` keeps
+    the result) of one chunk; ``signature`` is set exactly when the chunk
+    is a batched group."""
 
     indices: Tuple[int, ...]
     specs: Tuple[TrialSpec, ...]
+    reducers: Tuple[Optional[Reducer], ...]
     signature: Optional[Tuple[Any, ...]] = None
 
     @property
@@ -136,7 +148,7 @@ class BatchOutcome(NamedTuple):
     phases: Optional[Dict[str, float]]
 
 
-def _execute_chunk_guarded(specs: Sequence[TrialSpec], batched: bool,
+def _execute_chunk_guarded(chunk: _Chunk,
                            injector: Optional[FaultInjector],
                            attempt: int, scope: str = WORKER_SCOPE,
                            profile: bool = False) -> Any:
@@ -145,28 +157,34 @@ def _execute_chunk_guarded(specs: Sequence[TrialSpec], batched: bool,
     A per-trial chunk returns one ``(result, t0, duration)`` triple per
     spec, timed where it ran.  A batched chunk fires every member's fault
     for this attempt, runs the group on the vectorized engine and
-    returns a :class:`BatchOutcome`.
+    returns a :class:`BatchOutcome`.  Either way each result has been
+    through its spec's reducer, inside the timing.
     """
-    if batched:
+    if chunk.batched:
         from repro.batched.engine import run_group
 
         t0 = time.time()
         start = time.perf_counter()
         if injector is not None:
-            for spec in specs:
+            for spec in chunk.specs:
                 injector.fire(spec, attempt, scope)
         phases: Optional[Dict[str, float]] = {} if profile else None
-        results, quarantined = run_group(specs, phase_timers=phases)
+        results, quarantined = run_group(chunk.specs, phase_timers=phases)
+        results = [result if reduce is None else reduce(spec, result)
+                   for spec, reduce, result
+                   in zip(chunk.specs, chunk.reducers, results)]
         return BatchOutcome(results, t0, time.perf_counter() - start,
                             quarantined, phases)
     timed: List[TimedResult] = []
-    for spec in specs:
+    for spec, reduce in zip(chunk.specs, chunk.reducers):
         t0 = time.time()
         start = time.perf_counter()
         if injector is None:
             result = execute_trial(spec)
         else:
             result = injector.apply(spec, attempt, scope)
+        if reduce is not None:
+            result = reduce(spec, result)
         timed.append((result, t0, time.perf_counter() - start))
     return timed
 
@@ -219,20 +237,25 @@ class SupervisedRunner:
         if self.telemetry is not None:
             self.telemetry.gauge(name, value)
 
-    def iter_results(self, specs: Iterable[TrialSpec]) -> Iterator[Any]:
+    def iter_results(self, specs: Iterable[TrialSpec],
+                     reducers: Optional[Sequence[Optional[Reducer]]] = None
+                     ) -> Iterator[Any]:
         """Execute every spec, yielding one item per spec in order.
 
         Items are ``ExecutionResult``s, or :class:`TrialFailure` for
         specs whose execution kept failing through every recovery rung.
+        ``reducers``, aligned with ``specs``, maps a spec's result to
+        ``reduce(spec, result)`` where the trial ran; ``None`` (for the
+        whole batch or one spec) keeps the result as it is.
         """
         spec_list = list(specs)
-        chunks = self._chunk_specs(spec_list)
+        chunks = self._chunk_specs(
+            spec_list,
+            [None] * len(spec_list) if reducers is None else list(reducers))
         workers = min(self.workers, len(chunks))
         if workers <= 0 or len(spec_list) == 1:
             resolutions: Iterator[Tuple[int, Any, str]] = (
-                (index, self._run_serial(chunk.specs, SERIAL_SCOPE,
-                                         batched=chunk.batched),
-                 SERIAL_SCOPE)
+                (index, self._run_serial(chunk, SERIAL_SCOPE), SERIAL_SCOPE)
                 for index, chunk in enumerate(chunks))
         else:
             resolutions = self._supervise(chunks, workers)
@@ -258,7 +281,8 @@ class SupervisedRunner:
         finally:
             resolutions.close()
 
-    def _chunk_specs(self, spec_list: List[TrialSpec]) -> List[_Chunk]:
+    def _chunk_specs(self, spec_list: List[TrialSpec],
+                     reducers: List[Optional[Reducer]]) -> List[_Chunk]:
         """Split a batch into chunks, ordered by first submission index.
 
         Each batched group is one chunk.  Per-trial specs go in runs of
@@ -274,7 +298,8 @@ class SupervisedRunner:
             plan = group_specs(spec_list)
             per_trial = plan.per_trial
             chunks = [_Chunk(tuple(members),
-                             tuple(spec_list[i] for i in members), signature)
+                             tuple(spec_list[i] for i in members),
+                             tuple(reducers[i] for i in members), signature)
                       for signature, members in plan.groups]
             self._count("trials_fallback", len(per_trial))
             for reason, total in plan.reasons.items():
@@ -285,7 +310,8 @@ class SupervisedRunner:
         for start in range(0, len(per_trial), size):
             members = per_trial[start:start + size]
             chunks.append(_Chunk(tuple(members),
-                                 tuple(spec_list[i] for i in members)))
+                                 tuple(spec_list[i] for i in members),
+                                 tuple(reducers[i] for i in members)))
         chunks.sort(key=lambda chunk: chunk.indices[0])
         return chunks
 
@@ -334,8 +360,8 @@ class SupervisedRunner:
         return [result for result, _, _ in outcome]
 
     # -- serial / quarantine path --------------------------------------
-    def _run_serial(self, specs: Sequence[TrialSpec], scope: str,
-                    base_attempt: int = 0, batched: bool = False) -> Any:
+    def _run_serial(self, chunk: _Chunk, scope: str,
+                    base_attempt: int = 0) -> Any:
         """One chunk through the in-process retry loop of ``scope``.
 
         Quarantine gets a single shot: its chunk already spent the whole
@@ -354,8 +380,8 @@ class SupervisedRunner:
             start = time.perf_counter()
             try:
                 return _execute_chunk_guarded(
-                    specs, batched, self.injector, attempt, scope,
-                    batched and self.session is not None)
+                    chunk, self.injector, attempt, scope,
+                    chunk.batched and self.session is not None)
             except Exception as error:
                 duration = time.perf_counter() - start
                 last_error = error
@@ -364,14 +390,14 @@ class SupervisedRunner:
                     self.health.retries += 1
                     self._count("retries")
                     time.sleep(self.policy.retry.delay(attempt))
-        if batched:
-            return self._quarantine(specs, attempt)
-        failure = TrialFailure(spec=specs[0], error=repr(last_error),
+        if chunk.batched:
+            return self._quarantine(chunk, attempt)
+        failure = TrialFailure(spec=chunk.specs[0], error=repr(last_error),
                                attempts=attempt)
         self.health.record_failure(failure)
         return [(failure, t0, duration)]
 
-    def _quarantine(self, specs: Sequence[TrialSpec],
+    def _quarantine(self, chunk: _Chunk,
                     base_attempt: int) -> List[TimedResult]:
         """Re-run an exhausted chunk spec-by-spec in this process.
 
@@ -379,11 +405,13 @@ class SupervisedRunner:
         results on the per-trial oracle; the trial that keeps failing
         becomes a recorded :class:`TrialFailure`.
         """
-        self.health.quarantined += len(specs)
-        self._count("quarantined", len(specs))
-        return [self._run_serial((spec,), QUARANTINE_SCOPE,
+        self.health.quarantined += len(chunk.specs)
+        self._count("quarantined", len(chunk.specs))
+        return [self._run_serial(_Chunk((position,), (spec,), (reduce,)),
+                                 QUARANTINE_SCOPE,
                                  base_attempt=base_attempt)[0]
-                for spec in specs]
+                for position, spec, reduce
+                in zip(chunk.indices, chunk.specs, chunk.reducers)]
 
     # -- the supervised parallel loop ----------------------------------
     def _supervise(self, chunks: List[_Chunk], workers: int
@@ -406,8 +434,8 @@ class SupervisedRunner:
             chunk = chunks[index]
             try:
                 futures[pool.submit(
-                    _execute_chunk_guarded, chunk.specs, chunk.batched,
-                    self.injector, attempts[index], WORKER_SCOPE,
+                    _execute_chunk_guarded, chunk, self.injector,
+                    attempts[index], WORKER_SCOPE,
                     chunk.batched and self.session is not None)] = index
                 return True
             except BrokenExecutor:
@@ -424,8 +452,7 @@ class SupervisedRunner:
                 self.health.retries += 1
                 self._count("retries")
                 return False
-            resolve(index, self._quarantine(chunks[index].specs,
-                                            attempts[index]),
+            resolve(index, self._quarantine(chunks[index], attempts[index]),
                     QUARANTINE_SCOPE)
             return True
 
@@ -521,4 +548,4 @@ class SupervisedRunner:
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-__all__ = ["ExecutionPolicy", "RetryPolicy", "SupervisedRunner"]
+__all__ = ["ExecutionPolicy", "Reducer", "RetryPolicy", "SupervisedRunner"]

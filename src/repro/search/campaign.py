@@ -5,10 +5,13 @@ objective with one strategy.  It runs in generations: the strategy
 proposes a batch of candidate schedules, every candidate is evaluated as a
 ``replay-schedule`` trial fanned out through :mod:`repro.runner` (so
 worker count changes wall-clock time only, never values), the scores feed
-back into the strategy, repeat.  Every trace is re-checked by the
-independent :class:`~repro.verification.invariants.InvariantChecker`;
-violating candidates are shrunk into counterexample artifacts by the
-existing :mod:`repro.verification.shrink` machinery.
+back into the strategy, repeat.  Each candidate is scored, and (with
+``verify``) its trace re-checked by the independent
+:class:`~repro.verification.invariants.InvariantChecker`, where its trial
+ran: the cell's reducer (:func:`evaluate_candidate`) returns the score,
+frontier and verdict without the trace.  The parent keeps the running
+best and shrinks violating candidates into counterexample artifacts with
+the existing :mod:`repro.verification.shrink` machinery.
 
 Each generation is one call of the shared campaign loop
 (:func:`repro.experiments.base.run_cells`), one cell per candidate, so
@@ -34,9 +37,9 @@ import json
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.adversaries.fuzzing import (WindowSampler,
                                        fault_model_probabilities)
@@ -269,30 +272,48 @@ class SearchReport:
         return summary
 
 
-def _evaluation_row(params: Dict[str, Any], objective: Objective,
-                    checker: InvariantChecker, store: Optional[RunStore],
-                    best_so_far: float, generation: int, candidate: int,
-                    schedule: Schedule,
-                    results: Sequence[ExecutionResult]) -> Dict[str, Any]:
-    """The row of one candidate's one-result cell.
+class Evaluation(NamedTuple):
+    """One candidate as it leaves the worker: its result without trace or
+    configurations, its score and frontier, and (with ``verify``) the
+    trace's verdict (``ok is None`` = unchecked)."""
 
-    A violating candidate of a stored campaign is shrunk into a
-    counterexample artifact before its row is written.
-    """
-    (result,) = results
-    if params.get("verify", True):
-        report = checker.check_result(result)
+    result: ExecutionResult
+    score: float
+    frontier: int
+    ok: Optional[bool]
+    violations: str
+
+
+def evaluate_candidate(objective: Objective, verify: bool, spec: TrialSpec,
+                       result: ExecutionResult) -> Evaluation:
+    """A search cell's reducer: score and check where the trial ran."""
+    if verify:
+        report = InvariantChecker().check_result(result)
         ok: Optional[bool] = report.ok
         violations = report.summary()
         score = objective.score_checked(result, report)
     else:
         ok, violations = None, "-"  # not checked (verify=False)
         score = objective.score(result)
+    return Evaluation(replace(result, trace=None, configurations=[]),
+                      score, objective.frontier(result), ok, violations)
+
+
+def _evaluation_row(params: Dict[str, Any], store: Optional[RunStore],
+                    best_so_far: float, generation: int, candidate: int,
+                    schedule: Schedule,
+                    results: Sequence[Evaluation]) -> Dict[str, Any]:
+    """The row of one candidate's one-result cell.
+
+    A violating candidate of a stored campaign is shrunk into a
+    counterexample artifact before its row is written.
+    """
+    ((result, score, frontier, ok, violations),) = results
     row = {
         "generation": generation,
         "candidate": candidate,
         "score": _score_to_stored(score),
-        "undecided_windows": objective.frontier(result),
+        "undecided_windows": frontier,
         "decided": result.decided,
         "windows": result.windows_elapsed,
         "total_resets": result.total_resets,
@@ -368,7 +389,8 @@ def run_search_campaign(params: Dict[str, Any],
         health = RunHealth()
     strategy = campaign_strategy(params)
     objective = campaign_objective(params)
-    checker = InvariantChecker()
+    evaluate = partial(evaluate_candidate, objective,
+                       params.get("verify", True))
     completed = store.completed_rows() if store is not None else {}
     report = SearchReport(
         params=params,
@@ -382,12 +404,13 @@ def run_search_campaign(params: Dict[str, Any],
         assert all(is_admissible(genome, params["n"], params["t"])
                    for genome in genomes), \
             "strategy proposed an inadmissible schedule"
-        evaluate = partial(_evaluation_row, params, objective, checker,
-                           store, best_so_far, generation)
+        row = partial(_evaluation_row, params, store, best_so_far,
+                      generation)
         cells = [Cell(key=(SEARCH_EXPERIMENT, generation, candidate),
                       specs=(candidate_spec(params, objective, genome,
                                             generation, candidate),),
-                      build_row=partial(evaluate, candidate, genome))
+                      build_row=partial(row, candidate, genome),
+                      reduce=evaluate)
                  for candidate, genome in enumerate(genomes)]
         pending = pending_trials(cells, completed)
         span = (telemetry.span("generation", generation=generation,
@@ -451,6 +474,8 @@ __all__ = [
     "campaign_objective",
     "campaign_setup",
     "candidate_spec",
+    "Evaluation",
+    "evaluate_candidate",
     "SearchReport",
     "run_search_campaign",
     "save_best_artifact",

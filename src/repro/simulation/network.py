@@ -160,8 +160,14 @@ class Network:
         return len(self._live)
 
     def all_pending(self) -> List[Message]:
-        """All undelivered messages, in global send order."""
-        return sorted(self._live.values(), key=lambda m: m.sequence)
+        """All undelivered messages, in global send order.
+
+        No sort is needed: only :meth:`submit` inserts into ``_live``, with
+        strictly increasing sequence numbers, and deleting a key keeps the
+        insertion order of the rest, so the dict already iterates in send
+        order (and so does its ``copy.deepcopy``).
+        """
+        return list(self._live.values())
 
     def find_pending(self, sequence: int) -> Optional[Message]:
         """The undelivered message with this sequence number, if any.

@@ -8,7 +8,10 @@ recording a full trace, each trace re-checked by the independent
 :class:`~repro.verification.invariants.InvariantChecker`.  Trials fan out
 through :mod:`repro.runner` exactly like experiment cells, so worker count
 affects wall-clock time only — ``repro fuzz --trials 200 --seed 0`` yields
-bit-identical findings at ``--workers 0``, ``1`` and ``4``.
+bit-identical findings at ``--workers 0``, ``1`` and ``4``.  The check
+runs where the trial ran (the cell's reducer, :func:`check_trial`): a
+worker returns the result without its trace plus the verdict, so traces
+never cross the pool, and the parent only builds and stores rows.
 
 A campaign is one cell per trial of the shared campaign loop
 (:func:`repro.experiments.base.run_cells`), so resume, streamed rows and
@@ -26,9 +29,9 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.adversaries.fuzzing import (ScheduleFuzzer, StepFuzzer,
                                        fault_model_probabilities)
@@ -121,17 +124,35 @@ def fuzz_trial_spec(params: Dict[str, Any], index: int) -> TrialSpec:
         record_trace=True, tag=(FUZZ_EXPERIMENT, index))
 
 
-def _trial_checker(params: Dict[str, Any],
-                   spec: TrialSpec) -> InvariantChecker:
+def _trial_checker(spec: TrialSpec) -> InvariantChecker:
     corrupted = spec.adversary_kwargs.get("corrupted", ())
     return InvariantChecker(corrupted=corrupted)
 
 
+class CheckedTrial(NamedTuple):
+    """One fuzz trial as it leaves the worker: its result with the trace
+    dropped, and the trace's verdict."""
+
+    result: ExecutionResult
+    ok: bool
+    violations: str
+
+
+def check_trial(spec: TrialSpec, result: ExecutionResult) -> CheckedTrial:
+    """A fuzz cell's reducer: check the trace where the trial ran.
+
+    A recorded Bracha trace pickles to about 128 KB; the checked result
+    without it, to a few hundred bytes.
+    """
+    report = _trial_checker(spec).check_result(result)
+    return CheckedTrial(replace(result, trace=None), report.ok,
+                        report.summary())
+
+
 def _trial_row(params: Dict[str, Any], index: int, spec: TrialSpec,
-               results: Sequence[ExecutionResult]) -> Dict[str, Any]:
-    """The row of one trial: its one-result cell, invariant-checked."""
-    (result,) = results
-    report = _trial_checker(params, spec).check_result(result)
+               results: Sequence[CheckedTrial]) -> Dict[str, Any]:
+    """The row of one trial: its one-result cell, checked in the worker."""
+    ((result, ok, violations),) = results
     return {
         "trial": index,
         "protocol": params["protocol"],
@@ -144,8 +165,8 @@ def _trial_row(params: Dict[str, Any], index: int, spec: TrialSpec,
         "steps": result.steps_elapsed,
         "decided": result.decided,
         "total_resets": result.total_resets,
-        "ok": report.ok,
-        "violations": report.summary(),
+        "ok": ok,
+        "violations": violations,
         "minimized_windows": None,
         "counterexample": None,
     }
@@ -209,7 +230,7 @@ def minimize_finding(params: Dict[str, Any], index: int,
                         inputs=spec.inputs, seed=spec.seed,
                         protocol_kwargs=dict(spec.protocol_kwargs))
     shrunk = shrink_and_save(setup, result.trace.windows, artifact_path,
-                             checker=_trial_checker(params, spec))
+                             checker=_trial_checker(spec))
     return len(shrunk.schedule), shrunk.violations
 
 
@@ -217,7 +238,8 @@ def fuzz_cell(params: Dict[str, Any], index: int) -> Cell:
     """Trial ``index`` of a campaign as a one-trial cell of the run loop."""
     spec = fuzz_trial_spec(params, index)
     return Cell(key=(FUZZ_EXPERIMENT, index), specs=(spec,),
-                build_row=partial(_trial_row, params, index, spec))
+                build_row=partial(_trial_row, params, index, spec),
+                reduce=check_trial)
 
 
 def run_fuzz_campaign(params: Dict[str, Any],
@@ -290,6 +312,8 @@ __all__ = [
     "resolve_fuzz_params",
     "fuzz_trial_spec",
     "fuzz_cell",
+    "CheckedTrial",
+    "check_trial",
     "FuzzReport",
     "run_fuzz_campaign",
     "minimize_finding",

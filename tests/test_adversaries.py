@@ -1,5 +1,7 @@
 """Unit tests for the adversary strategies."""
 
+import hashlib
+
 import pytest
 
 from repro.adversaries.base import FaultBudget, random_subset, senders_excluding
@@ -14,6 +16,7 @@ from repro.adversaries.split_vote import (AdaptiveResettingAdversary,
                                           SplitVoteAdversary)
 from repro.core.reset_tolerant import ResetTolerantAgreement
 from repro.protocols.base import ProtocolFactory
+from repro.runner import STEP_ENGINE, TrialSpec, execute_trial
 from repro.simulation.engine import Engine
 import random
 
@@ -174,3 +177,31 @@ class TestPolarizing:
         engine = make_engine()
         spec = PolarizingAdversary(seed=1).next_window(engine)
         assert spec.senders_for[0] != spec.senders_for[engine.n - 1]
+
+
+class TestStepFuzzerCrashes:
+    """The crashed-receiver filter of ``StepFuzzer`` only runs once a
+    processor has crashed; this trial crashes two and is pinned to the
+    schedule and result the fuzzer produced before that shortcut."""
+
+    def test_crashing_schedule_is_pinned(self):
+        spec = TrialSpec(
+            protocol="bracha", adversary="step-fuzzer", n=7, t=2,
+            inputs=tuple(pid % 2 for pid in range(7)), seed=11,
+            adversary_kwargs={"seed": 5, "crash_probability": 0.01,
+                              "corrupted": (0,), "strategy": "equivocate"},
+            engine=STEP_ENGINE, max_steps=3000, stop_when="all",
+            record_trace=True)
+        result = execute_trial(spec)
+        assert [event.pid for event in result.trace.events
+                if event.kind == "crash"] == [3, 1]
+        schedule = [(event.kind, event.pid, event.value, event.sequence,
+                     event.sender, event.sequences, event.corrupted,
+                     event.lost) for event in result.trace.events]
+        summary = (result.outputs, result.crashed, result.steps_elapsed,
+                   result.first_decision_step, result.messages_sent,
+                   result.messages_delivered, result.total_coin_flips)
+        assert hashlib.sha256(repr(schedule).encode()).hexdigest()[:16] \
+            == "00a3c3fd1d3cf4d8"
+        assert hashlib.sha256(repr(summary).encode()).hexdigest()[:16] \
+            == "47025f6fad62f224"

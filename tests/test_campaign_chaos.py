@@ -9,7 +9,10 @@ the missing cells.  The chaos seeds are pinned, and each test asserts the
 faults really fired, so a refactor cannot turn these into no-ops.
 """
 
+import io
+import json
 import math
+import pickle
 
 import pytest
 
@@ -20,8 +23,9 @@ from repro.runner.supervisor import ExecutionPolicy, RetryPolicy
 from repro.search import (SEARCH_EXPERIMENT, resolve_search_params,
                           run_search_campaign)
 from repro.search import campaign as search_campaign
-from repro.verification import resolve_fuzz_params, run_fuzz_campaign
-from repro.verification.fuzzer import FUZZ_EXPERIMENT
+from repro.simulation.trace import ExecutionTrace
+from repro.verification import fuzzer, resolve_fuzz_params, run_fuzz_campaign
+from repro.verification.fuzzer import FUZZ_EXPERIMENT, CheckedTrial
 
 FAST_RETRY = RetryPolicy(max_retries=2, backoff_seconds=0.0,
                          backoff_cap_seconds=0.0)
@@ -91,6 +95,59 @@ class TestFuzzChaos:
         assert health.retries > 0
         assert health.failures == []
         assert report.rows == fuzz_clean
+
+
+def _traces_in(value):
+    """Every ExecutionTrace reachable from ``value``, found by pickling."""
+    found = []
+
+    class Spotter(pickle.Pickler):
+        def persistent_id(self, obj):
+            if isinstance(obj, ExecutionTrace):
+                found.append(obj)
+            return None
+
+    Spotter(io.BytesIO()).dump(value)
+    return found
+
+
+class TestTracesStayInTheWorker:
+    """A Bracha fuzz trial is checked where it ran; its trace never
+    reaches the parent's ``build_row``, whichever rung produced it."""
+
+    def test_rows_and_build_row_inputs(self, monkeypatch):
+        seen = []
+        build = fuzzer._trial_row
+
+        def spy(params, index, spec, results):
+            seen.append(results)
+            return build(params, index, spec, results)
+
+        monkeypatch.setattr(fuzzer, "_trial_row", spy)
+        params = resolve_fuzz_params(protocol="bracha", trials=8, seed=1,
+                                     max_steps=2000)
+        serial = run_fuzz_campaign(params, workers=0).rows
+        pooled = run_fuzz_campaign(params, workers=2).rows
+        assert json.dumps(pooled) == json.dumps(serial)
+
+        # No retries: a chunk that raises once goes straight to serial
+        # quarantine, where the poisoned trials fail for good.
+        health = RunHealth()
+        policy = ExecutionPolicy(
+            retry=RetryPolicy(max_retries=0, backoff_seconds=0.0),
+            chaos=ChaosConfig(seed=3, raise_=0.3, poison=0.1))
+        chaotic = run_fuzz_campaign(params, workers=2, policy=policy,
+                                    health=health).rows
+        assert health.quarantined > 0 and health.failures
+        survivors = {row["trial"] for row in chaotic}
+        assert json.dumps(chaotic) == json.dumps(
+            [row for row in serial if row["trial"] in survivors])
+
+        assert len(seen) == 2 * len(serial) + len(chaotic)
+        for results in seen:
+            [checked] = results
+            assert isinstance(checked, CheckedTrial)
+            assert _traces_in(results) == []
 
 
 def _observed_scores(monkeypatch):

@@ -1,5 +1,6 @@
 """Unit tests for the message buffer."""
 
+import copy
 import random
 
 import pytest
@@ -230,7 +231,12 @@ class TestDifferentialAgainstReference:
         rng = random.Random(seed)
         network = Network(self.N)
         reference = ReferenceNetwork(self.N)
-        for _ in range(120):
+        for step in range(120):
+            if step % 10 == 9:
+                # Engine.clone() deep-copies the network; the copy must
+                # keep send order and carry on like the original.
+                network = copy.deepcopy(network)
+                assert network.all_pending() == reference.all_pending()
             op = rng.choice(["submit", "submit", "submit", "deliver",
                              "window", "window", "drop", "stale",
                              "pending"])

@@ -80,6 +80,25 @@ class TestCampaignStore:
         assert undecided_windows(result) == report.best_score
         assert InvariantChecker().check_result(result).ok
 
+    @pytest.mark.parametrize("objective",
+                             ["undecided-rounds", "undecided-fraction"])
+    def test_verification_changes_only_the_verdict_columns(self, tmp_path,
+                                                           objective):
+        """Scores come from the worker either way: checking the trace
+        there may fill in ``ok``/``violations``, nothing else."""
+        runs = {}
+        for verify in (True, False):
+            params = _quick_params(objective=objective, verify=verify)
+            store = RunStore.open(str(tmp_path), SEARCH_EXPERIMENT, params)
+            report = run_search_campaign(params, workers=2, store=store)
+            with open(report.best_artifact, "rb") as handle:
+                runs[verify] = (report.rows, handle.read())
+        (checked, best), (unchecked, unchecked_best) = runs[True], runs[False]
+        assert best == unchecked_best
+        assert all(row["ok"] is True and row["violations"] == "-"
+                   for row in checked)
+        assert [dict(row, ok=None) for row in checked] == unchecked
+
     def test_violating_candidates_are_shrunk_into_artifacts(
             self, tmp_path, buggy_protocol):
         params = resolve_search_params(
