@@ -11,10 +11,11 @@ probability the coin flips deviate from an even split by only ``O(sqrt(n))``
 blocking schedule can be repeated for exponentially many windows.
 
 :class:`SplitVoteAdversary` implements exactly that delivery strategy (no
-resets), and :class:`AdaptiveResettingAdversary` strengthens it with the
-strongly adaptive adversary's resetting power, erasing up to ``t``
-majority-voting processors per window so their votes vanish from the next
-round entirely.
+resets).  :class:`AdaptiveResettingAdversary` adds the strongly adaptive
+adversary's resetting power, up to ``t`` resets per window — which
+*weakens* the split: a reset processor sits out the next window while it
+resynchronises, so only ``n - t`` processors vote, and with fewer voters
+the minority count that the ordering block needs can only shrink.
 """
 
 from __future__ import annotations
@@ -159,17 +160,20 @@ class SplitVoteAdversary(WindowAdversary):
 class AdaptiveResettingAdversary(SplitVoteAdversary):
     """Split-vote delivery plus adaptive resetting failures.
 
-    On top of hiding up to ``t`` majority votes from every receiver, this
-    adversary uses the strongly adaptive power to *reset* up to ``t``
-    processors at the end of each window.  Reset victims are chosen among
-    the processors whose estimates most threaten the balance (those holding
-    the globally more popular value), plus any processor that managed to
-    decide — erasing a decided processor's memory does not un-decide it (the
-    output bit survives a reset), but removing the most lopsided estimates
-    keeps the next round's vote split even tighter.
+    On top of the split-vote delivery schedule, this adversary uses the
+    strongly adaptive power to *reset* up to ``t`` processors at the end of
+    each window, chosen among those holding the globally more popular
+    estimate.  The resets make the adversary *weaker*, not stronger: a
+    processor reset at the end of window ``w`` sits out window ``w + 1``
+    while it resynchronises (``will_send`` is false), so only ``n - t``
+    processors vote, and the ordering block holds only while the minority
+    count among the voters exceeds ``T1 - T3`` — a count that removing
+    voters can only shrink.  Expected windows therefore follow the
+    split-vote closed form with ``n - t`` coins in place of ``n``.
 
-    This is the concrete adversary used in experiment E1/E2 to exercise the
-    full strongly adaptive model (delivery scheduling *and* resets).
+    Experiment E1 uses this adversary to exercise the full strongly
+    adaptive model (delivery scheduling *and* resets); E2 runs it by
+    default.
     """
 
     def __init__(self, block_threshold: Optional[int] = None,

@@ -68,8 +68,9 @@ Subcommands::
         from each run's telemetry event log), with each run's manifest
         fields joined in as columns — experiment, seed, backend, params,
         run_health.
-        Scans each run's ``rows.jsonl`` and answers through the
-        built-in SQL subset (:mod:`repro.results.minisql`).
+        Scans each run's ``rows.jsonl`` into an in-memory SQLite
+        database (only the tables the query names) and runs the query
+        read-only: anything but a single SELECT exits 2.
 
     repro report EXPERIMENT [--out DIR] [--format {text,json}]
                  [--percentiles Q,Q,...]
@@ -687,10 +688,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
     except QueryError as error:
         return _usage_error("query", error)
     if args.format == "json":
-        print(json.dumps({"engine": result.engine,
-                          "columns": result.columns,
-                          "rows": result.rows},
-                         sort_keys=False, allow_nan=False))
+        try:
+            print(json.dumps({"engine": result.engine,
+                              "columns": result.columns,
+                              "rows": result.rows},
+                             sort_keys=False, allow_nan=False))
+        except (TypeError, ValueError) as error:  # a blob or an infinity
+            return _usage_error("query", ValueError(
+                f"the result has no JSON form ({error}); use --format csv"))
     elif args.format == "csv":
         import csv
 
@@ -931,8 +936,9 @@ def build_parser() -> argparse.ArgumentParser:
     replay_parser.set_defaults(func=_cmd_replay)
 
     query_parser = subparsers.add_parser(
-        "query", help="SQL across every stored run (rows/runs tables, "
-                      "one table per experiment)")
+        "query", help="read-only SQLite SELECT across every stored run "
+                      "(rows/runs/spans/metrics tables, one view per "
+                      "experiment)")
     query_parser.add_argument(
         "sql", metavar="SQL",
         help="the query, e.g. \"SELECT experiment, count(*) FROM rows "

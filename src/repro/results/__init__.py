@@ -7,8 +7,8 @@ configuration reopens the same directory and skips every cell whose row is
 already on disk.
 
 ``rows.jsonl`` is the only row format, append-only and the ground truth
-for every reader: ``repro query`` (:mod:`repro.results.query`, SQL over
-every run through the built-in :mod:`repro.results.minisql` engine) and
+for every reader: ``repro query`` (:mod:`repro.results.query`, read-only
+SQL over every run, answered by an in-memory :mod:`sqlite3` database) and
 ``repro report`` (:mod:`repro.results.report`, percentile tables per
 cell plus recomputed finalizer rows) scan it through
 :func:`scan_runs` — see PERFORMANCE.md ("The results workflow" and

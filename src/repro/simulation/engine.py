@@ -98,6 +98,10 @@ class Engine:
         self.network = Network(self.n)
         protocols = factory.build(list(inputs), seed=seed)
         self.processors: List[Processor] = [Processor(p) for p in protocols]
+        # Only Engine.crash marks a processor crashed, so it alone
+        # rebuilds this tuple; adversaries read it on every step.
+        self._live_pids: Tuple[int, ...] = tuple(
+            proc.pid for proc in self.processors)
         self.window_index = 0
         self.steps_taken = 0
         self.total_crashes = 0
@@ -123,9 +127,9 @@ class Engine:
         return Configuration(states=tuple(
             proc.state_fingerprint() for proc in self.processors))
 
-    def live_processors(self) -> List[int]:
+    def live_processors(self) -> Tuple[int, ...]:
         """Identities of processors that have not crashed."""
-        return [proc.pid for proc in self.processors if not proc.crashed]
+        return self._live_pids
 
     def crashed_processors(self) -> List[int]:
         """Identities of crashed processors."""
@@ -243,6 +247,7 @@ class Engine:
         if not proc.decided:
             self._live_undecided -= 1
         proc.crash()
+        self._live_pids = tuple(p for p in self._live_pids if p != pid)
         self.total_crashes += 1
         if self.trace is not None:
             self.trace.record_crash(pid, window=window)

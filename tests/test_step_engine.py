@@ -58,6 +58,17 @@ class TestStepApplication:
         engine.apply_step(Step.crash(0))
         assert engine.total_crashes == 1
 
+    def test_crashed_pid_leaves_live_processors(self):
+        engine = make_engine(n=7, t=2)
+        assert engine.live_processors() == tuple(range(7))
+        engine.apply_step(Step.crash(3))
+        assert engine.live_processors() == (0, 1, 2, 4, 5, 6)
+        assert engine.crashed_processors() == [3]
+        engine.apply_step(Step.crash(0))
+        assert engine.live_processors() == (1, 2, 4, 5, 6)
+        assert set(engine.live_processors()).isdisjoint(
+            engine.crashed_processors())
+
     def test_crashed_processor_cannot_send(self):
         engine = make_engine(n=7, t=1)
         engine.apply_step(Step.crash(0))
