@@ -26,7 +26,7 @@ from repro.runner import (TrialSpec, derive_seed, execute_trial,
                           iter_trials, undecided_windows)
 from repro.search import (campaign_setup, resolve_search_params,
                           run_search_campaign)
-from repro.verification import InvariantChecker
+from repro.verification import InvariantChecker, replay_spec
 
 BUDGET_GENERATIONS = 10
 BUDGET_POPULATION = 6
@@ -64,13 +64,7 @@ def main() -> None:
     print(f"blind fuzzing best of {budget} samples: {fuzz_best:.0f}")
 
     assert report.best_schedule is not None
-    replay = execute_trial(TrialSpec(
-        protocol=params["protocol"], adversary="replay-schedule",
-        n=params["n"], t=params["t"], inputs=setup.inputs,
-        seed=setup.seed,
-        adversary_kwargs={"schedule": [spec.to_jsonable()
-                                       for spec in report.best_schedule]},
-        max_windows=HORIZON, stop_when="first", record_trace=True))
+    replay = execute_trial(replay_spec(setup, report.best_schedule))
     verdict = InvariantChecker().check_result(replay)
     print(f"replay of the best schedule: "
           f"{undecided_windows(replay):.0f} undecided windows, "

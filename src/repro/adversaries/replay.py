@@ -7,9 +7,11 @@ schedule is the opposite: a fixed, pre-committed list of
 Replays are what the verification and search layers traffic in — a fuzz
 counterexample, a shrunk reproducer, or a search campaign's best-found
 schedule are all just window lists — and registering the replayer as the
-``"replay-schedule"`` adversary makes any saved schedule usable wherever a
-registry adversary is accepted: experiment cells, ``TrialSpec`` fan-out
-through :mod:`repro.runner`, the CLI.
+``"replay-schedule"`` adversary makes a replay an ordinary
+:class:`~repro.runner.TrialSpec`, usable wherever a registry adversary is
+accepted: experiment cells, fan-out through :mod:`repro.runner`, the CLI.
+:func:`repro.verification.replay_spec` builds the replay trial of a
+schedule in any trial's context.
 
 Because trial specs must stay picklable plain data, the constructor accepts
 the schedule either as ``WindowSpec`` objects or in the JSON-able encoding
@@ -24,37 +26,25 @@ from typing import List, Sequence, Union
 from repro.simulation.engine import Engine
 from repro.simulation.windows import WindowAdversary, WindowSpec
 
-PAD_BENIGN = "benign"
-PAD_REPEAT = "repeat"
-PAD_ERROR = "error"
-
-
 class ReplayScheduleAdversary(WindowAdversary):
     """Plays back a fixed schedule of window specifications.
+
+    Past the end of the schedule it plays full-delivery windows, so an
+    empty schedule (the default) is the benign adversary.  Replays of a
+    saved schedule cap ``max_windows`` at its length and never pad.
 
     Args:
         schedule: the windows to play, in order — ``WindowSpec`` objects
             or their plain-JSON encodings (the artifact format), mixed
-            freely.  An empty schedule (the default) degenerates to the
-            benign adversary under benign padding.
-        pad: what to do when the engine asks for a window beyond the end
-            of the schedule: ``"benign"`` (default) plays full-delivery
-            windows, ``"repeat"`` replays the last window forever, and
-            ``"error"`` raises ``IndexError`` (callers capping
-            ``max_windows`` at the schedule length never pad at all).
+            freely.
     """
 
-    def __init__(self, schedule: Sequence[Union[WindowSpec, dict]] = (),
-                 pad: str = PAD_BENIGN) -> None:
-        if pad not in (PAD_BENIGN, PAD_REPEAT, PAD_ERROR):
-            raise ValueError(
-                f"pad must be {PAD_BENIGN!r}, {PAD_REPEAT!r} or "
-                f"{PAD_ERROR!r}, got {pad!r}")
+    def __init__(self,
+                 schedule: Sequence[Union[WindowSpec, dict]] = ()) -> None:
         self.schedule: List[WindowSpec] = [
             spec if isinstance(spec, WindowSpec)
             else WindowSpec.from_jsonable(spec)
             for spec in schedule]
-        self.pad = pad
         self._next = 0
 
     def next_window(self, engine: Engine) -> WindowSpec:
@@ -62,13 +52,7 @@ class ReplayScheduleAdversary(WindowAdversary):
         self._next += 1
         if index < len(self.schedule):
             return self.schedule[index]
-        if self.pad == PAD_BENIGN:
-            return WindowSpec.full_delivery(engine.n)
-        if self.pad == PAD_REPEAT and self.schedule:
-            return self.schedule[-1]
-        raise IndexError(
-            f"replay schedule exhausted after {len(self.schedule)} windows")
+        return WindowSpec.full_delivery(engine.n)
 
 
-__all__ = ["ReplayScheduleAdversary", "PAD_BENIGN", "PAD_REPEAT",
-           "PAD_ERROR"]
+__all__ = ["ReplayScheduleAdversary"]

@@ -26,7 +26,6 @@ Import surface:
 """
 
 from repro.batched.support import (
-    BACKEND_AUTO,
     BACKEND_BATCHED,
     BACKEND_TRIAL,
     BACKENDS,
@@ -40,7 +39,6 @@ from repro.batched.support import (
 
 __all__ = [
     "BACKENDS",
-    "BACKEND_AUTO",
     "BACKEND_BATCHED",
     "BACKEND_TRIAL",
     "MIN_BATCH",

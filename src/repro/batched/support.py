@@ -19,7 +19,7 @@ This module is the single place where that boundary is defined:
   executor dispatches exactly these groups and the differential harness
   checks exactly these groups.
 * :func:`resolve_backend` — maps the CLI/TrialSpec backend names
-  (``trial`` / ``batched`` / ``auto``) to the backend actually used.
+  (``trial`` / ``batched``) to the backend actually used.
 
 The support checks are deliberately conservative: whenever the per-trial
 oracle would *raise* for a spec (invalid thresholds, oversized silenced
@@ -40,8 +40,7 @@ from repro.runner.spec import TrialSpec
 
 BACKEND_TRIAL = "trial"
 BACKEND_BATCHED = "batched"
-BACKEND_AUTO = "auto"
-BACKENDS = (BACKEND_TRIAL, BACKEND_BATCHED, BACKEND_AUTO)
+BACKENDS = (BACKEND_TRIAL, BACKEND_BATCHED)
 
 #: Largest processor count a batch supports: vote tallies are kept as one
 #: uint64 sender bitmask per (trial, processor, round-slot).
@@ -198,9 +197,8 @@ def group_specs(specs: Sequence[TrialSpec]) -> BatchPlan:
 def resolve_backend(backend: Optional[str]) -> str:
     """Map a requested backend name to the backend actually used.
 
-    ``auto`` selects ``batched`` exactly when numpy is available; an
-    explicit ``batched`` without numpy also degrades to ``trial`` (every
-    spec would take the per-trial path anyway).
+    ``batched`` without numpy degrades to ``trial`` (every spec would
+    take the per-trial path anyway).
     """
     if backend is None:
         return BACKEND_TRIAL
@@ -214,7 +212,6 @@ def resolve_backend(backend: Optional[str]) -> str:
 
 __all__ = [
     "BACKENDS",
-    "BACKEND_AUTO",
     "BACKEND_BATCHED",
     "BACKEND_TRIAL",
     "MAX_PROCESSORS",

@@ -109,14 +109,13 @@ from repro.analysis.statistics import format_table
 from repro.experiments import available_experiments, get_experiment
 from repro.experiments.base import Experiment
 from repro.results import RunStore, latest_run, load_run
-from repro.search.campaign import (SEARCH_EXPERIMENT,
-                                   load_schedule_artifact,
-                                   resolve_search_params,
+from repro.runner.spec import execute_trial
+from repro.search.campaign import (SEARCH_EXPERIMENT, resolve_search_params,
                                    run_search_campaign)
 from repro.verification.fuzzer import (FUZZ_EXPERIMENT, resolve_fuzz_params,
                                        run_fuzz_campaign)
 from repro.verification.invariants import InvariantChecker
-from repro.verification.shrink import replay_schedule
+from repro.verification.shrink import load_schedule_artifact
 
 DEFAULT_OUT = "results"
 
@@ -658,15 +657,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return _usage_error("replay", ValueError(
             f"no schedule artifact at {args.artifact!r}"))
     try:
-        setup, schedule, artifact = load_schedule_artifact(args.artifact)
+        spec, schedule, artifact = load_schedule_artifact(args.artifact)
     except (KeyError, TypeError, ValueError) as error:
         return _usage_error("replay", ValueError(
             f"{args.artifact!r} is not a schedule artifact: {error}"))
-    result = replay_schedule(setup, schedule)
+    result = execute_trial(spec)
     report = InvariantChecker().check_result(result)
     expected = artifact.get("violations", [])
-    print(f"== replay: {len(schedule)} windows of {setup.protocol} "
-          f"(n={setup.n}, t={setup.t}, seed {setup.seed}) ==")
+    print(f"== replay: {len(schedule)} windows of {spec.protocol} "
+          f"(n={spec.n}, t={spec.t}, seed {spec.seed}) ==")
     print(f"decided: {result.decided}  windows: {result.windows_elapsed}  "
           f"resets: {result.total_resets}  "
           f"outputs: {''.join('-' if o is None else str(o) for o in result.outputs)}")
@@ -795,15 +794,15 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
                              "(kinds: crash, hang, raise, poison, torn; "
                              "default: $REPRO_CHAOS)")
     parser.add_argument("--backend", default="trial",
-                        choices=("trial", "batched", "auto"),
+                        choices=("trial", "batched"),
                         help="execution backend: 'batched' vectorizes "
                              "reset-tolerant trial groups under the "
                              "benign, silencing, split-vote and "
                              "adaptive-resetting adversaries and runs "
                              "the rest per trial (bit-identical results; "
                              "fuzz specs and search candidates never "
-                             "batch), 'auto' does so when numpy >= 2.0 "
-                             "is available (default: trial)")
+                             "batch; all per trial without numpy >= 2.0) "
+                             "(default: trial)")
     parser.add_argument("--no-telemetry", action="store_true",
                         help="record no telemetry.jsonl event log "
                              "(results are bit-identical either way)")

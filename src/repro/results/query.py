@@ -13,7 +13,8 @@
   ``row_count`` taken from the rows actually readable on disk, not from
   the manifest — a debounced manifest may lag a killed run by a few
   rows).
-* one view per experiment over ``rows`` (``SELECT * FROM E2 ...``).
+* one view per experiment over ``rows`` (``SELECT * FROM E2 ...``):
+  every row of the runs whose manifest names that experiment.
 
 Runs executed with telemetry additionally contribute two tables mounted
 from their ``telemetry.jsonl`` event logs (empty tables when no run has
@@ -54,7 +55,9 @@ from repro.telemetry import TELEMETRY_NAME, read_events
 
 #: Manifest-derived columns of the ``rows`` table, in order.  A row
 #: column with the same name (e.g. the experiments' own ``experiment``
-#: field) overwrites the joined value — for real data they agree.
+#: field, ``E8-talagrand`` in an E8 run) overwrites the joined value; the
+#: per-experiment views select the rows of the runs whose manifest names
+#: the experiment instead.
 ROW_META_COLUMNS = (
     "experiment", "run_id", "seed", "backend", "completed",
     "wall_time_seconds", "params", "run_health", "health_failures",
@@ -231,6 +234,15 @@ def _mount_telemetry(run_dir: str, name: str, run_id: str,
             metrics.append(values, {})
 
 
+def _any_of(terms: Sequence[str]) -> str:
+    """``terms`` joined by ``OR`` as a balanced tree, so that thousands of
+    terms stay within SQLite's expression depth limit; ``0`` if none."""
+    if len(terms) <= 1:
+        return terms[0] if terms else "0"
+    middle = len(terms) // 2
+    return f"({_any_of(terms[:middle])} OR {_any_of(terms[middle:])})"
+
+
 def mount_store(root: str, experiment: Optional[str] = None,
                 tables: Optional[AbstractSet[str]] = None) -> MountedStore:
     """Load every loadable run under ``root`` into an in-memory database.
@@ -262,6 +274,9 @@ def mount_store(root: str, experiment: Optional[str] = None,
         mounted.append(rows_table)
     if with_telemetry:
         mounted += [spans_table, metrics_table]
+    # The rowid block each run's rows occupy, per manifest experiment: a
+    # row's own ``experiment`` field may overwrite the joined column.
+    blocks: Dict[str, List[str]] = {}
     for run_dir, manifest, records in runs:
         run_id = run_dir.rstrip("/").rsplit("/", 1)[-1]
         name = manifest["experiment"]
@@ -274,10 +289,14 @@ def mount_store(root: str, experiment: Optional[str] = None,
         runs_table.append([*head, len(records), failures, params], {})
         meta = [*head, params, _encode_nested(health), failures]
         if with_rows:
+            first = len(rows_table.rows) + 1
             for record in records:
                 rows_table.append(
                     [*meta, _encode_cell(record["key"]), record["index"]],
                     record["row"])
+            if records:
+                blocks.setdefault(name, []).append(
+                    f"rowid BETWEEN {first} AND {len(rows_table.rows)}")
         if with_telemetry:
             _mount_telemetry(run_dir, name, run_id, spans_table,
                              metrics_table)
@@ -291,7 +310,7 @@ def mount_store(root: str, experiment: Optional[str] = None,
             for name in views:
                 connection.execute(
                     f'CREATE VIEW "{name}" AS SELECT * FROM rows '
-                    f"WHERE experiment = '{name}'")
+                    f"WHERE {_any_of(blocks.get(name, []))}")
     return MountedStore(
         connection=connection,
         columns={table.name: table.columns for table in mounted},

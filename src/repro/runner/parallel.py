@@ -63,7 +63,7 @@ def run_trials(specs: Iterable[TrialSpec],
 
     Builds a :class:`~repro.runner.supervisor.SupervisedRunner`; a
     missing ``policy`` means the default retry ladder and no chaos.
-    ``backend`` (``trial`` / ``batched`` / ``auto``) picks the chunk
+    ``backend`` (``trial`` or ``batched``) picks the chunk
     kinds; ``telemetry`` attaches a span/metric recorder.  Results are
     bit-identical across backends, worker counts and telemetry.
     """

@@ -99,28 +99,38 @@ class TrialSpec:
         object.__setattr__(self, "inputs", tuple(self.inputs))
 
 
+def build_engine(spec: TrialSpec) -> Engine:
+    """A fresh engine for ``spec``: its protocol, size, inputs and seed.
+
+    This is the one place a spec becomes an
+    :class:`~repro.simulation.engine.Engine`; configuration snapshots are
+    recorded on the window engine only.
+    """
+    info = get_protocol(spec.protocol)
+    factory = ProtocolFactory(info.protocol_cls, n=spec.n, t=spec.t,
+                              **spec.protocol_kwargs)
+    return Engine(factory, list(spec.inputs), seed=spec.seed,
+                  record_configurations=spec.engine == WINDOW_ENGINE and
+                  spec.record_configurations,
+                  record_trace=spec.record_trace)
+
+
 def execute_trial(spec: TrialSpec) -> ExecutionResult:
     """Run one trial described by ``spec`` and return its result.
 
     This is the worker-side entry point of the parallel runner; it is also
     the serial fallback, so results are bit-identical regardless of where a
-    spec executes.
+    spec executes.  The adversary is built before the engine: an unseeded
+    adversary draws from the global stream ahead of the engine.
     """
-    info = get_protocol(spec.protocol)
     adversary = build_adversary(spec.adversary, **spec.adversary_kwargs)
-    factory = ProtocolFactory(info.protocol_cls, n=spec.n, t=spec.t,
-                              **spec.protocol_kwargs)
-    windowed = spec.engine == WINDOW_ENGINE
-    engine = Engine(factory, list(spec.inputs), seed=spec.seed,
-                    record_configurations=windowed and
-                    spec.record_configurations,
-                    record_trace=spec.record_trace)
-    if windowed:
+    engine = build_engine(spec)
+    if spec.engine == WINDOW_ENGINE:
         return engine.run(adversary, max_windows=spec.max_windows,
                           stop_when=spec.stop_when)
     return engine.run(adversary, max_steps=spec.max_steps,
                       stop_when=spec.stop_when)
 
 
-__all__ = ["TrialSpec", "execute_trial", "derive_seed",
+__all__ = ["TrialSpec", "build_engine", "execute_trial", "derive_seed",
            "WINDOW_ENGINE", "STEP_ENGINE"]

@@ -200,7 +200,7 @@ class SupervisedRunner:
             no watchdog, no chaos).
         health: the :class:`RunHealth` ledger to record recovery actions
             into (default: a fresh one, exposed as ``self.health``).
-        backend: ``trial`` / ``batched`` / ``auto`` (see
+        backend: ``trial`` or ``batched`` (see
             :func:`~repro.batched.support.resolve_backend`).
         telemetry: an optional :class:`~repro.telemetry.Telemetry`
             recorder for worker-timed ``chunk``/``trial``/``batch`` spans,

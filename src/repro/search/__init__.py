@@ -16,8 +16,8 @@ strategies whose per-candidate evaluations fan out through
   an elite population loop behind one generational interface;
 * :mod:`repro.search.campaign` — the campaign driver: parallel
   evaluation, results-store persistence and resume, counterexample
-  shrinking, best-schedule artifacts replayable via the
-  ``replay-schedule`` adversary and ``repro replay``.
+  shrinking, best-schedule artifacts replayable via ``repro replay``
+  (read them with :func:`repro.verification.load_schedule_artifact`).
 
 The CLI front end is ``python -m repro search``; experiment E9 compares
 searched schedules against sampled and hand-written adversaries.
@@ -28,9 +28,8 @@ from repro.search.campaign import (BEST_ARTIFACT, COUNTEREXAMPLE_DIR,
                                    SearchReport, campaign_objective,
                                    campaign_sampler, campaign_setup,
                                    campaign_strategy, candidate_spec,
-                                   load_schedule_artifact,
                                    resolve_search_params,
-                                   run_search_campaign, save_best_artifact)
+                                   run_search_campaign)
 from repro.search.mutations import (POINT_MUTATIONS, Schedule,
                                     crashed_victims, flip_deliver_last,
                                     is_admissible, mutate, perturb_delivery,
@@ -58,8 +57,6 @@ __all__ = [
     "campaign_objective",
     "campaign_setup",
     "candidate_spec",
-    "save_best_artifact",
-    "load_schedule_artifact",
     "Schedule",
     "is_admissible",
     "crashed_victims",

@@ -11,7 +11,7 @@ back into the strategy, repeat.  Each candidate is scored, and (with
 ran: the cell's reducer (:func:`evaluate_candidate`) returns the score,
 frontier and verdict without the trace.  The parent keeps the running
 best and shrinks violating candidates into counterexample artifacts with
-the existing :mod:`repro.verification.shrink` machinery.
+the :mod:`repro.verification.shrink` machinery.
 
 Each generation is one call of the shared campaign loop
 (:func:`repro.experiments.base.run_cells`), one cell per candidate, so
@@ -25,15 +25,16 @@ finish.  Because candidate genomes are a pure function of the campaign
 seed and the observed scores, a resumed campaign re-derives the proposal
 sequence and skips every evaluation the store already holds — kill/resume
 is bit-identical to an uninterrupted run.
-The best-found schedule is written as ``best-schedule.json`` in the run
-directory, in the same self-contained artifact format as the fuzz
-counterexamples, so ``repro replay`` (and the ``replay-schedule``
-adversary) can re-execute it anywhere.
+Every candidate runs in the campaign's one execution context,
+:func:`campaign_setup` — a :class:`~repro.runner.TrialSpec` — and the
+best-found schedule is written as ``best-schedule.json`` in the run
+directory by the same artifact writer as the fuzz counterexamples
+(:func:`repro.verification.shrink.save_schedule_artifact`), so
+``repro replay`` can re-execute it anywhere.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from contextlib import nullcontext
@@ -54,10 +55,9 @@ from repro.search.strategies import (STRATEGIES, SearchStrategy,
                                      build_strategy)
 from repro.simulation.trace import ExecutionResult
 from repro.verification.invariants import InvariantChecker
-from repro.verification.shrink import (COUNTEREXAMPLE_DIR, ReplaySetup,
-                                       parse_schedule_artifact,
-                                       schedule_to_jsonable,
-                                       shrink_and_save)
+from repro.verification.shrink import (COUNTEREXAMPLE_DIR, replay_spec,
+                                       save_schedule_artifact,
+                                       schedule_to_jsonable, shrink_schedule)
 from repro.workloads.inputs import split, unanimous
 
 SEARCH_EXPERIMENT = "search"
@@ -186,23 +186,22 @@ def campaign_objective(params: Dict[str, Any]) -> Objective:
     return build_objective(params["objective"], protocol=params["protocol"])
 
 
-def campaign_setup(params: Dict[str, Any]) -> ReplaySetup:
-    """The fixed execution context every candidate is evaluated in."""
-    return ReplaySetup(
-        protocol=params["protocol"], n=params["n"], t=params["t"],
+def campaign_setup(params: Dict[str, Any]) -> TrialSpec:
+    """The fixed execution context every candidate is evaluated in: the
+    replay of an empty schedule."""
+    return replay_spec(TrialSpec(
+        protocol=params["protocol"], adversary="replay-schedule",
+        n=params["n"], t=params["t"],
         inputs=tuple(int(bit) for bit in params["inputs"]),
-        seed=params["engine_seed"])
+        seed=params["engine_seed"]), ())
 
 
 def candidate_spec(params: Dict[str, Any], objective: Objective,
                    schedule: Schedule, generation: int,
                    candidate: int) -> TrialSpec:
     """The runner trial evaluating one candidate schedule."""
-    return TrialSpec(
-        protocol=params["protocol"], adversary="replay-schedule",
-        n=params["n"], t=params["t"],
-        inputs=tuple(int(bit) for bit in params["inputs"]),
-        seed=params["engine_seed"],
+    return replace(
+        campaign_setup(params),
         adversary_kwargs={"schedule": schedule_to_jsonable(schedule)},
         max_windows=params["windows"], stop_when=objective.stop_when,
         record_trace=params.get("verify", True) or objective.needs_trace,
@@ -325,42 +324,12 @@ def _evaluation_row(params: Dict[str, Any], store: Optional[RunStore],
     if ok is False and store is not None:
         relative = os.path.join(
             COUNTEREXAMPLE_DIR, f"gen-{generation}-cand-{candidate}.json")
-        shrink_and_save(campaign_setup(params), schedule,
-                        store.artifact_path(relative))
+        setup = campaign_setup(params)
+        shrunk = shrink_schedule(setup, schedule)
+        save_schedule_artifact(store.artifact_path(relative), setup,
+                               shrunk.schedule, shrunk.violations)
         row["counterexample"] = relative
     return row
-
-
-def save_best_artifact(path: str, params: Dict[str, Any],
-                       report: SearchReport) -> None:
-    """Write the best-found schedule as a self-contained artifact.
-
-    The format is the schedule-artifact format of
-    :func:`repro.verification.shrink.save_counterexample` (so
-    ``repro replay`` handles both), extended with the campaign's
-    objective and score for provenance.
-    """
-    assert report.best_schedule is not None
-    setup = campaign_setup(params)
-    artifact = {
-        "protocol": setup.protocol,
-        "n": setup.n,
-        "t": setup.t,
-        "inputs": list(setup.inputs),
-        "seed": setup.seed,
-        "protocol_kwargs": {},
-        "violations": [],
-        "schedule": schedule_to_jsonable(report.best_schedule),
-        "objective": params["objective"],
-        "strategy": params["strategy"],
-        "score": _score_to_stored(report.best_score),
-        "generation": report.best_generation,
-    }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True,
-                  allow_nan=False)
-        handle.write("\n")
 
 
 def run_search_campaign(params: Dict[str, Any],
@@ -444,23 +413,13 @@ def run_search_campaign(params: Dict[str, Any],
     report.best_generation = strategy.best_generation
     if store is not None and report.best_schedule is not None:
         path = store.artifact_path(BEST_ARTIFACT)
-        save_best_artifact(path, params, report)
+        save_schedule_artifact(
+            path, campaign_setup(params), report.best_schedule, [],
+            objective=params["objective"], strategy=params["strategy"],
+            score=_score_to_stored(report.best_score),
+            generation=report.best_generation)
         report.best_artifact = path
     return report
-
-
-def load_schedule_artifact(path: str) -> Tuple[ReplaySetup, Schedule,
-                                               Dict[str, Any]]:
-    """Load any schedule artifact: (setup, schedule, full metadata).
-
-    Handles both fuzz counterexamples and search best-schedule files —
-    they share the core format; extra keys come back in the metadata
-    dict.
-    """
-    with open(path) as handle:
-        artifact = json.load(handle)
-    setup, schedule = parse_schedule_artifact(artifact)
-    return setup, schedule, artifact
 
 
 __all__ = [
@@ -478,6 +437,4 @@ __all__ = [
     "evaluate_candidate",
     "SearchReport",
     "run_search_campaign",
-    "save_best_artifact",
-    "load_schedule_artifact",
 ]

@@ -9,11 +9,7 @@ state snapshots used by the lower-bound machinery.  One
 single step, or an acceptable window as a fixed arrangement of steps.
 """
 
-from repro.simulation.configuration import (Configuration, decided_one,
-                                            decided_zero, hamming_ball,
-                                            hamming_distance,
-                                            point_to_set_distance,
-                                            set_distance)
+from repro.simulation.configuration import Configuration, set_distance
 from repro.simulation.engine import Engine, StepAdversary
 from repro.simulation.errors import (AdversaryBudgetError,
                                      ConfigurationMismatchError,
@@ -29,11 +25,6 @@ from repro.simulation.windows import (WindowAdversary, WindowSpec,
 
 __all__ = [
     "Configuration",
-    "decided_zero",
-    "decided_one",
-    "hamming_ball",
-    "hamming_distance",
-    "point_to_set_distance",
     "set_distance",
     "Engine",
     "StepAdversary",

@@ -4,8 +4,9 @@ The lower-bound proofs of Sections 4 and 5 reason about sets of reachable
 configurations in the joint state space ``Sigma^n`` and about the Hamming
 distance between configurations (the number of coordinates — processors —
 whose local state differs).  This module provides the concrete configuration
-snapshot type, Hamming distance helpers, and predicates for the base decision
-sets ``Z_0^0`` and ``Z_1^0``.
+snapshot type (whose :meth:`Configuration.has_decision` is membership in the
+base decision sets ``Z_0^0`` and ``Z_1^0``) and the set distance of
+Definition 7.
 """
 
 from __future__ import annotations
@@ -104,11 +105,6 @@ class Configuration:
         return len(self.states)
 
 
-def hamming_distance(a: Configuration, b: Configuration) -> int:
-    """Module-level alias for :meth:`Configuration.hamming_distance`."""
-    return a.hamming_distance(b)
-
-
 def set_distance(set_a: Iterable[Configuration],
                  set_b: Iterable[Configuration]) -> Optional[int]:
     """Minimum Hamming distance between two sets of configurations.
@@ -123,44 +119,7 @@ def set_distance(set_a: Iterable[Configuration],
     return min(a.hamming_distance(b) for a in list_a for b in list_b)
 
 
-def point_to_set_distance(point: Configuration,
-                          configurations: Iterable[Configuration]
-                          ) -> Optional[int]:
-    """Minimum Hamming distance from a configuration to a set (Definition 6)."""
-    distances = [point.hamming_distance(other) for other in configurations]
-    if not distances:
-        return None
-    return min(distances)
-
-
-def hamming_ball(point: Configuration,
-                 configurations: Iterable[Configuration],
-                 radius: int) -> List[Configuration]:
-    """Members of ``configurations`` within the given radius of ``point``.
-
-    Mirrors the set ``B(A, d)`` of Definition 8 (with the roles of the point
-    and the set swappable via repeated calls).
-    """
-    return [other for other in configurations
-            if point.hamming_distance(other) <= radius]
-
-
-def decided_zero(configuration: Configuration) -> bool:
-    """Membership predicate for the base set ``Z_0^0`` (Definition 10)."""
-    return configuration.has_decision(0)
-
-
-def decided_one(configuration: Configuration) -> bool:
-    """Membership predicate for the base set ``Z_1^0`` (Definition 10)."""
-    return configuration.has_decision(1)
-
-
 __all__ = [
     "Configuration",
-    "hamming_distance",
     "set_distance",
-    "point_to_set_distance",
-    "hamming_ball",
-    "decided_zero",
-    "decided_one",
 ]

@@ -15,8 +15,9 @@ such, independently of the engine's own summary bookkeeping:
   :class:`~repro.adversaries.fuzzing.StepFuzzer` adversaries through the
   parallel runner, with results persisted (and resumed) through the
   results store.  The CLI front end is ``python -m repro fuzz``.
-* :mod:`repro.verification.shrink` — greedy delta-debugging minimization
-  of violating schedules into short counterexample artifacts.
+* :mod:`repro.verification.shrink` — replays as ordinary trial specs,
+  greedy delta-debugging minimization of violating schedules, and the
+  one writer and reader of schedule artifacts.
 * :mod:`repro.verification.differential` — compiles window executions
   into step schedules and replays them through single steps on a fresh
   engine, asserting a window is exactly its step compilation.
@@ -36,13 +37,13 @@ from repro.verification.fuzzer import (FUZZ_EXPERIMENT, FuzzReport, fuzz_trial_s
                                        run_fuzz_campaign)
 from repro.verification.invariants import (INVARIANTS, InvariantChecker,
                                            VerificationReport, Violation)
-from repro.verification.shrink import (COUNTEREXAMPLE_DIR, ReplaySetup,
-                                       ShrinkResult, load_counterexample,
-                                       parse_schedule_artifact,
-                                       replay_schedule, save_counterexample,
+from repro.verification.shrink import (COUNTEREXAMPLE_DIR, ShrinkResult,
+                                       load_schedule_artifact,
+                                       replay_schedule, replay_spec,
+                                       save_schedule_artifact,
                                        schedule_from_jsonable,
                                        schedule_to_jsonable,
-                                       shrink_and_save, shrink_schedule)
+                                       shrink_schedule)
 
 __all__ = [
     "INVARIANTS",
@@ -56,16 +57,14 @@ __all__ = [
     "resolve_fuzz_params",
     "run_fuzz_campaign",
     "minimize_finding",
-    "ReplaySetup",
     "ShrinkResult",
+    "replay_spec",
     "replay_schedule",
     "shrink_schedule",
-    "shrink_and_save",
     "schedule_to_jsonable",
     "schedule_from_jsonable",
-    "save_counterexample",
-    "parse_schedule_artifact",
-    "load_counterexample",
+    "save_schedule_artifact",
+    "load_schedule_artifact",
     "DifferentialReport",
     "differential_replay",
     "replay_trace_on_step_engine",

@@ -20,14 +20,11 @@ batching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
-from repro.adversaries.registry import build_adversary
-from repro.protocols.base import ProtocolFactory
-from repro.protocols.registry import get_protocol
-from repro.runner.spec import WINDOW_ENGINE, TrialSpec
-from repro.simulation.engine import Engine
+from repro.runner.spec import (WINDOW_ENGINE, TrialSpec, build_engine,
+                               execute_trial)
 from repro.simulation.events import Step
 from repro.simulation.trace import ExecutionResult, ExecutionTrace
 
@@ -63,11 +60,8 @@ def replay_trace_on_step_engine(spec: TrialSpec,
     compiled schedule preserves the window's submission order, so the
     trace's delivery events can be re-issued by sequence number.
     """
-    info = get_protocol(spec.protocol)
-    factory = ProtocolFactory(info.protocol_cls, n=spec.n, t=spec.t,
-                              **spec.protocol_kwargs)
-    engine = Engine(factory, list(spec.inputs), seed=spec.seed,
-                    record_trace=True)
+    engine = build_engine(replace(spec, record_trace=True,
+                                  record_configurations=False))
     crashed = set()
     deliveries = trace.deliveries_by_window()
     for window, window_spec in enumerate(trace.windows):
@@ -105,14 +99,8 @@ def differential_replay(spec: TrialSpec) -> DifferentialReport:
     if spec.engine != WINDOW_ENGINE:
         raise ValueError("differential replay needs a window-engine spec, "
                          f"got engine={spec.engine!r}")
-    info = get_protocol(spec.protocol)
-    adversary = build_adversary(spec.adversary, **spec.adversary_kwargs)
-    factory = ProtocolFactory(info.protocol_cls, n=spec.n, t=spec.t,
-                              **spec.protocol_kwargs)
-    engine = Engine(factory, list(spec.inputs), seed=spec.seed,
-                    record_trace=True)
-    window_result = engine.run(adversary, max_windows=spec.max_windows,
-                               stop_when=spec.stop_when)
+    window_result = execute_trial(replace(spec, record_trace=True,
+                                          record_configurations=False))
     assert window_result.trace is not None
     report = DifferentialReport(
         n=spec.n, t=spec.t, windows=window_result.windows_elapsed,

@@ -21,8 +21,9 @@ pseudo-experiment name ``"fuzz"``: one row per trial, streamed as trials
 finish, so an interrupted campaign resumes where it stopped; a trial
 that failed through every recovery rung has no row and is retried on
 resume.  Violating trials are (optionally) minimized by
-:mod:`repro.verification.shrink` and written as self-contained
-counterexample JSON artifacts under ``<run_dir>/counterexamples/``.
+:mod:`repro.verification.shrink`, replaying in the trial's own
+:class:`~repro.runner.TrialSpec`, and written as self-contained
+schedule artifacts under ``<run_dir>/counterexamples/``.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ from repro.runner import STEP_ENGINE, WINDOW_ENGINE, TrialSpec, derive_seed
 from repro.runner.health import RunHealth
 from repro.simulation.trace import ExecutionResult
 from repro.verification.invariants import InvariantChecker
-from repro.verification.shrink import (COUNTEREXAMPLE_DIR, ReplaySetup,
-                                       shrink_and_save)
+from repro.verification.shrink import (COUNTEREXAMPLE_DIR,
+                                       save_schedule_artifact,
+                                       shrink_schedule)
 
 FUZZ_EXPERIMENT = "fuzz"
 """Results-store experiment name fuzz campaigns are filed under."""
@@ -213,8 +215,10 @@ def minimize_finding(params: Dict[str, Any], index: int,
 
     Works from the trial index alone (specs are derivable), so resumed
     campaigns can minimize findings whose executions happened in an
-    earlier process.  Only window-engine trials carry a replayable window
-    schedule; step-engine findings are reported unminimized.
+    earlier process.  The shrink replays run in the trial's own spec
+    context, and the artifact at ``artifact_path`` (if given) records it.
+    Only window-engine trials carry a replayable window schedule;
+    step-engine findings are reported unminimized.
 
     Returns:
         ``(minimized_window_count, violations)``.
@@ -226,11 +230,11 @@ def minimize_finding(params: Dict[str, Any], index: int,
     spec = fuzz_trial_spec(params, index)
     result = execute_trial(spec)
     assert result.trace is not None
-    setup = ReplaySetup(protocol=spec.protocol, n=spec.n, t=spec.t,
-                        inputs=spec.inputs, seed=spec.seed,
-                        protocol_kwargs=dict(spec.protocol_kwargs))
-    shrunk = shrink_and_save(setup, result.trace.windows, artifact_path,
+    shrunk = shrink_schedule(spec, result.trace.windows,
                              checker=_trial_checker(spec))
+    if artifact_path is not None:
+        save_schedule_artifact(artifact_path, spec, shrunk.schedule,
+                               shrunk.violations)
     return len(shrunk.schedule), shrunk.violations
 
 

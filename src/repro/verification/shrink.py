@@ -17,24 +17,26 @@ are written down).  :func:`shrink_schedule` then minimizes it greedily:
    (the benign window), keeping each simplification that still violates.
 
 The result is a short, mostly-benign schedule in which every remaining
-fault is load-bearing.  :func:`save_counterexample` /
-:func:`load_counterexample` persist schedules as JSON so campaigns can
-check them in as first-class artifacts; :func:`shrink_and_save` is the
-one shrink-then-persist step fuzz and search campaigns share, filing
-artifacts under :data:`COUNTEREXAMPLE_DIR` of their run directory.
+fault is load-bearing.
+
+A replay is an ordinary trial: :func:`replay_spec` turns any window
+:class:`~repro.runner.spec.TrialSpec` into the ``replay-schedule`` trial
+of a given schedule in the same context (protocol, size, inputs, engine
+seed), and :func:`replay_schedule` executes it.
+:func:`save_schedule_artifact` / :func:`load_schedule_artifact` are the
+one writer and the one reader of the schedule artifact format shared by
+fuzz counterexamples (filed under :data:`COUNTEREXAMPLE_DIR` of a run
+directory) and search ``best-schedule.json`` files.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.adversaries.replay import PAD_ERROR, ReplayScheduleAdversary
-from repro.protocols.base import ProtocolFactory
-from repro.protocols.registry import get_protocol
-from repro.simulation.engine import Engine
+from repro.runner.spec import WINDOW_ENGINE, TrialSpec, execute_trial
 from repro.simulation.trace import ExecutionResult
 from repro.simulation.windows import WindowSpec
 from repro.verification.invariants import InvariantChecker, VerificationReport
@@ -43,39 +45,25 @@ COUNTEREXAMPLE_DIR = "counterexamples"
 """Subdirectory of a fuzz or search run holding shrunk violating schedules."""
 
 
-@dataclass(frozen=True)
-class ReplaySetup:
-    """Everything besides the schedule needed to re-run an execution.
+def replay_spec(spec: TrialSpec, schedule: Sequence[WindowSpec]) -> TrialSpec:
+    """The trial replaying ``schedule`` in ``spec``'s execution context.
 
-    Attributes:
-        protocol: protocol registry name.
-        n: number of processors.
-        t: fault bound.
-        inputs: the input bits.
-        seed: the engine's processor-randomness seed.
-        protocol_kwargs: extra protocol constructor arguments.
+    The replay runs on the window engine, exactly ``len(schedule)``
+    windows (so the replayer never pads), until every processor decided,
+    and records its trace for the invariant checker.
     """
+    return replace(spec, adversary="replay-schedule",
+                   adversary_kwargs={"schedule":
+                                     schedule_to_jsonable(schedule)},
+                   engine=WINDOW_ENGINE, max_windows=len(schedule),
+                   stop_when="all", record_trace=True,
+                   record_configurations=False)
 
-    protocol: str
-    n: int
-    t: int
-    inputs: Tuple[int, ...]
-    seed: Optional[int] = None
-    protocol_kwargs: Dict[str, Any] = field(default_factory=dict)
 
-
-def replay_schedule(setup: ReplaySetup,
+def replay_schedule(spec: TrialSpec,
                     schedule: Sequence[WindowSpec]) -> ExecutionResult:
     """Re-execute a schedule from scratch, recording a fresh trace."""
-    info = get_protocol(setup.protocol)
-    factory = ProtocolFactory(info.protocol_cls, n=setup.n, t=setup.t,
-                              **setup.protocol_kwargs)
-    engine = Engine(factory, list(setup.inputs), seed=setup.seed,
-                    record_trace=True)
-    # The replay is capped at the schedule length, so the strict
-    # no-padding adversary never runs out of windows.
-    return engine.run(ReplayScheduleAdversary(schedule, pad=PAD_ERROR),
-                      max_windows=len(schedule), stop_when="all")
+    return execute_trial(replay_spec(spec, schedule))
 
 
 @dataclass
@@ -95,13 +83,14 @@ class ShrinkResult:
     replays: int
 
 
-def shrink_schedule(setup: ReplaySetup, schedule: Sequence[WindowSpec],
+def shrink_schedule(spec: TrialSpec, schedule: Sequence[WindowSpec],
                     checker: Optional[InvariantChecker] = None,
                     max_replays: int = 2000) -> ShrinkResult:
     """Greedily minimize a schedule that violates an invariant.
 
     Args:
-        setup: the execution context the schedule runs in.
+        spec: the execution context the schedule runs in (any window
+            trial spec; see :func:`replay_spec`).
         schedule: a violating schedule (as recorded in a fuzz trace).
         checker: the invariant checker defining "violating"; defaults to
             a fresh :class:`InvariantChecker` with no corrupted set.
@@ -118,7 +107,7 @@ def shrink_schedule(setup: ReplaySetup, schedule: Sequence[WindowSpec],
     def report_for(candidate: Sequence[WindowSpec]) -> VerificationReport:
         nonlocal replays
         replays += 1
-        return checker.check(replay_schedule(setup, candidate).trace)
+        return checker.check(replay_schedule(spec, candidate).trace)
 
     def violating(candidate: Sequence[WindowSpec]) -> bool:
         return bool(candidate) and not report_for(candidate).ok
@@ -151,8 +140,8 @@ def shrink_schedule(setup: ReplaySetup, schedule: Sequence[WindowSpec],
             index -= 1
 
     # Step 3: simplify the surviving windows one at a time.
-    everyone = frozenset(range(setup.n))
-    full = tuple(everyone for _ in range(setup.n))
+    everyone = frozenset(range(spec.n))
+    full = tuple(everyone for _ in range(spec.n))
     for index in range(len(current)):
         if replays >= max_replays:
             break
@@ -176,21 +165,6 @@ def shrink_schedule(setup: ReplaySetup, schedule: Sequence[WindowSpec],
         replays=replays)
 
 
-def shrink_and_save(setup: ReplaySetup, schedule: Sequence[WindowSpec],
-                    path: Optional[str] = None,
-                    checker: Optional[InvariantChecker] = None
-                    ) -> ShrinkResult:
-    """Shrink a violating schedule and, given ``path``, save the artifact.
-
-    The minimized schedule and its violations go to ``path`` through
-    :func:`save_counterexample`; without a path only the result returns.
-    """
-    shrunk = shrink_schedule(setup, schedule, checker=checker)
-    if path is not None:
-        save_counterexample(path, setup, shrunk.schedule, shrunk.violations)
-    return shrunk
-
-
 # ----------------------------------------------------------------------
 # Persistence: schedules as JSON artifacts.
 # ----------------------------------------------------------------------
@@ -204,65 +178,63 @@ def schedule_from_jsonable(data: Sequence[Dict]) -> List[WindowSpec]:
     return [WindowSpec.from_jsonable(entry) for entry in data]
 
 
-def save_counterexample(path: str, setup: ReplaySetup,
-                        schedule: Sequence[WindowSpec],
-                        violations: Sequence[str]) -> None:
-    """Write a self-contained counterexample artifact.
+def save_schedule_artifact(path: str, spec: TrialSpec,
+                           schedule: Sequence[WindowSpec],
+                           violations: Sequence[str],
+                           **provenance: Any) -> None:
+    """Write a self-contained schedule artifact.
 
-    The artifact carries the full replay context, so
-    :func:`load_counterexample` followed by :func:`replay_schedule`
-    reproduces the violation on a fresh checkout.
+    The artifact carries ``spec``'s execution context, so
+    :func:`load_schedule_artifact` followed by
+    :func:`~repro.runner.spec.execute_trial` re-runs the schedule on a
+    fresh checkout.  ``provenance`` keys (a search's objective, strategy,
+    score and generation) are stored alongside; every value must be
+    strict JSON.
     """
     artifact = {
-        "protocol": setup.protocol,
-        "n": setup.n,
-        "t": setup.t,
-        "inputs": list(setup.inputs),
-        "seed": setup.seed,
-        "protocol_kwargs": dict(setup.protocol_kwargs),
+        "protocol": spec.protocol,
+        "n": spec.n,
+        "t": spec.t,
+        "inputs": list(spec.inputs),
+        "seed": spec.seed,
+        "protocol_kwargs": dict(spec.protocol_kwargs),
         "violations": list(violations),
         "schedule": schedule_to_jsonable(schedule),
+        **provenance,
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True)
+        json.dump(artifact, handle, indent=2, sort_keys=True,
+                  allow_nan=False)
         handle.write("\n")
 
 
-def parse_schedule_artifact(artifact: Dict[str, Any]
-                            ) -> Tuple[ReplaySetup, List[WindowSpec]]:
-    """Decode the core of any schedule artifact: (setup, schedule).
+def load_schedule_artifact(path: str) -> Tuple[TrialSpec, List[WindowSpec],
+                                               Dict[str, Any]]:
+    """Load a schedule artifact: (replay spec, schedule, artifact dict).
 
-    This is the one place the shared artifact format (fuzz
-    counterexamples, search best-schedule files) is parsed; extra keys
-    are the caller's business.
+    Fuzz counterexamples and search best-schedule files share the format;
+    their extra keys (``violations``, provenance) come back in the dict.
     """
-    setup = ReplaySetup(
-        protocol=artifact["protocol"], n=artifact["n"], t=artifact["t"],
-        inputs=tuple(artifact["inputs"]), seed=artifact["seed"],
-        protocol_kwargs=dict(artifact.get("protocol_kwargs", {})))
-    return setup, schedule_from_jsonable(artifact["schedule"])
-
-
-def load_counterexample(path: str) -> Tuple[ReplaySetup, List[WindowSpec],
-                                            List[str]]:
-    """Load a counterexample artifact: (setup, schedule, violations)."""
     with open(path) as handle:
         artifact = json.load(handle)
-    setup, schedule = parse_schedule_artifact(artifact)
-    return setup, schedule, list(artifact.get("violations", ()))
+    schedule = schedule_from_jsonable(artifact["schedule"])
+    context = TrialSpec(
+        protocol=artifact["protocol"], adversary="replay-schedule",
+        n=artifact["n"], t=artifact["t"], inputs=artifact["inputs"],
+        seed=artifact["seed"],
+        protocol_kwargs=dict(artifact.get("protocol_kwargs", {})))
+    return replay_spec(context, schedule), schedule, artifact
 
 
 __all__ = [
     "COUNTEREXAMPLE_DIR",
-    "ReplaySetup",
+    "replay_spec",
     "replay_schedule",
     "ShrinkResult",
     "shrink_schedule",
-    "shrink_and_save",
     "schedule_to_jsonable",
     "schedule_from_jsonable",
-    "save_counterexample",
-    "parse_schedule_artifact",
-    "load_counterexample",
+    "save_schedule_artifact",
+    "load_schedule_artifact",
 ]

@@ -69,11 +69,10 @@ def _random_schedule(rng, n, t, length, with_resets=True,
     return schedule
 
 
-def _replay_kwargs(n, t, with_resets, with_crashes, pad):
+def _replay_kwargs(n, t, with_resets, with_crashes):
     def build(rng):
         return {"schedule": _random_schedule(
-            rng, n, t, rng.randint(1, 12), with_resets, with_crashes),
-            "pad": pad}
+            rng, n, t, rng.randint(1, 12), with_resets, with_crashes)}
     return build
 
 
@@ -122,14 +121,10 @@ DECLINED_SHAPES = {
         adversary_kwargs_fn=_seeded)),
     "rt-replay-benign-pad": (_REPLAY, lambda: _specs(
         "reset-tolerant", "replay-schedule", 8, 1, 12, 11,
-        adversary_kwargs_fn=_replay_kwargs(8, 1, True, True, "benign"))),
-    "rt-replay-repeat-pad": (_REPLAY, lambda: _specs(
-        "reset-tolerant", "replay-schedule", 8, 1, 12, 12,
-        stop_when="first",
-        adversary_kwargs_fn=_replay_kwargs(8, 1, True, False, "repeat"))),
+        adversary_kwargs_fn=_replay_kwargs(8, 1, True, True))),
     "benor-replay-benign-pad": (_BEN_OR, lambda: _specs(
         "ben-or", "replay-schedule", 8, 1, 12, 13,
-        adversary_kwargs_fn=_replay_kwargs(8, 1, False, True, "benign"))),
+        adversary_kwargs_fn=_replay_kwargs(8, 1, False, True))),
 }
 
 
@@ -215,11 +210,9 @@ def test_ben_or_and_replay_specs_fall_back_per_trial():
         + _specs("ben-or", "split-vote", 8, 1, 3, 31, stop_when="first",
                  adversary_kwargs_fn=_seeded)
         + _specs("reset-tolerant", "replay-schedule", 8, 1, 3, 32,
-                 adversary_kwargs_fn=_replay_kwargs(8, 1, True, True,
-                                                    "benign"))
+                 adversary_kwargs_fn=_replay_kwargs(8, 1, True, True))
         + _specs("ben-or", "replay-schedule", 8, 1, 3, 33,
-                 adversary_kwargs_fn=_replay_kwargs(8, 1, True, True,
-                                                    "repeat"))
+                 adversary_kwargs_fn=_replay_kwargs(8, 1, True, True))
         + _specs("reset-tolerant", "split-vote", 8, 1, 4, 34,
                  adversary_kwargs_fn=_seeded))
     plan = group_specs(mixed)

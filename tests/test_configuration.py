@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.simulation.configuration import (Configuration, decided_one,
-                                            decided_zero, hamming_ball,
-                                            hamming_distance,
-                                            point_to_set_distance,
-                                            set_distance)
+from repro.simulation.configuration import Configuration, set_distance
 from repro.simulation.errors import ConfigurationMismatchError
 
 
@@ -50,10 +46,11 @@ class TestDecisionStructure:
         assert not make_config([0, 0], [0, None]).all_decided()
 
     def test_base_set_predicates(self):
+        # Membership in Z_0^0 / Z_1^0 (Definition 10) is has_decision(v).
         zero = make_config([0, 1], [0, None])
         one = make_config([0, 1], [None, 1])
-        assert decided_zero(zero) and not decided_one(zero)
-        assert decided_one(one) and not decided_zero(one)
+        assert zero.has_decision(0) and not zero.has_decision(1)
+        assert one.has_decision(1) and not one.has_decision(0)
 
 
 class TestHammingGeometry:
@@ -61,7 +58,6 @@ class TestHammingGeometry:
         a = make_config([0, 0, 0], [None, None, None])
         b = make_config([0, 1, 1], [None, None, None])
         assert a.hamming_distance(b) == 2
-        assert hamming_distance(a, b) == 2
 
     def test_distance_is_symmetric_and_zero_on_equal(self):
         a = make_config([0, 1], [None, 1])
@@ -92,18 +88,13 @@ class TestHammingGeometry:
         assert set_distance([a], []) is None
 
     def test_point_to_set_distance(self):
+        # Definition 6's point-to-set distance is the set distance of
+        # the singleton {point}.
         point = make_config([0, 0], [None, None])
         others = [make_config([1, 1], [None, None]),
                   make_config([0, 1], [None, None])]
-        assert point_to_set_distance(point, others) == 1
-        assert point_to_set_distance(point, []) is None
-
-    def test_hamming_ball(self):
-        point = make_config([0, 0, 0], [None, None, None])
-        others = [make_config([0, 0, 1], [None, None, None]),
-                  make_config([1, 1, 1], [None, None, None])]
-        ball = hamming_ball(point, others, radius=1)
-        assert len(ball) == 1
+        assert set_distance([point], others) == 1
+        assert set_distance([point], []) is None
 
     def test_len(self):
         assert len(make_config([0, 1, 0], [None, None, None])) == 3

@@ -7,7 +7,8 @@ import pytest
 
 from repro.cli import main
 from repro.results import RunStore
-from repro.verification import (load_counterexample, replay_schedule,
+from repro.runner import execute_trial
+from repro.verification import (load_schedule_artifact, replay_schedule,
                                 resolve_fuzz_params, run_fuzz_campaign)
 from repro.verification.fuzzer import (FUZZ_EXPERIMENT, ROW_SCHEMA,
                                        fuzz_trial_spec)
@@ -92,11 +93,16 @@ class TestCampaignStore:
         assert 1 <= finding["minimized_windows"] <= 10
         artifact = os.path.join(store.path, finding["counterexample"])
         assert os.path.isfile(artifact)
-        setup, schedule, violations = load_counterexample(artifact)
+        spec, schedule, saved = load_schedule_artifact(artifact)
         assert len(schedule) == finding["minimized_windows"]
-        assert violations
-        assert not InvariantChecker().check(
-            replay_schedule(setup, schedule).trace).ok
+        assert saved["violations"]
+        assert not InvariantChecker().check(execute_trial(spec).trace).ok
+        # The artifact records the fuzz trial's own context.
+        trial = fuzz_trial_spec(params, finding["trial"])
+        assert (spec.protocol, spec.n, spec.t, spec.inputs, spec.seed) == \
+            (trial.protocol, trial.n, trial.t, trial.inputs, trial.seed)
+        assert replay_schedule(trial, schedule).outputs == \
+            execute_trial(spec).outputs
 
     def test_resumed_campaign_minimizes_cached_findings(self, tmp_path,
                                                         buggy_protocol):

@@ -289,6 +289,32 @@ class TestRunQuery:
         assert len(result.rows) == 1
         assert result.rows[0][0] == 50
 
+    def test_experiment_view_holds_every_row_of_its_runs(self, tmp_path):
+        # E8 stores one E8 row and three E8-talagrand rows whose own
+        # ``experiment`` field overwrites the joined column: the view
+        # must still select them through the run's manifest.
+        root = _store_with_runs(tmp_path, seeds=(1,))
+        assert run_query(root, "SELECT COUNT(*) FROM E8").rows == \
+            run_query(root, "SELECT row_count FROM runs").rows == [(4,)]
+        result = run_query(root, "SELECT experiment, COUNT(*) FROM E8 "
+                                 "GROUP BY experiment ORDER BY experiment")
+        assert result.rows == [("E8", 1), ("E8-talagrand", 3)]
+
+    def test_views_over_many_interleaved_runs(self, tmp_path):
+        # Runs list newest first across experiments, so one experiment's
+        # rows need not be contiguous: 1200 separate blocks per view, past
+        # SQLite's expression depth limit of 1000 for a flat OR chain.
+        root = tmp_path / "results"
+        for index in range(2400):
+            experiment = "odd" if index % 2 else "even"
+            _write_run(root, experiment, [{"value": index}],
+                       digest=f"{index:012d}")
+            manifest = root / experiment / f"{index:012d}" / "manifest.json"
+            os.utime(manifest, (index, index))
+        result = run_query(str(root), "SELECT COUNT(*), SUM(value % 2) "
+                                      "FROM odd")
+        assert result.rows == [(1200, 1200)]
+
     def test_bad_sql_raises_query_error(self, tmp_path):
         root = _store_with_runs(tmp_path, seeds=(1,))
         with pytest.raises(QueryError, match="read-only SQLite SELECT"):

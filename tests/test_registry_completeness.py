@@ -22,8 +22,8 @@ from repro.staticcheck import project_scenarios
 from repro.verification import InvariantChecker
 
 # A replayable 2-window schedule for the replay-schedule scenario, in the
-# picklable JSON encoding trial specs must carry (the adversary pads with
-# benign full-delivery windows afterwards, so the execution decides).
+# picklable JSON encoding trial specs must carry (past its end the
+# replayer plays full-delivery windows, so the execution decides).
 _REPLAY_SCHEDULE = [
     WindowSpec.uniform(13, frozenset(range(2, 13)),
                        resets=frozenset({0})).to_jsonable(),

@@ -9,10 +9,11 @@ from repro.results import RunStore
 from repro.runner import (TrialSpec, derive_seed, execute_trial,
                           iter_trials, undecided_windows)
 from repro.search import (SEARCH_EXPERIMENT, build_objective,
-                          campaign_setup, load_schedule_artifact,
-                          resolve_search_params, run_search_campaign)
+                          campaign_setup, resolve_search_params,
+                          run_search_campaign)
 from repro.search.campaign import ROW_SCHEMA
-from repro.verification import InvariantChecker, replay_schedule
+from repro.verification import (InvariantChecker, load_schedule_artifact,
+                                replay_schedule)
 
 
 def _quick_params(**overrides):
@@ -71,12 +72,15 @@ class TestCampaignStore:
         store = RunStore.open(str(tmp_path), SEARCH_EXPERIMENT, params)
         report = run_search_campaign(params, workers=0, store=store)
         assert report.best_artifact is not None
-        setup, schedule, artifact = \
+        spec, schedule, artifact = \
             load_schedule_artifact(report.best_artifact)
         assert artifact["objective"] == "undecided-rounds"
         assert artifact["score"] == report.best_score
         assert len(schedule) == params["windows"]
-        result = replay_schedule(setup, schedule)
+        assert spec.max_windows == params["windows"]
+        result = execute_trial(spec)
+        assert result.outputs == replay_schedule(
+            campaign_setup(params), schedule).outputs
         assert undecided_windows(result) == report.best_score
         assert InvariantChecker().check_result(result).ok
 
@@ -111,9 +115,8 @@ class TestCampaignStore:
         finding = report.findings[0]
         artifact = os.path.join(store.path, finding["counterexample"])
         assert os.path.isfile(artifact)
-        setup, schedule, _ = load_schedule_artifact(artifact)
-        assert not InvariantChecker().check_result(
-            replay_schedule(setup, schedule)).ok
+        spec, _, _ = load_schedule_artifact(artifact)
+        assert not InvariantChecker().check_result(execute_trial(spec)).ok
         # Infinite scores must not leak into the persisted files as the
         # non-RFC `Infinity` literal: everything stays strict JSON.
         import json

@@ -1,15 +1,25 @@
 """CLI tests for `repro search`, `repro replay` and the list flags."""
 
+import hashlib
 import json
 import os
 
 
 from repro.cli import main
 from repro.results import RunStore
+from repro.runner import TrialSpec
 from repro.search import SEARCH_EXPERIMENT, resolve_search_params
-from repro.verification import save_counterexample
-from repro.verification.shrink import ReplaySetup
+from repro.verification import load_schedule_artifact, save_schedule_artifact
 from repro.simulation.windows import WindowSpec
+
+# A counterexample written by `repro fuzz --protocol eager-bug --trials 6
+# --seed 2 --minimize --workers 0` (trial 0): one window with a reset.
+GOLDEN_COUNTEREXAMPLE = os.path.join(os.path.dirname(__file__), "golden",
+                                     "eager-bug-counterexample.json")
+
+# sha256 of the best-schedule.json that _search_args writes.
+BEST_SCHEDULE_SHA256 = (
+    "de93aaa9af341896598cdb938ad2fa236070cbdb48c7d89754664be2ed666d10")
 
 
 def _search_args(out, extra=()):
@@ -70,6 +80,17 @@ class TestSearchCli:
         printed = capsys.readouterr().out
         assert "invariant verdict: OK" in printed
 
+    def test_best_schedule_bytes_are_pinned(self, tmp_path, capsys):
+        out = str(tmp_path / "results")
+        assert main(_search_args(out)) == 0
+        params = resolve_search_params(generations=3, population=4,
+                                       windows=40, seed=3)
+        store = RunStore.open(out, SEARCH_EXPERIMENT, params)
+        with open(os.path.join(store.path, "best-schedule.json"),
+                  "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        assert digest == BEST_SCHEDULE_SHA256
+
     def test_no_store_mode_persists_nothing(self, tmp_path, capsys,
                                             monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -117,16 +138,39 @@ class TestReplayCli:
         # A hand-made counterexample: the eager-bug protocol violates
         # agreement under one benign full-delivery window.
         n = 9
-        setup = ReplaySetup(protocol=buggy_protocol, n=n, t=1,
-                            inputs=tuple(pid % 2 for pid in range(n)),
-                            seed=1)
+        spec = TrialSpec(protocol=buggy_protocol, adversary="benign", n=n,
+                         t=1, inputs=tuple(pid % 2 for pid in range(n)),
+                         seed=1)
         path = str(tmp_path / "cex.json")
-        save_counterexample(path, setup, [WindowSpec.full_delivery(n)],
-                            ["agreement: conflicting decisions"])
+        save_schedule_artifact(path, spec, [WindowSpec.full_delivery(n)],
+                               ["agreement: conflicting decisions"])
         assert main(["replay", path]) == 1
         printed = capsys.readouterr().out
         assert "invariant verdict: VIOLATED" in printed
         assert "agreement" in printed
+
+    def test_golden_counterexample_still_replays(self, capsys,
+                                                 buggy_protocol):
+        with open(GOLDEN_COUNTEREXAMPLE) as handle:
+            artifact = json.load(handle)
+        assert main(["replay", GOLDEN_COUNTEREXAMPLE]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [
+            "== replay: 1 windows of eager-bug (n=9, t=1, "
+            "seed 2359018731) ==",
+            "decided: True  windows: 1  resets: 1  outputs: 111101010",
+            "invariant verdict: VIOLATED — "
+            + "; ".join(artifact["violations"])]
+
+    def test_golden_counterexample_is_rewritten_byte_for_byte(
+            self, tmp_path):
+        spec, schedule, artifact = load_schedule_artifact(
+            GOLDEN_COUNTEREXAMPLE)
+        path = str(tmp_path / "trial-0.json")
+        save_schedule_artifact(path, spec, schedule, artifact["violations"])
+        with open(path, "rb") as rewritten, \
+                open(GOLDEN_COUNTEREXAMPLE, "rb") as golden:
+            assert rewritten.read() == golden.read()
 
     def test_missing_and_malformed_artifacts_exit_two(self, tmp_path,
                                                       capsys):

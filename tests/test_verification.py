@@ -11,9 +11,9 @@ from repro.simulation.engine import Engine
 from repro.simulation.events import Step
 from repro.simulation.trace import ExecutionTrace, TraceEvent
 from repro.simulation.windows import WindowSpec
-from repro.verification import (InvariantChecker, ReplaySetup,
-                                load_counterexample, replay_schedule,
-                                save_counterexample,
+from repro.verification import (InvariantChecker, load_schedule_artifact,
+                                replay_schedule, replay_spec,
+                                save_schedule_artifact,
                                 schedule_from_jsonable,
                                 schedule_to_jsonable, shrink_schedule)
 from repro.verification.invariants import INVARIANTS
@@ -201,23 +201,20 @@ class TestReplayAndShrink:
                          inputs=tuple(pid % 2 for pid in range(n)),
                          seed=seed, adversary_kwargs={"seed": 5},
                          max_windows=30, record_trace=True)
-        result = execute_trial(spec)
-        setup = ReplaySetup(protocol=buggy_protocol, n=n, t=t,
-                            inputs=spec.inputs, seed=seed)
-        return setup, result
+        return spec, execute_trial(spec)
 
     def test_replay_reproduces_a_traced_execution(self, buggy_protocol):
-        setup, result = self._violating_run(buggy_protocol)
-        replayed = replay_schedule(setup, result.trace.windows)
+        spec, result = self._violating_run(buggy_protocol)
+        replayed = replay_schedule(spec, result.trace.windows)
         assert replayed.outputs == result.outputs
         assert replayed.total_resets == result.total_resets
         assert replayed.messages_sent == result.messages_sent
 
     def test_injected_bug_is_caught_and_shrinks_small(self, buggy_protocol):
-        setup, result = self._violating_run(buggy_protocol)
+        spec, result = self._violating_run(buggy_protocol)
         checker = InvariantChecker()
         assert not checker.check(result.trace).ok
-        shrunk = shrink_schedule(setup, result.trace.windows,
+        shrunk = shrink_schedule(spec, result.trace.windows,
                                  checker=checker)
         # The acceptance bar: a short reproducer of at most 10 events.
         assert 1 <= len(shrunk.schedule) <= 10
@@ -225,14 +222,31 @@ class TestReplayAndShrink:
         assert shrunk.original_windows >= len(shrunk.schedule)
         # The minimized schedule still violates when replayed afresh.
         assert not checker.check(
-            replay_schedule(setup, shrunk.schedule).trace).ok
+            replay_schedule(spec, shrunk.schedule).trace).ok
 
     def test_shrink_rejects_clean_schedules(self):
-        setup = ReplaySetup(protocol="reset-tolerant", n=13, t=2,
-                            inputs=(1,) * 13, seed=0)
+        spec = TrialSpec(protocol="reset-tolerant", adversary="benign",
+                         n=13, t=2, inputs=(1,) * 13, seed=0)
         schedule = [WindowSpec.full_delivery(13)] * 3
         with pytest.raises(ValueError, match="nothing to shrink"):
-            shrink_schedule(setup, schedule)
+            shrink_schedule(spec, schedule)
+
+    def test_replay_spec_is_the_capped_replay_trial(self, buggy_protocol):
+        # A replay keeps the trial's context and replaces its schedule
+        # source: exactly len(schedule) windows, traced, never padded.
+        spec, _ = self._violating_run(buggy_protocol)
+        schedule = [WindowSpec.full_delivery(spec.n)] * 4
+        replay = replay_spec(spec, schedule)
+        assert (replay.protocol, replay.n, replay.t, replay.inputs,
+                replay.seed) == (spec.protocol, spec.n, spec.t,
+                                 spec.inputs, spec.seed)
+        assert replay.adversary == "replay-schedule"
+        assert replay.adversary_kwargs == {
+            "schedule": schedule_to_jsonable(schedule)}
+        assert (replay.engine, replay.max_windows, replay.stop_when,
+                replay.record_trace, replay.record_configurations) == \
+            ("window", 4, "all", True, False)
+        assert execute_trial(replay).windows_elapsed <= 4
 
     def test_schedule_json_round_trip(self):
         spec = WindowSpec(
@@ -246,17 +260,16 @@ class TestReplayAndShrink:
 
     def test_counterexample_artifact_round_trip(self, tmp_path,
                                                 buggy_protocol):
-        setup, result = self._violating_run(buggy_protocol)
-        shrunk = shrink_schedule(setup, result.trace.windows)
+        spec, result = self._violating_run(buggy_protocol)
+        shrunk = shrink_schedule(spec, result.trace.windows)
         path = str(tmp_path / "counterexamples" / "trial-0.json")
-        save_counterexample(path, setup, shrunk.schedule,
-                            shrunk.violations)
-        loaded_setup, loaded_schedule, loaded_violations = \
-            load_counterexample(path)
-        assert loaded_setup == setup
+        save_schedule_artifact(path, spec, shrunk.schedule,
+                               shrunk.violations)
+        loaded_spec, loaded_schedule, artifact = \
+            load_schedule_artifact(path)
+        assert loaded_spec == replay_spec(spec, shrunk.schedule)
         assert loaded_schedule == shrunk.schedule
-        assert loaded_violations == shrunk.violations
+        assert artifact["violations"] == shrunk.violations
         # The artifact alone reproduces the violation.
-        report = InvariantChecker().check(
-            replay_schedule(loaded_setup, loaded_schedule).trace)
+        report = InvariantChecker().check(execute_trial(loaded_spec).trace)
         assert not report.ok
