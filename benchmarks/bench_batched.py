@@ -2,7 +2,9 @@
 
 Runs an E2-shaped workload — reset-tolerant agreement against the seeded
 split-vote adversary at n=13, stop-at-first-decision — through both
-backends and records, besides the wall times, each backend's
+backends, and the same workload against the adaptive-resetting adversary
+(the batched engine's general reset path) on the batched backend.  Each
+benchmark records, besides the wall times, each backend's
 ``trials_per_sec`` as ``extra_info``.  The performance trajectory
 (`scripts/bench_record.py`, ``BENCH_<n>.json``) gates on those rates, so
 a change that silently de-vectorizes the hot path (or slows the
@@ -28,8 +30,9 @@ TRIALS = 512
 N = 13
 
 
-def _e2_shaped_specs(count: int = TRIALS, n: int = N) -> list:
-    """Seed-deterministic split-vote specs shaped like the E2 grid."""
+def _e2_shaped_specs(count: int = TRIALS, n: int = N,
+                     adversary: str = "split-vote") -> list:
+    """Seed-deterministic specs shaped like the E2 grid."""
     t = max_tolerable_t(n)
     rng = random.Random(42)
     specs = []
@@ -37,7 +40,7 @@ def _e2_shaped_specs(count: int = TRIALS, n: int = N) -> list:
         inputs = tuple(i % 2 for i in range(n)) if index % 2 else \
             tuple(1 for _ in range(n))
         specs.append(TrialSpec(
-            protocol="reset-tolerant", adversary="split-vote",
+            protocol="reset-tolerant", adversary=adversary,
             n=n, t=t, inputs=inputs, seed=rng.getrandbits(32),
             adversary_kwargs={"seed": rng.getrandbits(32)},
             stop_when="first", max_windows=60_000))
@@ -66,6 +69,28 @@ def test_bench_batched_backend(benchmark):
     benchmark.extra_info["trial_baseline_seconds"] = trial_elapsed
     benchmark.extra_info["speedup_vs_trial"] = trial_elapsed / mean
     assert results == oracle  # the bit-identity contract
+
+
+@pytest.mark.benchmark(group="batched-backend")
+def test_bench_batched_reset_path(benchmark):
+    """The general window path: E2's default adaptive-resetting adversary.
+
+    Resets leave processors resyncing at mixed rounds, so nearly every
+    window misses the synchronized fast path that split-vote mostly takes.
+    """
+    if not numpy_ok():
+        pytest.skip("batched backend needs numpy >= 2.0")
+    specs = _e2_shaped_specs(adversary="adaptive-resetting")
+
+    results = benchmark.pedantic(
+        run_trials,
+        kwargs={"specs": specs, "workers": 0, "backend": "batched"},
+        iterations=1, rounds=3)
+
+    benchmark.extra_info["trials"] = len(specs)
+    benchmark.extra_info["trials_per_sec"] = \
+        len(specs) / benchmark.stats.stats.mean
+    assert results == run_trials(specs, workers=0)  # bit identity
 
 
 @pytest.mark.benchmark(group="batched-backend")

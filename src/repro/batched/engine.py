@@ -21,7 +21,8 @@ Bit identity dictates the design:
   trial, one 64-bit spawn per processor in pid order).  Each stream feeds
   nothing but its processor's coin flips, drawn on demand with one
   ``getrandbits(1)`` call per flip — exactly how the per-trial protocols
-  advance the same streams.  Split-vote adversaries likewise hold
+  advance the same streams.  A replica is built from its seed on its
+  processor's first flip; most processors never flip one.  Split-vote adversaries likewise hold
   per-trial ``seeded_rng`` replicas and call ``Random.sample`` on the same
   pid-ordered lists the oracle samples from.
 * **Channels** are fixed-depth LIFO rings per directed processor pair.
@@ -35,6 +36,12 @@ Bit identity dictates the design:
   counts (``np.bitwise_count``) are all O(1) array ops.  Round slots
   form a ring of ``RING_SLOTS`` future rounds; a message further ahead
   than the ring covers also quarantines its trial.
+* **Delivery order** is the oracle's per-receiver order: the senders not
+  marked ``deliver_last`` ascending, then the marked ones ascending.
+  Receivers are independent within a window (every send precedes every
+  delivery), so the general window pops all its channels at once and
+  then inserts the votes in ``n`` delivery-position steps: at step ``k``
+  every (trial, receiver) pair takes its trial's ``k``-th sender.
 
 **Quarantine** is the batch's escape hatch: a trial whose execution
 leaves the vectorizable envelope (deep channel backlog, far-future
@@ -55,7 +62,8 @@ from __future__ import annotations
 import random
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -162,12 +170,14 @@ class BatchedWindowEngine:
         # Per-(trial, processor) RNG replicas, derived exactly as
         # ProtocolFactory.build derives them.  Each stream feeds nothing
         # but that processor's coin flips, so drawing on demand keeps it
-        # bit-identical to the per-trial protocol object's stream.
-        self.rngs: List[List[random.Random]] = []
+        # bit-identical to the per-trial protocol object's stream.  The
+        # 64-bit seeds are drawn here, in pid order; an entry stays that
+        # int until its processor's first flip builds the Random (most
+        # processors never flip a coin).
+        self.rngs: List[List[Union[int, random.Random]]] = []
         for spec in self.specs:
             master = seeded_rng(spec.seed)
-            self.rngs.append([random.Random(master.getrandbits(64))
-                              for _ in range(n)])
+            self.rngs.append([master.getrandbits(64) for _ in range(n)])
 
         self.results: List[Optional[ExecutionResult]] = [None] * trials
         self.quarantined: List[int] = []
@@ -324,20 +334,24 @@ class BatchedWindowEngine:
                        (self.max_chain + 1).astype(np.int32))
 
         # Phase 2: receiving steps.  Receivers are mutually independent
-        # within a window (all sends precede all deliveries), so a
-        # sender-major sweep in ascending pid order — non-deliver-last
-        # senders first — delivers in exactly the per-receiver order the
-        # oracle uses (sorted senders, deliver_last stably last).
-        dl_any = deliver_last is not None and bool(deliver_last.any())
-        passes = (False, True) if dl_any else (False,)
-        for last_pass in passes:
-            for sender in range(self.n):
-                base = act_procs & senders[:, sender, None]
-                if dl_any:
-                    gate = deliver_last[:, sender]
-                    base = base & (gate if last_pass else ~gate)[:, None]
-                if base.any():
-                    self._deliver(sender, base)
+        # within a window (all sends precede all deliveries), so one sweep
+        # by delivery position serves them all: at step k every permitted
+        # (trial, receiver) pair takes its trial's k-th sender in the
+        # oracle's per-receiver order.  Each channel pops at most once per
+        # window, so all the pops happen up front.
+        bounds, tt, rr, ss, msg_round, msg_chain, msg_value = \
+            self._deliver(act, senders, self._delivery_order(deliver_last))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if lo == hi:
+                continue
+            t, r, chain = tt[lo:hi], rr[lo:hi], msg_chain[lo:hi]
+            # Step by step: a quorum firing mid-window records the chain
+            # seen so far as its deciding chain.
+            growing = chain > self.max_chain[t, r]
+            if growing.any():
+                self.max_chain[t[growing], r[growing]] = chain[growing]
+            kernel.insert(ss[lo:hi], t, r, msg_round[lo:hi],
+                          msg_value[lo:hi])
 
         # Phase 3: resets, in any order (each touches only its own state).
         if resets is not None:
@@ -362,9 +376,9 @@ class BatchedWindowEngine:
     # fires exactly when its T1-th vote (in delivery order) arrives, the
     # fired tally is precisely the first T1 votes — later ones land with
     # ``offset < 0`` and are skipped — and the advanced slot 0 is empty,
-    # so no cascade follows.  That removes the sequential per-sender
-    # sweep: one vectorized pass over (trial, receiver, sender) replaces
-    # ``2n`` sparse deliver/insert calls, bit-identically.
+    # so no cascade follows.  That removes the general path's ``n``
+    # delivery-position steps: one vectorized pass over (trial, receiver,
+    # sender) replaces them, bit-identically.
     # ------------------------------------------------------------------
     def _fast_ready(self) -> bool:
         """Whether every active trial is in the synchronized state."""
@@ -425,7 +439,7 @@ class BatchedWindowEngine:
         # Delivery order: non-deliver-last senders ascending, then the
         # deliver-last ones ascending (the oracle's per-receiver order).
         if deliver_last is not None:
-            perm = np.argsort(deliver_last, axis=1, kind="stable")
+            perm = self._delivery_order(deliver_last)
             deliv_o = np.take_along_axis(deliv, perm[:, None, :], axis=2)
             val_o = np.take_along_axis(est_sent, perm, axis=1)[:, None, :]
             chain_o = np.take_along_axis(chain_sent, perm,
@@ -520,34 +534,50 @@ class BatchedWindowEngine:
         self.ch_pos[tcol, rrow, scol] = \
             np.maximum(pos >> 32, new_top) << 32 | new_top
 
-    def _deliver(self, sender: int, receivers: np.ndarray) -> None:
-        """Pop the newest channel message from ``sender`` per receiver."""
-        pos = self.ch_pos[:, :, sender]
-        has = receivers & ((pos & 0xFFFFFFFF) > 0)
-        if not has.any():
-            return
-        tt, rr = np.nonzero(has)
-        pos = pos[tt, rr]
+    def _delivery_order(self, deliver_last: Optional[np.ndarray]
+                        ) -> np.ndarray:
+        """Each trial's per-receiver delivery order, as sender pids.
+
+        The oracle delivers the non-deliver-last senders ascending, then
+        the deliver-last ones ascending: a stable argsort of the flags.
+        """
+        if deliver_last is None:
+            return np.broadcast_to(np.arange(self.n), self.pending.shape)
+        return np.argsort(deliver_last, axis=1, kind="stable")
+
+    def _deliver(self, act: np.ndarray, senders: np.ndarray,
+                 order: np.ndarray) -> tuple:
+        """Pop the newest message on every permitted non-empty channel.
+
+        Returns ``(bounds, trial, receiver, sender, round, chain, value)``:
+        flat per-message arrays sorted by delivery position, where
+        ``bounds[k]:bounds[k + 1]`` holds the messages at step ``k``.
+        """
+        trials, n = order.shape
+        rows = np.arange(trials)[:, None]
+        permitted = act[:, None] & senders[rows, order]
+        # (step, trial, receiver): the channel each step pops.
+        pos = self.ch_pos[rows, np.arange(n)[None, None, :],
+                          order.T[:, :, None]]
+        has = permitted.T[:, :, None] & ((pos & 0xFFFFFFFF) > 0)
+        kk, tt, rr = np.nonzero(has)
+        ss = order[tt, kk]
+        pos = pos[kk, tt, rr]
         position = (pos & 0xFFFFFFFF) - 1
         evicted = position < (pos >> 32) - CHANNEL_DEPTH
         if evicted.any():
             # The ring no longer holds this message; the per-trial oracle
             # (with its unbounded deques) must run this trial instead.
             self._quarantine_trials(tt[evicted])
-        slot = position % CHANNEL_DEPTH
-        packed = self.ch_pack[tt, rr, sender, slot]
-        msg_round = (packed >> _ROUND_SHIFT).astype(np.int32)
-        msg_chain = ((packed >> _CHAIN_SHIFT) & _CHAIN_MASK) \
-            .astype(np.int32)
-        msg_value = ((packed & 3) - 1).astype(np.int8)
-        self.ch_pos[tt, rr, sender] = (pos & ~np.int64(0xFFFFFFFF)) | position
-        self.delivered += has.sum(axis=1, dtype=np.int64)
-        self.pending |= has
-        chain_max = self.max_chain[tt, rr]
-        growing = msg_chain > chain_max
-        if growing.any():
-            self.max_chain[tt[growing], rr[growing]] = msg_chain[growing]
-        self.kernel.insert(sender, tt, rr, msg_round, msg_value)
+        packed = self.ch_pack[tt, rr, ss, position % CHANNEL_DEPTH]
+        self.ch_pos[tt, rr, ss] = (pos & ~np.int64(0xFFFFFFFF)) | position
+        self.delivered += np.bincount(tt, minlength=trials)
+        self.pending[tt, rr] = True
+        bounds = [0] + np.cumsum(np.bincount(kk, minlength=n)).tolist()
+        return (bounds, tt, rr, ss,
+                (packed >> _ROUND_SHIFT).astype(np.int32),
+                ((packed >> _CHAIN_SHIFT) & _CHAIN_MASK).astype(np.int32),
+                ((packed & 3) - 1).astype(np.int8))
 
     def _draw_coins(self, tt: np.ndarray, pp: np.ndarray) -> np.ndarray:
         """One coin flip per (trial, processor) pair, drawn on demand.
@@ -557,11 +587,15 @@ class BatchedWindowEngine:
         advances it exactly as the per-trial protocol object would.
         """
         rngs = self.rngs
-        flips = np.array([rngs[trial][pid].getrandbits(1)
-                          for trial, pid in zip(tt.tolist(), pp.tolist())],
-                         dtype=np.int8)
+        flips = []
+        for trial, pid in zip(tt.tolist(), pp.tolist()):
+            row = rngs[trial]
+            rng = row[pid]
+            if type(rng) is int:
+                rng = row[pid] = random.Random(rng)
+            flips.append(rng.getrandbits(1))
         np.add.at(self.coin_total, tt, 1)
-        return flips
+        return np.array(flips, dtype=np.int8)
 
 
 # ----------------------------------------------------------------------
@@ -604,9 +638,11 @@ class _ResetTolerantKernel:
         for name in self._FIELDS:
             setattr(self, name, getattr(self, name)[keep])
 
-    def insert(self, sender: int, tt: np.ndarray, pp: np.ndarray,
+    def insert(self, sender: np.ndarray, tt: np.ndarray, pp: np.ndarray,
                msg_round: np.ndarray, msg_value: np.ndarray) -> None:
-        bit = np.uint64(1) << np.uint64(sender)
+        """Record one vote per element: ``sender[i]``'s message at
+        processor ``pp[i]`` of trial ``tt[i]``."""
+        bit = np.uint64(1) << sender.astype(np.uint64)
         current = self.round[tt, pp]
         resync = self.resync[tt, pp]
         any_resync = bool(resync.any())
@@ -633,7 +669,7 @@ class _ResetTolerantKernel:
         else:
             if not keep.any():
                 return
-            tt, pp = tt[keep], pp[keep]
+            tt, pp, bit = tt[keep], pp[keep], bit[keep]
             offset = offset[keep]
             value = msg_value[keep]
             msg_round = msg_round[keep]

@@ -109,7 +109,7 @@ from repro.analysis.statistics import format_table
 from repro.experiments import available_experiments, get_experiment
 from repro.experiments.base import Experiment
 from repro.results import RunStore, latest_run, load_run
-from repro.runner.spec import execute_trial
+from repro.runner.spec import build_engine, execute_trial
 from repro.search.campaign import (SEARCH_EXPERIMENT, resolve_search_params,
                                    run_search_campaign)
 from repro.verification.fuzzer import (FUZZ_EXPERIMENT, resolve_fuzz_params,
@@ -661,6 +661,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as error:
         return _usage_error("replay", ValueError(
             f"{args.artifact!r} is not a schedule artifact: {error}"))
+    try:
+        # Parses but names an unknown protocol or an impossible system.
+        build_engine(spec)
+    except (KeyError, TypeError, ValueError) as error:
+        message = error.args[0] if error.args else str(error)
+        return _usage_error("replay", ValueError(
+            f"{args.artifact!r} cannot be replayed: {message}"))
     result = execute_trial(spec)
     report = InvariantChecker().check_result(result)
     expected = artifact.get("violations", [])

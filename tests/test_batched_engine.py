@@ -143,14 +143,22 @@ def test_engine_is_bit_identical_to_oracle(shape):
         assert results[index] == execute_trial(spec), f"{shape}[{index}]"
 
 
-def test_quarantined_indices_have_no_result():
-    """A quarantined trial yields None, never a wrong result."""
-    from repro.batched.engine import BatchedWindowEngine
+def test_quarantined_indices_have_no_result(monkeypatch):
+    """A quarantined trial yields None, never a wrong result, and
+    ``run_group`` re-runs it on the oracle."""
+    from repro.batched import engine
 
+    # Two round slots cannot buffer the votes resets leave a round ahead,
+    # so trials leave the envelope mid-batch.
+    monkeypatch.setattr(engine, "RING_SLOTS", 2)
     specs = SHAPES["rt-adaptive"]()
-    results, quarantined = BatchedWindowEngine(specs).run()
+    results, quarantined = engine.BatchedWindowEngine(specs).run()
+    assert quarantined
     for index in quarantined:
         assert results[index] is None
+    grouped, count = engine.run_group(specs)
+    assert count == len(quarantined)
+    assert grouped == [execute_trial(spec) for spec in specs]
 
 
 def test_support_gate_declines_what_the_oracle_rejects():

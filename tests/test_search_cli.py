@@ -187,6 +187,27 @@ class TestReplayCli:
         assert main(["replay", str(not_object)]) == 2
         assert "not a schedule artifact" in capsys.readouterr().err
 
+    def test_artifact_naming_an_unknown_system_exits_two(self, tmp_path,
+                                                         capsys):
+        # Well-formed artifacts whose protocol is not registered, or
+        # whose (n, t, inputs) no engine accepts, are usage errors too.
+        with open(GOLDEN_COUNTEREXAMPLE) as handle:
+            golden = json.load(handle)
+        cases = [({"protocol": "nope"},
+                  ["unknown protocol 'nope'", "known protocols: ",
+                   "reset-tolerant"]),
+                 ({"protocol": "reset-tolerant", "t": 5}, ["need T3 > 0"]),
+                 ({"protocol": "reset-tolerant", "inputs": [0, 1]},
+                  ["expected 9 input bits, got 2"])]
+        for index, (edits, expected) in enumerate(cases):
+            path = tmp_path / f"edited-{index}.json"
+            path.write_text(json.dumps({**golden, **edits}))
+            assert main(["replay", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "cannot be replayed" in err
+            for fragment in expected:
+                assert fragment in err
+
 
 class TestListFlags:
     def test_lists_adversaries_and_strategies(self, capsys):
