@@ -61,9 +61,7 @@ from __future__ import annotations
 
 import random
 import time
-from contextlib import contextmanager
-from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -91,19 +89,29 @@ def _popcount(mask: np.ndarray) -> np.ndarray:
     return np.bitwise_count(mask).astype(np.int64)
 
 
-def run_group(specs: Sequence[TrialSpec],
-              phase_timers: Optional[Dict[str, float]] = None
-              ) -> Tuple[List[ExecutionResult], int]:
-    """One batched chunk, complete: ``(results, quarantined_count)``.
+PHASES = ("deliver", "tally", "decide")
+"""The window phases the engine times (see :class:`BatchedWindowEngine`)."""
+
+
+def run_group(specs: Sequence[TrialSpec]
+              ) -> Tuple[List[ExecutionResult], int, Dict[str, float]]:
+    """One batched chunk, complete: ``(results, quarantined_count,
+    phase_seconds)``.
 
     Trials the engine quarantines mid-batch are re-executed here on the
-    per-trial oracle, so every position holds a result.
+    per-trial oracle, so every position holds a result.  The phase
+    seconds are this batch's engine time per :data:`PHASES` entry.
     """
-    results, quarantined = BatchedWindowEngine(
-        specs, phase_timers=phase_timers).run()
+    engine = BatchedWindowEngine(specs)
+    # The timer dict may be a long-lived one that a profiling hook
+    # injected (perfbench's ``--trace 1``): report this batch's share.
+    before = dict(engine.phase_timers)
+    results, quarantined = engine.run()
+    phases = {name: engine.phase_timers[name] - before[name]
+              for name in PHASES}
     for index in quarantined:
         results[index] = execute_trial(specs[index])
-    return results, len(quarantined)
+    return results, len(quarantined), phases
 
 
 class BatchedWindowEngine:
@@ -114,12 +122,10 @@ class BatchedWindowEngine:
             :func:`~repro.batched.support.batch_signature`; every spec
             must have passed
             :func:`~repro.batched.support.unsupported_reason`.
-        phase_timers: optional dict accumulating seconds per execution
-            phase (``deliver`` / ``tally`` / ``decide``) — the batched
-            half of a ``--profile`` run's phase split (see
-            :meth:`repro.telemetry.profiler.ProfileSession.phase_dict`).
-            ``perf_counter`` intervals only; never read by the engine,
-            so results stay bit-identical with timers on or off.
+        phase_timers: the dict the engine adds its seconds per window
+            phase (:data:`PHASES`) into, exposed as ``self.phase_timers``;
+            ``None`` makes a fresh one.  ``perf_counter`` intervals only,
+            never read by the engine, so results stay bit-identical.
 
     Use :meth:`run`; it returns ``(results, quarantined)`` where
     ``results`` holds one :class:`ExecutionResult` per input spec (``None``
@@ -135,7 +141,9 @@ class BatchedWindowEngine:
     def __init__(self, specs: Sequence[TrialSpec],
                  phase_timers: Optional[Dict[str, float]] = None) -> None:
         self.specs: List[TrialSpec] = list(specs)
-        self.phase_timers = phase_timers
+        self.phase_timers = {} if phase_timers is None else phase_timers
+        for name in PHASES:
+            self.phase_timers.setdefault(name, 0.0)
         if not self.specs:
             raise ValueError("empty batch")
         first = self.specs[0]
@@ -196,25 +204,13 @@ class BatchedWindowEngine:
     # ------------------------------------------------------------------
     # Main loop.
     # ------------------------------------------------------------------
-    @contextmanager
-    def _phase(self, name: str) -> Iterator[None]:
-        """Accumulate the body's ``perf_counter`` interval under ``name``."""
-        timers = self.phase_timers
-        if timers is None:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            timers[name] = timers.get(name, 0.0) \
-                + (time.perf_counter() - start)
-
     def run(self) -> Tuple[List[Optional[ExecutionResult]], List[int]]:
         """Execute the batch; returns ``(results, quarantined_indices)``."""
+        timers = self.phase_timers
         while True:
-            with self._phase("decide"):
-                self._finish_ready()
+            start = time.perf_counter()
+            self._finish_ready()
+            timers["decide"] += time.perf_counter() - start
             remaining = int(self.active.sum())
             if remaining == 0:
                 break
@@ -312,8 +308,9 @@ class BatchedWindowEngine:
             return
         # The general path interleaves sending/delivery/reset work too
         # tightly to split; it all books under "deliver".
-        with self._phase("deliver"):
-            self._slow_window(senders, deliver_last, resets)
+        start = time.perf_counter()
+        self._slow_window(senders, deliver_last, resets)
+        self.phase_timers["deliver"] += time.perf_counter() - start
 
     def _slow_window(self, senders: np.ndarray,
                      deliver_last: Optional[np.ndarray],
@@ -397,7 +394,7 @@ class BatchedWindowEngine:
     def _fast_window(self, senders: np.ndarray,
                      deliver_last: Optional[np.ndarray]) -> None:
         timers = self.phase_timers
-        mark = time.perf_counter() if timers is not None else 0.0
+        mark = time.perf_counter()
         kernel = self.kernel
         n = self.n
         t1, t2, t3 = kernel.t1, kernel.t2, kernel.t3
@@ -448,10 +445,9 @@ class BatchedWindowEngine:
             deliv_o = deliv
             val_o = est_sent[:, None, :]
             chain_o = chain_sent[:, None, :]
-        if timers is not None:
-            now = time.perf_counter()
-            timers["deliver"] = timers.get("deliver", 0.0) + (now - mark)
-            mark = now
+        now = time.perf_counter()
+        timers["deliver"] += now - mark
+        mark = now
 
         # The first T1 votes in delivery order are the fired tally.
         selected = deliv_o & (np.cumsum(deliv_o, axis=2) <= t1)
@@ -466,10 +462,9 @@ class BatchedWindowEngine:
         all_chain = np.where(deliv_o, chain_o, 0).max(axis=2)
         self.max_chain = np.maximum(pre_chain, all_chain)
         decide_chain = np.maximum(pre_chain, sel_chain)
-        if timers is not None:
-            now = time.perf_counter()
-            timers["tally"] = timers.get("tally", 0.0) + (now - mark)
-            mark = now
+        now = time.perf_counter()
+        timers["tally"] += now - mark
+        mark = now
 
         # Fire: majority/decide/estimate, exactly _finish_round.
         fire = act_procs & (got >= t1)
@@ -510,9 +505,7 @@ class BatchedWindowEngine:
             & (self.output >= 0).any(axis=1)
         if newly.any():
             self.first_decision[newly] = self.window[newly]
-        if timers is not None:
-            timers["decide"] = timers.get("decide", 0.0) \
-                + (time.perf_counter() - mark)
+        timers["decide"] += time.perf_counter() - mark
 
     def _push(self, sending: np.ndarray, rounds: np.ndarray,
               values: np.ndarray, chains: np.ndarray) -> None:
@@ -876,4 +869,5 @@ class _SplitVoteDriver:
             self.budget = self.budget[keep]
 
 
-__all__ = ["BatchedWindowEngine", "RING_SLOTS", "CHANNEL_DEPTH", "run_group"]
+__all__ = ["BatchedWindowEngine", "CHANNEL_DEPTH", "PHASES", "RING_SLOTS",
+           "run_group"]

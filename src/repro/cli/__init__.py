@@ -9,7 +9,7 @@ Subcommands::
     repro run {EXPERIMENT ... | --all} [--quick] [--workers N]
               [--out DIR | --no-store] [--seed N] [--set key=value ...]
               [--max-retries N] [--trial-timeout S] [--chaos SPEC]
-              [--no-telemetry] [--no-progress] [--profile]
+              [--no-telemetry] [--no-progress]
         Run experiments through the registry.  By default every run is
         persisted to the results store under ``--out`` (``results/``), so
         rerunning the same configuration *resumes*: cells whose rows are
@@ -23,14 +23,14 @@ Subcommands::
         Campaigns record a per-run ``telemetry.jsonl`` span/metric event
         log and render a live progress line while running (``repro fuzz``
         and ``repro search`` too); telemetry never changes result rows.
-        ``--profile`` additionally captures cProfile + phase-timer
-        artifacts under the run's ``profile/`` directory.  See
-        "Telemetry & profiling" in PERFORMANCE.md.
+        On the batched backend each ``batch`` span carries the engine's
+        phase seconds.  See "Telemetry & profiling" in PERFORMANCE.md.
 
     repro show {RUN_DIR | EXPERIMENT} [--out DIR] [--timing]
         Render a stored run (a run directory, or the latest stored run of
         an experiment) as a table.  Fuzz-campaign runs render too.
-        ``--timing`` appends per-cell trial-duration percentiles and the
+        ``--timing`` appends per-cell trial-duration percentiles,
+        per-signature batch totals with their phase split, and the
         slowest trial's span tree from the run's telemetry event log.
 
     repro top {RUN_DIR | EXPERIMENT} [--out DIR] [--interval S] [--once]
@@ -45,7 +45,9 @@ Subcommands::
         trace with the independent invariant checker
         (:mod:`repro.verification`).  Campaigns persist to the results
         store and resume like experiments; ``--minimize`` shrinks every
-        violating schedule into a counterexample artifact.  Exits 1 when
+        violating schedule into a counterexample artifact.  The engine
+        follows the protocol's fault model: the step engine for
+        Byzantine protocols, the window engine otherwise.  Exits 1 when
         violations were found, 0 when the campaign is clean.
 
     repro search [--strategy S] [--objective O] [--generations G]
@@ -251,13 +253,18 @@ def _resolve_run_params(experiment: Experiment,
 def _execution_policy(args: argparse.Namespace):
     """The resilience knobs as (policy, injector) for one invocation.
 
-    Parses ``--chaos`` (default: ``$REPRO_CHAOS``) and combines it with
+    Checks the worker count (``--workers``, else ``$REPRO_WORKERS``),
+    parses ``--chaos`` (default: ``$REPRO_CHAOS``) and combines it with
     ``--max-retries``/``--trial-timeout``.  Raises ``ValueError`` on a bad
-    spec — callers treat that as a usage error.
+    value — callers treat that as a usage error, before any store opens.
     """
     from repro.faults import build_injector, parse_chaos_spec
-    from repro.runner import ExecutionPolicy, RetryPolicy
+    from repro.runner import ExecutionPolicy, RetryPolicy, default_workers
 
+    if args.workers is None:
+        default_workers()  # raises on a bad $REPRO_WORKERS
+    elif args.workers < 0:
+        raise ValueError(f"--workers must be >= 0, got {args.workers}")
     chaos = parse_chaos_spec(args.chaos)
     policy = ExecutionPolicy(
         retry=RetryPolicy(max_retries=args.max_retries),
@@ -293,26 +300,20 @@ def _campaign_timing(args: argparse.Namespace, store, label: str):
 
     The single timing path shared by run/fuzz/search: builds the
     :class:`~repro.telemetry.Telemetry` recorder (unless
-    ``--no-telemetry``; ``--profile`` forces it on and attaches a
-    :class:`~repro.telemetry.ProfileSession`), points its sink at the
-    run store, opens the root ``campaign`` span, and subscribes the
-    live progress renderer.  On exit — *before* the handler stamps the
-    manifest through ``_run_campaign`` — the progress line is cleared,
-    profile artifacts are saved under ``profile/`` in the run
-    directory, and the recorder is flushed and closed, so the final
-    manifest summarizes a fully written event log.
+    ``--no-telemetry``), points its sink at the run store, opens the
+    root ``campaign`` span, and subscribes the live progress renderer.
+    On exit — *before* the handler stamps the manifest through
+    ``_run_campaign`` — the progress line is cleared and the recorder
+    is flushed and closed, so the final manifest summarizes a fully
+    written event log.
     """
-    from repro.telemetry import (PROFILE_DIR, ProfileSession,
-                                 ProgressRenderer, Telemetry)
+    from repro.telemetry import ProgressRenderer, Telemetry
 
     timing = _CampaignTiming()
     telemetry = None
     progress = None
-    if args.profile or not args.no_telemetry:
+    if not args.no_telemetry:
         telemetry = Telemetry()
-        if args.profile:
-            telemetry.profile = ProfileSession()
-            telemetry.profile.start()
         if store is not None:
             store.attach_telemetry(telemetry)
         if not args.no_progress:
@@ -331,10 +332,6 @@ def _campaign_timing(args: argparse.Namespace, store, label: str):
         if progress is not None:
             progress.close()
         if telemetry is not None:
-            if telemetry.profile is not None:
-                telemetry.profile.stop()
-                if store is not None:
-                    telemetry.profile.save(store.artifact_path(PROFILE_DIR))
             telemetry.close()
 
 
@@ -576,7 +573,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         params = resolve_fuzz_params(
             protocol=args.protocol, trials=args.trials, seed=args.seed,
             n=args.n, t=args.t, max_windows=args.max_windows,
-            max_steps=args.max_steps, engine=args.engine)
+            max_steps=args.max_steps)
         resilience = _execution_policy(args)
     except (KeyError, ValueError) as error:
         return _usage_error("fuzz", error)
@@ -815,10 +812,6 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
                              "(results are bit-identical either way)")
     parser.add_argument("--no-progress", action="store_true",
                         help="suppress the live progress line")
-    parser.add_argument("--profile", action="store_true",
-                        help="profile the campaign (cProfile + phase "
-                             "timers) into the run's profile/ directory; "
-                             "implies telemetry")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -876,11 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--t", type=int, default=None,
                              help="fault bound (default: the protocol's "
                                   "maximum for n)")
-    fuzz_parser.add_argument("--engine", default="auto",
-                             choices=("auto", "window", "step"),
-                             help="execution engine (default: auto — step "
-                                  "for Byzantine protocols, window "
-                                  "otherwise)")
     fuzz_parser.add_argument("--max-windows", type=int, default=60,
                              help="window cap per trial (default: 60)")
     fuzz_parser.add_argument("--max-steps", type=int, default=6000,

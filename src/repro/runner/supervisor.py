@@ -139,19 +139,18 @@ class _Chunk(NamedTuple):
 class BatchOutcome(NamedTuple):
     """A batched chunk's results plus its own timing: ``quarantined``
     counts members re-run on the oracle mid-batch, ``phases`` holds the
-    engine's phase seconds when profiling."""
+    engine's seconds per window phase."""
 
     results: List[Any]
     t0: float
     duration: float
     quarantined: int
-    phases: Optional[Dict[str, float]]
+    phases: Dict[str, float]
 
 
 def _execute_chunk_guarded(chunk: _Chunk,
                            injector: Optional[FaultInjector],
-                           attempt: int, scope: str = WORKER_SCOPE,
-                           profile: bool = False) -> Any:
+                           attempt: int, scope: str = WORKER_SCOPE) -> Any:
     """Entry point for one chunk, in a worker or in-process.
 
     A per-trial chunk returns one ``(result, t0, duration)`` triple per
@@ -168,8 +167,7 @@ def _execute_chunk_guarded(chunk: _Chunk,
         if injector is not None:
             for spec in chunk.specs:
                 injector.fire(spec, attempt, scope)
-        phases: Optional[Dict[str, float]] = {} if profile else None
-        results, quarantined = run_group(chunk.specs, phase_timers=phases)
+        results, quarantined, phases = run_group(chunk.specs)
         results = [result if reduce is None else reduce(spec, result)
                    for spec, reduce, result
                    in zip(chunk.specs, chunk.reducers, results)]
@@ -215,7 +213,6 @@ class SupervisedRunner:
                  telemetry: Optional[Any] = None) -> None:
         # Imported lazily: repro.batched builds on this package.
         from repro.batched.support import resolve_backend
-        from repro.telemetry.profiler import profile_session
 
         self.workers = default_workers() if workers is None else workers
         if self.workers < 0:
@@ -225,8 +222,6 @@ class SupervisedRunner:
         self.injector = build_injector(self.policy.chaos)
         self.backend = resolve_backend(backend)
         self.telemetry = telemetry
-        # Under --profile, batched chunks return their phase timers.
-        self.session = profile_session(telemetry)
 
     def _count(self, name: str, delta: int = 1) -> None:
         """Mirror a recovery action into the telemetry counters."""
@@ -319,11 +314,12 @@ class SupervisedRunner:
                     scope: str) -> List[Any]:
         """Record one chunk's spans/counters and return its bare results.
 
-        A batched chunk becomes one ``batch`` span and adds its phase
-        timers to the profile session.  A multi-trial per-trial chunk
-        becomes a ``chunk`` span (worker busy-time) parenting one
-        ``trial`` span per spec; a singleton records just the trial span.
-        Spans nest under whatever span the consumer has open.
+        A batched chunk becomes one ``batch`` span carrying the engine's
+        phase seconds (``deliver_s``, ``tally_s``, ``decide_s``).  A
+        multi-trial per-trial chunk becomes a ``chunk`` span (worker
+        busy-time) parenting one ``trial`` span per spec; a singleton
+        records just the trial span.  Spans nest under whatever span the
+        consumer has open.
         """
         telemetry = self.telemetry
         if isinstance(outcome, BatchOutcome):
@@ -333,16 +329,13 @@ class SupervisedRunner:
             telemetry.record_span(
                 "batch", outcome.t0, outcome.duration, trials=trials,
                 signature=[str(part) for part in chunk.signature],
-                scope=scope)
+                scope=scope, **{f"{name}_s": seconds
+                                for name, seconds in outcome.phases.items()})
             telemetry.count("trials_batched", trials - quarantined)
             telemetry.count("trials_completed", trials)
             for name in ("quarantined_mid_batch", "trials_fallback",
                          "fallback_reason:quarantined mid-batch"):
                 telemetry.count(name, quarantined)
-            if self.session is not None and outcome.phases:
-                timers = self.session.phase_dict("batched")
-                for name, seconds in outcome.phases.items():
-                    timers[name] = timers.get(name, 0.0) + seconds
             return outcome.results
         if telemetry is not None and outcome:
             parent = telemetry.current_span
@@ -380,8 +373,7 @@ class SupervisedRunner:
             start = time.perf_counter()
             try:
                 return _execute_chunk_guarded(
-                    chunk, self.injector, attempt, scope,
-                    chunk.batched and self.session is not None)
+                    chunk, self.injector, attempt, scope)
             except Exception as error:
                 duration = time.perf_counter() - start
                 last_error = error
@@ -431,12 +423,10 @@ class SupervisedRunner:
 
         def submit(index: int) -> bool:
             """Dispatch one chunk; False when the pool is already broken."""
-            chunk = chunks[index]
             try:
                 futures[pool.submit(
-                    _execute_chunk_guarded, chunk, self.injector,
-                    attempts[index], WORKER_SCOPE,
-                    chunk.batched and self.session is not None)] = index
+                    _execute_chunk_guarded, chunks[index], self.injector,
+                    attempts[index], WORKER_SCOPE)] = index
                 return True
             except BrokenExecutor:
                 return False

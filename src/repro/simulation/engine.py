@@ -135,10 +135,6 @@ class Engine:
         """Identities of crashed processors."""
         return [proc.pid for proc in self.processors if proc.crashed]
 
-    def current_estimates(self) -> List[Optional[int]]:
-        """Each processor's current estimate, as exposed by the protocol."""
-        return [proc.protocol.current_estimate() for proc in self.processors]
-
     def pending_messages(self) -> List[Message]:
         """All undelivered messages."""
         return self.network.all_pending()

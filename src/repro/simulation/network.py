@@ -8,11 +8,11 @@ engine needs, window by window or step by step:
 
 * accepting a batch of messages from a sending step (stamping sequence
   numbers and message-chain depths);
-* enumerating undelivered messages, optionally filtered by receiver and by a
-  set of allowed senders (how acceptable windows express the sets ``S_i``);
-* removing a message once delivered;
-* dropping messages addressed to or sent by crashed processors, when the
-  crash adversary decides they are lost.
+* listing every undelivered message in send order, or looking one up by
+  sequence number;
+* removing one message once the adversary delivers it (a step);
+* removing the newest message from each allowed sender to one receiver
+  (an acceptable window: how it expresses the sets ``S_i``).
 
 Internally the buffer is indexed for the access patterns the engine
 actually has: a dict keyed by sequence number makes :meth:`Network.deliver`
@@ -26,8 +26,7 @@ skipped (and trimmed from the newest end) lazily.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
-                    Optional, Set)
+from typing import Deque, Dict, Iterable, List, Optional, Set
 
 from repro.simulation.errors import InvalidStepError
 from repro.simulation.message import Message
@@ -48,7 +47,7 @@ class Network:
         self._live: Dict[int, Message] = {}
         # Per-receiver, per-sender channel queues in send order.  Entries
         # whose sequence is no longer in ``_live`` are ghosts left behind by
-        # out-of-order delivery or drops and are skipped lazily.
+        # out-of-order delivery and are skipped lazily.
         self._channels: Dict[int, Dict[int, Deque[Message]]] = \
             defaultdict(dict)
         self._delivered_count = 0
@@ -102,59 +101,8 @@ class Network:
         return stored
 
     # ------------------------------------------------------------------
-    # Internal filtered scans.
-    # ------------------------------------------------------------------
-    def _live_matching(self, receiver: int,
-                       senders: Optional[Set[int]] = None,
-                       predicate: Optional[Callable[[Message], bool]] = None
-                       ) -> Iterator[Message]:
-        """Iterate the live (still pending) messages for one receiver.
-
-        The single filtered-scan primitive shared by :meth:`pending_for`,
-        :meth:`drop_channel` and :meth:`clear_stale_rounds`: optionally
-        restricted to a sender set and to messages matching ``predicate``.
-        Ghost entries are skipped.  Iteration order is per-channel send
-        order; callers needing global send order sort by sequence.
-        """
-        channels = self._channels.get(receiver)
-        if not channels:
-            return
-        if senders is None:
-            queues = channels.values()
-        else:
-            queues = [channels[s] for s in senders if s in channels]
-        live = self._live
-        for queue in queues:
-            for message in queue:
-                if message.sequence in live and (
-                        predicate is None or predicate(message)):
-                    yield message
-
-    def _discard(self, messages: Iterable[Message]) -> int:
-        """Remove messages from the live index, returning how many were live."""
-        dropped = 0
-        for message in messages:
-            if self._live.pop(message.sequence, None) is not None:
-                dropped += 1
-        return dropped
-
-    # ------------------------------------------------------------------
     # Inspection.
     # ------------------------------------------------------------------
-    def pending_for(self, receiver: int,
-                    senders: Optional[Set[int]] = None) -> List[Message]:
-        """Undelivered messages addressed to ``receiver``.
-
-        Args:
-            receiver: the destination processor.
-            senders: if given, only messages from these senders are listed.
-
-        Returns:
-            Messages in send order.
-        """
-        return sorted(self._live_matching(receiver, senders),
-                      key=lambda m: m.sequence)
-
     def pending_count(self) -> int:
         """Total number of undelivered messages."""
         return len(self._live)
@@ -189,7 +137,7 @@ class Network:
         return self._delivered_count
 
     # ------------------------------------------------------------------
-    # Delivery and loss.
+    # Delivery.
     # ------------------------------------------------------------------
     def deliver(self, message: Message) -> Message:
         """Remove a specific pending message from the buffer.
@@ -235,44 +183,6 @@ class Network:
                 deliveries.append(message)
         self._delivered_count += len(deliveries)
         return deliveries
-
-    def drop_channel(self, sender: Optional[int] = None,
-                     receiver: Optional[int] = None) -> int:
-        """Drop pending messages matching a sender and/or receiver filter.
-
-        Used when a crash adversary declares that a crashed processor's
-        in-flight messages are lost.  Returns the number of dropped messages.
-        """
-        if receiver is not None:
-            receivers: Iterable[int] = (receiver,)
-        else:
-            receivers = list(self._channels)
-        senders = None if sender is None else {sender}
-        dropped = 0
-        for dest in receivers:
-            dropped += self._discard(self._live_matching(dest, senders))
-            # The scanned channels are now entirely ghosts; reclaim them.
-            channels = self._channels.get(dest)
-            if channels:
-                if sender is None:
-                    channels.clear()
-                else:
-                    channels.pop(sender, None)
-        return dropped
-
-    def clear_stale_rounds(self, receiver: int, is_stale) -> int:
-        """Drop pending messages for ``receiver`` whose payload is stale.
-
-        Args:
-            receiver: the destination whose queue is pruned.
-            is_stale: predicate over payloads; messages whose payload the
-                predicate accepts are discarded.
-
-        Returns:
-            Number of discarded messages.
-        """
-        return self._discard(list(self._live_matching(
-            receiver, predicate=lambda m: is_stale(m.payload))))
 
 
 __all__ = ["Network"]

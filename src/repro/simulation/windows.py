@@ -21,9 +21,8 @@ execution model.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from repro.simulation.engine import Engine
 from repro.simulation.errors import InvalidWindowError
@@ -145,16 +144,6 @@ class WindowAdversary:
     def next_window(self, engine: Engine) -> WindowSpec:
         """Return the specification of the next acceptable window."""
         raise NotImplementedError
-
-    def choose_inputs(self, n: int, rng: random.Random) -> Optional[List[int]]:
-        """Optionally let the adversary pick the initial input bits.
-
-        The lower bound (Theorem 5) quantifies over input settings as well
-        as schedules, so adversaries that implement the input-interpolation
-        argument override this.  Returning ``None`` keeps the caller's
-        inputs.
-        """
-        return None
 
 
 def run_execution(protocol_cls, n: int, t: int, inputs: Sequence[int],

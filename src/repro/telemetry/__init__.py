@@ -22,19 +22,14 @@ See the "Telemetry & profiling" section of PERFORMANCE.md for the event
 schema, span vocabulary, query recipes and the overhead budget.
 """
 
-from repro.telemetry.profiler import (PROFILE_DIR, ProfileSession,
-                                      profile_session)
 from repro.telemetry.progress import ProgressRenderer
 from repro.telemetry.recorder import (TELEMETRY_NAME, Telemetry,
                                       merge_telemetry_block, read_events)
 
 __all__ = [
-    "PROFILE_DIR",
-    "ProfileSession",
     "ProgressRenderer",
     "TELEMETRY_NAME",
     "Telemetry",
     "merge_telemetry_block",
-    "profile_session",
     "read_events",
 ]

@@ -74,17 +74,10 @@ class Telemetry:
         sink: path of the ``telemetry.jsonl`` event log to append to, or
             ``None`` for an in-memory recorder (aggregates and listeners
             still work; nothing is persisted).
-
-    Attributes:
-        profile: the optional :class:`~repro.telemetry.profiler.
-            ProfileSession` riding along (set by the CLI under
-            ``--profile``); execution layers check it to decide whether
-            to collect phase timers.
     """
 
     def __init__(self, sink: Optional[str] = None) -> None:
         self.sink = sink
-        self.profile: Optional[Any] = None
         self._listeners: List[Callable[[Dict[str, Any]], None]] = []
         self._stack: List[int] = []
         self._next_span_id = 0

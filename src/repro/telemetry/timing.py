@@ -1,7 +1,8 @@
 """Read-side analysis of a run's telemetry event log.
 
 Backs ``repro show --timing`` (per-cell trial-duration percentiles,
-per-signature batch totals and the span tree of the slowest trial) and
+per-signature batch totals with their phase split, and the span tree of
+the slowest trial) and
 ``repro top`` (a snapshot of a possibly still-running campaign tailed
 from its event log).  Everything here works off
 :func:`repro.telemetry.recorder.read_events`, so a killed run's intact
@@ -74,25 +75,45 @@ def cell_timing_rows(events: Sequence[Dict[str, Any]],
     return rows
 
 
+_BATCH_MS = (("dur", "total_ms"), ("deliver_s", "deliver_ms"),
+             ("tally_s", "tally_ms"), ("decide_s", "decide_ms"))
+"""Seconds-valued ``batch`` span fields and the millisecond columns
+:func:`batch_timing_rows` totals them into."""
+
+
 def batch_timing_rows(events: Sequence[Dict[str, Any]]
                       ) -> List[Dict[str, Any]]:
     """Per-signature ``batch`` span totals (milliseconds), heaviest first.
 
     The batched counterpart of :func:`cell_timing_rows`: a batched chunk
-    records one ``batch`` span and no ``trial`` spans.
+    records one ``batch`` span and no ``trial`` spans.  Besides the
+    wall time, each row totals the engine's window phases the spans
+    carry (``deliver_s``, ``tally_s``, ``decide_s``).  A column no span
+    of the signature carries (a run recorded before batch spans held
+    the phase split) stays ``None``, not a measured zero.
     """
-    totals: Dict[str, List[float]] = {}
+    totals: Dict[str, Dict[str, Any]] = {}
     for span in spans(events):
-        if span.get("name") == "batch":
-            key = " ".join(str(part) for part in span.get("signature", ()))
-            total = totals.setdefault(key, [0, 0, 0.0])
-            total[0] += 1
-            total[1] += int(span.get("trials") or 0)
-            total[2] += float(span.get("dur") or 0.0) * 1000.0
-    return [{"signature": key, "batches": batches, "trials": trials,
-             "total_ms": round(total_ms, 3)}
-            for key, (batches, trials, total_ms) in sorted(
-                totals.items(), key=lambda item: (-item[1][2], item[0]))]
+        if span.get("name") != "batch":
+            continue
+        key = " ".join(str(part) for part in span.get("signature", ()))
+        row = totals.setdefault(key, {
+            "signature": key, "batches": 0, "trials": 0,
+            **dict.fromkeys((column for _, column in _BATCH_MS))})
+        row["batches"] += 1
+        row["trials"] += int(span.get("trials") or 0)
+        for field, column in _BATCH_MS:
+            if span.get(field) is not None:
+                row[column] = (row[column] or 0.0) \
+                    + float(span[field]) * 1000.0
+    rows = sorted(totals.values(),
+                  key=lambda row: (-(row["total_ms"] or 0.0),
+                                   row["signature"]))
+    for row in rows:
+        for _, column in _BATCH_MS:
+            if row[column] is not None:
+                row[column] = round(row[column], 3)
+    return rows
 
 
 def slowest_trial_chain(events: Sequence[Dict[str, Any]]

@@ -60,26 +60,22 @@ ROW_SCHEMA: Tuple[str, ...] = (
 def resolve_fuzz_params(protocol: str = "reset-tolerant",
                         trials: int = 100, seed: int = 0,
                         n: Optional[int] = None, t: Optional[int] = None,
-                        max_windows: int = 60, max_steps: int = 6000,
-                        engine: str = "auto") -> Dict[str, Any]:
+                        max_windows: int = 60, max_steps: int = 6000
+                        ) -> Dict[str, Any]:
     """Fill in campaign defaults, returning the canonical parameter dict.
 
     The dict is what the results store digests, so two invocations with
     the same resolved parameters share one run directory (and resume).
 
-    The engine default follows the fault model: Byzantine protocols fuzz
-    on the step engine (per-message corruption needs step granularity),
+    The engine follows the fault model: Byzantine protocols fuzz on the
+    step engine (per-message corruption needs step granularity),
     everything else on the acceptable-window engine.  The fault placements
     follow the model too — resets for the strongly adaptive model, crashes
     for the crash model, equivocation for the Byzantine model.
     """
     info = get_protocol(protocol)
-    if engine == "auto":
-        engine = (STEP_ENGINE if "byzantine" in info.fault_model.lower()
-                  else WINDOW_ENGINE)
-    if engine not in (WINDOW_ENGINE, STEP_ENGINE):
-        raise ValueError(f"engine must be 'auto', {WINDOW_ENGINE!r} or "
-                         f"{STEP_ENGINE!r}, got {engine!r}")
+    engine = (STEP_ENGINE if "byzantine" in info.fault_model.lower()
+              else WINDOW_ENGINE)
     if n is None:
         n = 9 if engine == WINDOW_ENGINE else 7
     t = resolve_fault_bound(protocol, n, t)

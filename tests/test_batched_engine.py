@@ -156,8 +156,9 @@ def test_quarantined_indices_have_no_result(monkeypatch):
     assert quarantined
     for index in quarantined:
         assert results[index] is None
-    grouped, count = engine.run_group(specs)
+    grouped, count, phases = engine.run_group(specs)
     assert count == len(quarantined)
+    assert set(phases) == set(engine.PHASES)
     assert grouped == [execute_trial(spec) for spec in specs]
 
 

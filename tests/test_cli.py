@@ -2,8 +2,11 @@
 
 import json
 import os
+import re
 
+import pytest
 
+import repro
 from repro.cli import main, render_registry_doc
 from repro.experiments import available_experiments
 
@@ -66,6 +69,46 @@ def test_run_bad_set_syntax_fails_cleanly(capsys):
 def test_run_non_literal_set_value_fails_cleanly(capsys):
     assert main(["run", "E2", "--no-store", "--set", "trials=3x"]) == 2
     assert "not a Python literal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "E2", "--quick", "--workers", "-1"],
+    ["fuzz", "--trials", "2", "--workers", "-3"],
+    ["search", "--generations", "1", "--population", "2",
+     "--workers", "-1"],
+])
+def test_negative_workers_is_a_usage_error(tmp_path, capsys, argv):
+    """Rejected before the run store opens: exit 2, no run directory."""
+    out_dir = tmp_path / "results"
+    assert main(argv + ["--out", str(out_dir)]) == 2
+    assert "--workers must be >= 0" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_bad_workers_environment_is_a_usage_error(tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.setenv("REPRO_WORKERS", "-2")
+    out_dir = tmp_path / "results"
+    assert main(["run", "E2", "--quick", "--out", str(out_dir)]) == 2
+    assert "REPRO_WORKERS must be >= 0" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "E2", "--profile"],
+                                  ["fuzz", "--engine", "step"]])
+def test_removed_flags_are_argparse_errors(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_pyproject_version_matches_the_package():
+    """The manifest's ``package_version`` is what pyproject declares."""
+    with open(os.path.join(REPO_ROOT, "pyproject.toml")) as handle:
+        declared = re.search(r'^version = "([^"]+)"', handle.read(),
+                             re.MULTILINE).group(1)
+    assert declared == repro.__version__
 
 
 def test_run_no_store_prints_table(capsys):
@@ -220,10 +263,9 @@ def _only_run_dir(out_dir):
         for name in files if name == "manifest.json"))
 
 
-def test_run_profile_records_telemetry_and_artifacts(tmp_path, capsys):
+def test_run_records_telemetry_and_reads_it_back(tmp_path, capsys):
     out_dir = str(tmp_path / "results")
-    assert main(["run", "E2", "--out", out_dir, "--profile"]
-                + E2_TINY_ARGS) == 0
+    assert main(["run", "E2", "--out", out_dir] + E2_TINY_ARGS) == 0
     capsys.readouterr()
     run_dir = _only_run_dir(out_dir)
 
@@ -232,9 +274,6 @@ def test_run_profile_records_telemetry_and_artifacts(tmp_path, capsys):
     names = {event.get("name") for event in events
              if event.get("kind") == "span"}
     assert {"campaign", "cell", "trial"} <= names
-    for artifact in ("campaign.pstats", "top-functions.txt",
-                     "phases.json"):
-        assert os.path.isfile(os.path.join(run_dir, "profile", artifact))
     manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
     assert manifest["telemetry"]["spans"] > 0
 
@@ -292,6 +331,8 @@ def test_show_timing_totals_batch_spans(tmp_path, capsys):
     assert "batch timing (telemetry, ms)" in out
     assert "--no-telemetry" not in out
     assert "reset-tolerant" in out  # the signature column
+    for column in ("deliver_ms", "tally_ms", "decide_ms"):
+        assert column in out
 
 
 def test_telemetry_flag_never_changes_rows(tmp_path, capsys):
@@ -299,8 +340,7 @@ def test_telemetry_flag_never_changes_rows(tmp_path, capsys):
     traced_dir = str(tmp_path / "traced")
     assert main(["run", "E2", "--out", plain_dir, "--no-telemetry"]
                 + E2_TINY_ARGS) == 0
-    assert main(["run", "E2", "--out", traced_dir, "--profile"]
-                + E2_TINY_ARGS) == 0
+    assert main(["run", "E2", "--out", traced_dir] + E2_TINY_ARGS) == 0
     capsys.readouterr()
 
     def stored_rows(out_dir):

@@ -40,9 +40,14 @@ class TestCampaignDeterminism:
 
 class TestCampaignParams:
     def test_engine_follows_the_fault_model(self):
-        assert resolve_fuzz_params(trials=1)["engine"] == "window"
+        """The engine is derived, not chosen, and stays in the params
+        (so run digests and rows keep it)."""
+        assert resolve_fuzz_params(protocol="reset-tolerant",
+                                   trials=1)["engine"] == "window"
         assert resolve_fuzz_params(protocol="bracha",
                                    trials=1)["engine"] == "step"
+        with pytest.raises(TypeError):
+            resolve_fuzz_params(trials=1, engine="step")
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(KeyError, match="unknown protocol"):
@@ -51,8 +56,6 @@ class TestCampaignParams:
             resolve_fuzz_params(trials=0)
         with pytest.raises(ValueError, match="tolerates no faults"):
             resolve_fuzz_params(n=4, trials=1)
-        with pytest.raises(ValueError, match="engine"):
-            resolve_fuzz_params(trials=1, engine="quantum")
 
     def test_step_fuzz_campaign_is_clean_for_bracha(self):
         params = resolve_fuzz_params(protocol="bracha", trials=5, seed=0,

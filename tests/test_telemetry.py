@@ -2,7 +2,7 @@
 
 The keystone contract mirrors the supervisor's: telemetry may consume
 wall-clock time, but the result rows of any campaign are bit-identical
-with telemetry on, off, profiled, or killed and resumed mid-run — across
+with telemetry on, off, or killed and resumed mid-run — across
 worker counts and both execution backends.  Everything else here
 (hierarchy, merge semantics, torn-tail tolerance, the progress renderer,
 the timing reductions) supports that contract.
@@ -14,15 +14,16 @@ import os
 
 import pytest
 
+from repro.analysis.statistics import format_table
 from repro.experiments import get_experiment
 from repro.results import RunStore, run_directory
 from repro.results.store import read_manifest
 from repro.runner import RunHealth
-from repro.telemetry import (TELEMETRY_NAME, ProfileSession,
-                             ProgressRenderer, Telemetry,
+from repro.telemetry import (TELEMETRY_NAME, ProgressRenderer, Telemetry,
                              merge_telemetry_block, read_events)
-from repro.telemetry.timing import (cell_timing_rows, render_span_chain,
-                                    slowest_trial_chain, top_snapshot)
+from repro.telemetry.timing import (batch_timing_rows, cell_timing_rows,
+                                    render_span_chain, slowest_trial_chain,
+                                    top_snapshot)
 
 E2_PARAMS = {"ns": (12, 16), "trials": 1, "max_windows": 200000,
              "use_resets": True, "seed": 9}
@@ -170,6 +171,35 @@ class TestTimingReductions:
         assert rows[0]["total_ms"] == pytest.approx(100.0)
         assert rows[1]["p50_ms"] == pytest.approx(20.0)
 
+    def test_batch_timing_rows_total_the_phase_split(self):
+        phases = {"deliver_s": 0.006, "tally_s": 0.002, "decide_s": 0.001}
+        events = self._events() + [
+            self._span(4, 0, "batch", 0.0, 0.010, trials=3,
+                       signature=["reset-tolerant", 12], **phases),
+            self._span(5, 0, "batch", 0.0, 0.020, trials=2,
+                       signature=["reset-tolerant", 12], **phases),
+        ]
+        [row] = batch_timing_rows(events)
+        assert (row["batches"], row["trials"]) == (2, 5)
+        assert row["total_ms"] == pytest.approx(30.0)
+        assert row["deliver_ms"] == pytest.approx(12.0)
+        assert row["tally_ms"] == pytest.approx(4.0)
+        assert row["decide_ms"] == pytest.approx(2.0)
+
+    def test_batch_timing_rows_leave_unrecorded_phases_blank(self):
+        """A batch span without the phase split (an older run) totals its
+        wall time, and its phase columns read ``None``, not zero."""
+        events = self._events() + [
+            self._span(4, 0, "batch", 0.0, 0.010, trials=3,
+                       signature=["reset-tolerant", 12]),
+        ]
+        [row] = batch_timing_rows(events)
+        assert row["total_ms"] == pytest.approx(10.0)
+        assert (row["deliver_ms"], row["tally_ms"],
+                row["decide_ms"]) == (None, None, None)
+        body = format_table([row]).splitlines()[-1]
+        assert body.split()[-3:] == ["-", "-", "-"]
+
     def test_slowest_trial_chain_walks_to_the_root(self):
         chain = slowest_trial_chain(self._events())
         assert [span["name"] for span in chain] == ["cell", "trial"]
@@ -249,27 +279,35 @@ class TestBatchSpans:
             named = [span["cell"] for span in spans if span["name"] == "cell"]
         assert sorted(named) == keys
 
-    def test_pool_workers_return_batched_phase_timers(self):
-        """Under --profile, worker-side engine phases reach the session."""
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_batch_spans_carry_the_engine_phase_split(self, workers):
+        """Every batch span times its window phases, wherever it ran."""
         from repro.batched import numpy_ok
 
         if not numpy_ok():
             pytest.skip("batched backend needs numpy >= 2.0")
         experiment = get_experiment("E2")
         params = experiment.resolve_params(None, quick=True)
+        events = []
         telemetry = Telemetry()
-        telemetry.profile = ProfileSession()
-        with telemetry.profile:
-            experiment.run(params=params, workers=2, backend="batched",
-                           telemetry=telemetry)
-        assert {"batched.deliver", "batched.tally", "batched.decide"} <= \
-            set(telemetry.profile.phase_timers)
+        telemetry.add_listener(events.append)
+        experiment.run(params=params, workers=workers, backend="batched",
+                       telemetry=telemetry)
+        batches = [event for event in events if event["kind"] == "span"
+                   and event["name"] == "batch"]
+        assert batches
+        for batch in batches:
+            phases = [batch["deliver_s"], batch["tally_s"],
+                      batch["decide_s"]]
+            assert all(seconds >= 0.0 for seconds in phases)
+            assert sum(phases) <= batch["dur"]
+        assert sum(batch["deliver_s"] for batch in batches) > 0.0
         assert telemetry.counters["trials_batched"] == sum(
             len(cell.specs) for cell in experiment.cells(params=params))
 
 
 class TestObserverEffect:
-    """Telemetry on, off, or profiled never changes a result row."""
+    """Telemetry on or off never changes a result row."""
 
     @pytest.mark.parametrize("workers", [0, 1, 4])
     @pytest.mark.parametrize("backend", ["trial", "batched"])
@@ -283,18 +321,10 @@ class TestObserverEffect:
         assert experiment.run(params=params, workers=workers,
                               backend=backend,
                               telemetry=observed) == reference
-
-        profiled = Telemetry()
-        profiled.profile = ProfileSession()
-        with profiled.profile:
-            assert experiment.run(params=params, workers=workers,
-                                  backend=backend,
-                                  telemetry=profiled) == reference
         # Non-vacuity: every trial was observed, whatever the path.
         expected = sum(len(cell.specs)
                        for cell in experiment.cells(params=params))
-        for telemetry in (observed, profiled):
-            assert telemetry.counters["trials_completed"] == expected
+        assert observed.counters["trials_completed"] == expected
 
     def test_store_rows_on_disk_identical_with_and_without(self, tmp_path):
         experiment = get_experiment("E2")
