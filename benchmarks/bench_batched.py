@@ -3,7 +3,7 @@
 Runs an E2-shaped workload — reset-tolerant agreement against the seeded
 split-vote adversary at n=13, stop-at-first-decision — through both
 backends, and the same workload against the adaptive-resetting adversary
-(the batched engine's general reset path) on the batched backend.  Each
+(the batched engine's resetting windows) on the batched backend.  Each
 benchmark records, besides the wall times, each backend's
 ``trials_per_sec`` as ``extra_info``.  The performance trajectory
 (`scripts/bench_record.py`, ``BENCH_<n>.json``) gates on those rates, so
@@ -73,10 +73,10 @@ def test_bench_batched_backend(benchmark):
 
 @pytest.mark.benchmark(group="batched-backend")
 def test_bench_batched_reset_path(benchmark):
-    """The general window path: E2's default adaptive-resetting adversary.
+    """Resetting windows: E2's default adaptive-resetting adversary.
 
-    Resets leave processors resyncing at mixed rounds, so nearly every
-    window misses the synchronized fast path that split-vote mostly takes.
+    Every window resets processors, which then sit out the next window
+    resyncing; the engine runs these windows in closed form too.
     """
     if not numpy_ok():
         pytest.skip("batched backend needs numpy >= 2.0")

@@ -42,6 +42,14 @@ Bit identity dictates the design:
   delivery), so the general window pops all its channels at once and
   then inserts the votes in ``n`` delivery-position steps: at step ``k``
   every (trial, receiver) pair takes its trial's ``k``-th sender.
+* **Closed-form windows** skip those steps.  When every synchronised
+  processor of every active trial shares one round with an empty vote
+  ring, and every processor a reset left resyncing holds an empty ring
+  (see "Synchronized fast path" below), each receiver's window is one
+  tally of its first ``T1`` votes.  That covers the steady state of all
+  four adversaries, resetting windows included; the general window runs
+  only for states outside it (stale channels, sub-``T1`` resync tallies,
+  buffered future rounds), which non-default thresholds reach.
 
 **Quarantine** is the batch's escape hatch: a trial whose execution
 leaves the vectorizable envelope (deep channel backlog, far-future
@@ -96,22 +104,27 @@ PHASES = ("deliver", "tally", "decide")
 def run_group(specs: Sequence[TrialSpec]
               ) -> Tuple[List[ExecutionResult], int, Dict[str, float]]:
     """One batched chunk, complete: ``(results, quarantined_count,
-    phase_seconds)``.
+    stats)``.
 
     Trials the engine quarantines mid-batch are re-executed here on the
-    per-trial oracle, so every position holds a result.  The phase
-    seconds are this batch's engine time per :data:`PHASES` entry.
+    per-trial oracle, so every position holds a result.  ``stats`` holds
+    the fields of the batch's telemetry span: this batch's engine seconds
+    per :data:`PHASES` entry (``deliver_s``...), the ``windows`` the
+    engine ran and how many of them were ``general_windows``.
     """
     engine = BatchedWindowEngine(specs)
     # The timer dict may be a long-lived one that a profiling hook
     # injected (perfbench's ``--trace 1``): report this batch's share.
     before = dict(engine.phase_timers)
     results, quarantined = engine.run()
-    phases = {name: engine.phase_timers[name] - before[name]
-              for name in PHASES}
+    stats: Dict[str, float] = {
+        f"{name}_s": engine.phase_timers[name] - before[name]
+        for name in PHASES}
+    stats["windows"] = engine.windows
+    stats["general_windows"] = engine.general_windows
     for index in quarantined:
         results[index] = execute_trial(specs[index])
-    return results, len(quarantined), phases
+    return results, len(quarantined), stats
 
 
 class BatchedWindowEngine:
@@ -189,6 +202,9 @@ class BatchedWindowEngine:
 
         self.results: List[Optional[ExecutionResult]] = [None] * trials
         self.quarantined: List[int] = []
+        # Windows run, and how many of them took the general path.
+        self.windows = 0
+        self.general_windows = 0
 
         self.kernel = _ResetTolerantKernel(self, effective_thresholds(first))
 
@@ -303,11 +319,13 @@ class BatchedWindowEngine:
     def _run_window(self, senders: np.ndarray,
                     deliver_last: Optional[np.ndarray],
                     resets: Optional[np.ndarray]) -> None:
-        if resets is None and self._fast_ready():
-            self._fast_window(senders, deliver_last)
+        self.windows += 1
+        if self._fast_ready(senders):
+            self._fast_window(senders, deliver_last, resets)
             return
         # The general path interleaves sending/delivery/reset work too
         # tightly to split; it all books under "deliver".
+        self.general_windows += 1
         start = time.perf_counter()
         self._slow_window(senders, deliver_last, resets)
         self.phase_timers["deliver"] += time.perf_counter() - start
@@ -350,14 +368,18 @@ class BatchedWindowEngine:
             kernel.insert(ss[lo:hi], t, r, msg_round[lo:hi],
                           msg_value[lo:hi])
 
-        # Phase 3: resets, in any order (each touches only its own state).
+        self._end_window(act, resets)
+
+    def _end_window(self, act: np.ndarray,
+                    resets: Optional[np.ndarray]) -> None:
+        """Phase 3 (resets, in any order: each touches only its own
+        state), then the window count and first-decision bookkeeping."""
         if resets is not None:
-            to_reset = resets & act_procs
+            to_reset = resets & act[:, None]
             if to_reset.any():
                 self.resets_total += to_reset.sum(axis=1, dtype=np.int64)
                 self.pending |= to_reset
                 self.kernel.reset(to_reset)
-
         self.window += act
         newly = act & (self.first_decision < 0) & (self.output >= 0).any(axis=1)
         if newly.any():
@@ -366,33 +388,55 @@ class BatchedWindowEngine:
     # ------------------------------------------------------------------
     # Synchronized fast path.
     #
-    # In the steady state of the benign, silencing and split-vote
-    # workloads every live processor sits at the same round with an empty
-    # vote ring and a pending receive flag.  A whole window then has a
-    # closed form: every delivery is a current-round vote, a receiver
-    # fires exactly when its T1-th vote (in delivery order) arrives, the
-    # fired tally is precisely the first T1 votes — later ones land with
-    # ``offset < 0`` and are skipped — and the advanced slot 0 is empty,
-    # so no cascade follows.  That removes the general path's ``n``
-    # delivery-position steps: one vectorized pass over (trial, receiver,
-    # sender) replaces them, bit-identically.
+    # In the steady state of every vectorized workload each synchronised
+    # processor sits at one common round with an empty vote ring and a
+    # pending receive flag, and each resyncing one (reset, silent until it
+    # adopts a round) holds an empty ring with no anchor.  Only the
+    # synchronised processors send, and every receiver of a trial gets the
+    # same senders in the same order, so a whole window has a closed form
+    # per trial: every delivery is a common-round vote, and a receiver
+    # fires exactly when its T1-th vote (in delivery order) arrives.  A
+    # resyncing receiver does the same: the oracle's T1-th resync vote
+    # adopts the round and runs ``_finish_round`` on those T1 votes.  The
+    # fired tally is precisely the first T1 votes — later ones are for a
+    # past round and are skipped — and the advanced slot 0 is empty, so no
+    # cascade follows.  The gate leaves two states this cannot express to
+    # the general path: a silent sender's stale channel message, and a
+    # resyncing receiver left with a sub-T1 tally (which anchors its ring).
+    # One vectorized pass over (trial, sender) then replaces the general
+    # path's ``n`` delivery-position steps, bit-identically; the window's
+    # resets follow as in the general path's phase 3, timed as "decide".
     # ------------------------------------------------------------------
-    def _fast_ready(self) -> bool:
-        """Whether every active trial is in the synchronized state."""
+    def _fast_ready(self, senders: np.ndarray) -> bool:
+        """Whether every active trial is in the closed-form state."""
         act_procs = self.active[:, None]
         kernel = self.kernel
-        if (kernel.resync & act_procs).any():
+        if (kernel.vmask.any(axis=2) & act_procs).any():
             return False
-        if (~self.pending & act_procs).any():
+        synced = act_procs & ~kernel.resync
+        if (synced & ~self.pending).any():
             return False
-        if ((kernel.est < 0) & act_procs).any():
+        if (synced & (kernel.est < 0)).any():
             return False
-        if ((kernel.round != kernel.round[:, :1]) & act_procs).any():
+        # Resyncing processors hold round -1, below every common round.
+        common = kernel.round.max(axis=1, keepdims=True)
+        if (synced & (kernel.round != common)).any():
             return False
-        return not (kernel.vmask.any(axis=2) & act_procs).any()
+        resync = act_procs & kernel.resync
+        if not resync.any():
+            return True
+        if (resync & kernel.base_set).any():
+            return False
+        silent_t, silent_s = np.nonzero(resync & senders)
+        if (self.ch_pos[silent_t, :, silent_s] & 0xFFFFFFFF).any():
+            return False
+        voters = (synced & senders).sum(axis=1)
+        short = resync.any(axis=1) & (voters > 0) & (voters < kernel.t1)
+        return not short.any()
 
     def _fast_window(self, senders: np.ndarray,
-                     deliver_last: Optional[np.ndarray]) -> None:
+                     deliver_last: Optional[np.ndarray],
+                     resets: Optional[np.ndarray]) -> None:
         timers = self.phase_timers
         mark = time.perf_counter()
         kernel = self.kernel
@@ -401,15 +445,17 @@ class BatchedWindowEngine:
         act = self.active
         act_procs = act[:, None]
 
-        # Phase 1: every live processor broadcasts (round, est, chain+1).
+        # Phase 1: every synchronised processor broadcasts
+        # (round, est, chain+1); resyncing ones stay silent.
+        sending = act_procs & ~kernel.resync
         self.pending &= ~act_procs
-        self.sent += act * (n * n)
+        self.sent += sending.sum(axis=1, dtype=np.int64) * n
         est_sent = kernel.est
         chain_sent = (self.max_chain + 1).astype(np.int32)
         packed = (kernel.round.astype(np.int64) << _ROUND_SHIFT) \
             | (chain_sent.astype(np.int64) << _CHAIN_SHIFT) \
             | (est_sent.astype(np.int64) + 1)
-        send3 = act_procs[:, None, :]
+        send3 = sending[:, None, :]
         pos = self.ch_pos
         top = pos & 0xFFFFFFFF
         slot = (top % CHANNEL_DEPTH)[..., None]
@@ -425,86 +471,88 @@ class BatchedWindowEngine:
                   (np.maximum(pos >> 32, new_top) << 32) | new_top,
                   where=send3)
 
-        # Phase 2: pop this window's vote on every permitted channel.
-        deliv = np.empty((act.shape[0], n, n), dtype=bool)
-        np.copyto(deliv, act[:, None, None] & senders[:, None, :])
-        self.ch_pos -= deliv
-        got = deliv.sum(axis=2)
-        self.delivered += got.sum(axis=1)
-        self.pending |= got > 0
+        # Phase 2: every receiver of a trial pops this window's vote from
+        # the same permitted senders (silent ones' channels are empty).
+        voting = sending & senders
+        self.ch_pos -= voting[:, None, :]
+        got = voting.sum(axis=1)
+        self.delivered += got * n
+        self.pending |= act_procs & (got > 0)[:, None]
 
         # Delivery order: non-deliver-last senders ascending, then the
         # deliver-last ones ascending (the oracle's per-receiver order).
         if deliver_last is not None:
             perm = self._delivery_order(deliver_last)
-            deliv_o = np.take_along_axis(deliv, perm[:, None, :], axis=2)
-            val_o = np.take_along_axis(est_sent, perm, axis=1)[:, None, :]
-            chain_o = np.take_along_axis(chain_sent, perm,
-                                         axis=1)[:, None, :]
+            voting_o = np.take_along_axis(voting, perm, axis=1)
+            val_o = np.take_along_axis(est_sent, perm, axis=1)
+            chain_o = np.take_along_axis(chain_sent, perm, axis=1)
         else:
-            deliv_o = deliv
-            val_o = est_sent[:, None, :]
-            chain_o = chain_sent[:, None, :]
+            voting_o, val_o, chain_o = voting, est_sent, chain_sent
         now = time.perf_counter()
         timers["deliver"] += now - mark
         mark = now
 
         # The first T1 votes in delivery order are the fired tally.
-        selected = deliv_o & (np.cumsum(deliv_o, axis=2) <= t1)
+        selected = voting_o & (np.cumsum(voting_o, axis=1) <= t1)
         count = np.minimum(got, t1)
-        ones = (selected & (val_o == 1)).sum(axis=2)
+        ones = (selected & (val_o == 1)).sum(axis=1)
         zeros = count - ones
 
         # Chain bookkeeping: the deciding chain sees only the first T1
         # deliveries (recorded at fire time); max_chain sees them all.
         pre_chain = self.max_chain
-        sel_chain = np.where(selected, chain_o, 0).max(axis=2)
-        all_chain = np.where(deliv_o, chain_o, 0).max(axis=2)
-        self.max_chain = np.maximum(pre_chain, all_chain)
-        decide_chain = np.maximum(pre_chain, sel_chain)
+        sel_chain = np.where(selected, chain_o, 0).max(axis=1)
+        all_chain = np.where(voting, chain_sent, 0).max(axis=1)
+        self.max_chain = np.maximum(pre_chain, all_chain[:, None])
+        decide_chain = np.maximum(pre_chain, sel_chain[:, None])
         now = time.perf_counter()
         timers["tally"] += now - mark
         mark = now
 
-        # Fire: majority/decide/estimate, exactly _finish_round.
-        fire = act_procs & (got >= t1)
+        # Fire: majority/decide/estimate, exactly _finish_round.  A firing
+        # resyncing receiver adopts the common round first.
+        fire = np.broadcast_to((act & (got >= t1))[:, None],
+                               self.pending.shape)
         majority_zero = zeros >= ones
         majority_value = np.where(majority_zero, 0, 1).astype(np.int8)
         majority_count = np.where(majority_zero, zeros, ones)
-        deciding = fire & (majority_count >= t2) & (self.output < 0)
+        deciding = fire & (majority_count >= t2)[:, None] & (self.output < 0)
         if deciding.any():
-            self.output = np.where(deciding, majority_value, self.output)
+            self.output = np.where(deciding, majority_value[:, None],
+                                   self.output)
             self.deciding_chain = np.where(deciding, decide_chain,
                                            self.deciding_chain)
-        new_est = np.where(fire, majority_value, est_sent)
-        flipping = fire & (majority_count < t3)
+        new_est = np.where(fire, majority_value[:, None], est_sent)
+        flipping = fire & (majority_count < t3)[:, None]
         if flipping.any():
             ft, fp = np.nonzero(flipping)
             new_est[ft, fp] = self._draw_coins(ft, fp)
         # Sub-T1 tallies buffer in slot 0 (ring was empty, so writing
-        # zeros elsewhere is a no-op); fired rings stay empty.
-        tally = act_procs & ~fire & (got > 0)
+        # zeros elsewhere is a no-op); fired rings stay empty.  The gate
+        # leaves no resyncing receiver in a trial with such a tally.
+        tally = act & (got > 0) & (got < t1)
         if tally.any():
             weights = np.uint64(1) << np.arange(n, dtype=np.uint64)
-            vm = (deliv * weights).sum(axis=2, dtype=np.uint64)
-            vo = ((deliv & (est_sent == 1)[:, None, :])
-                  * weights).sum(axis=2, dtype=np.uint64)
+            vm = (voting * weights).sum(axis=1, dtype=np.uint64)
+            vo = ((voting & (est_sent == 1)) * weights).sum(
+                axis=1, dtype=np.uint64)
             sl0 = kernel.slot_base[..., None]
+            tally_procs = tally[:, None, None]
             np.put_along_axis(kernel.vmask, sl0,
-                              np.where(tally, vm, 0)[..., None], axis=2)
+                              np.where(tally_procs, vm[:, None, None], 0),
+                              axis=2)
             np.put_along_axis(kernel.vones, sl0,
-                              np.where(tally, vo, 0)[..., None], axis=2)
+                              np.where(tally_procs, vo[:, None, None], 0),
+                              axis=2)
         kernel.est = new_est
-        kernel.round = kernel.round + fire
-        kernel.base_round = kernel.base_round + fire
+        common = kernel.round.max(axis=1, keepdims=True)
+        kernel.round = np.where(fire, common + 1, kernel.round)
+        kernel.base_round = np.where(fire, kernel.round, kernel.base_round)
+        kernel.resync &= ~fire
         kernel.slot_base = ((kernel.slot_base + fire)
                             % RING_SLOTS).astype(np.int32)
 
-        self.window += act
-        newly = act & (self.first_decision < 0) \
-            & (self.output >= 0).any(axis=1)
-        if newly.any():
-            self.first_decision[newly] = self.window[newly]
+        self._end_window(act, resets)
         timers["decide"] += time.perf_counter() - mark
 
     def _push(self, sending: np.ndarray, rounds: np.ndarray,

@@ -24,14 +24,16 @@ Subcommands::
         log and render a live progress line while running (``repro fuzz``
         and ``repro search`` too); telemetry never changes result rows.
         On the batched backend each ``batch`` span carries the engine's
-        phase seconds.  See "Telemetry & profiling" in PERFORMANCE.md.
+        phase seconds and window counts.  See "Telemetry & profiling" in
+        PERFORMANCE.md.
 
     repro show {RUN_DIR | EXPERIMENT} [--out DIR] [--timing]
         Render a stored run (a run directory, or the latest stored run of
         an experiment) as a table.  Fuzz-campaign runs render too.
         ``--timing`` appends per-cell trial-duration percentiles,
-        per-signature batch totals with their phase split, and the
-        slowest trial's span tree from the run's telemetry event log.
+        per-signature batch totals with their phase split and window
+        counts, and the slowest trial's span tree from the run's
+        telemetry event log.
 
     repro top {RUN_DIR | EXPERIMENT} [--out DIR] [--interval S] [--once]
         Tail a (possibly still running) campaign's telemetry event log:

@@ -138,14 +138,15 @@ class _Chunk(NamedTuple):
 
 class BatchOutcome(NamedTuple):
     """A batched chunk's results plus its own timing: ``quarantined``
-    counts members re-run on the oracle mid-batch, ``phases`` holds the
-    engine's seconds per window phase."""
+    counts members re-run on the oracle mid-batch, ``stats`` holds the
+    engine's seconds per window phase and its window counts, keyed by
+    their ``batch`` span field names."""
 
     results: List[Any]
     t0: float
     duration: float
     quarantined: int
-    phases: Dict[str, float]
+    stats: Dict[str, float]
 
 
 def _execute_chunk_guarded(chunk: _Chunk,
@@ -167,12 +168,12 @@ def _execute_chunk_guarded(chunk: _Chunk,
         if injector is not None:
             for spec in chunk.specs:
                 injector.fire(spec, attempt, scope)
-        results, quarantined, phases = run_group(chunk.specs)
+        results, quarantined, stats = run_group(chunk.specs)
         results = [result if reduce is None else reduce(spec, result)
                    for spec, reduce, result
                    in zip(chunk.specs, chunk.reducers, results)]
         return BatchOutcome(results, t0, time.perf_counter() - start,
-                            quarantined, phases)
+                            quarantined, stats)
     timed: List[TimedResult] = []
     for spec, reduce in zip(chunk.specs, chunk.reducers):
         t0 = time.time()
@@ -315,7 +316,8 @@ class SupervisedRunner:
         """Record one chunk's spans/counters and return its bare results.
 
         A batched chunk becomes one ``batch`` span carrying the engine's
-        phase seconds (``deliver_s``, ``tally_s``, ``decide_s``).  A
+        phase seconds (``deliver_s``, ``tally_s``, ``decide_s``) and its
+        window counts (``windows``, ``general_windows``).  A
         multi-trial per-trial chunk becomes a ``chunk`` span (worker
         busy-time) parenting one ``trial`` span per spec; a singleton
         records just the trial span.  Spans nest under whatever span the
@@ -329,8 +331,7 @@ class SupervisedRunner:
             telemetry.record_span(
                 "batch", outcome.t0, outcome.duration, trials=trials,
                 signature=[str(part) for part in chunk.signature],
-                scope=scope, **{f"{name}_s": seconds
-                                for name, seconds in outcome.phases.items()})
+                scope=scope, **outcome.stats)
             telemetry.count("trials_batched", trials - quarantined)
             telemetry.count("trials_completed", trials)
             for name in ("quarantined_mid_batch", "trials_fallback",

@@ -19,8 +19,9 @@ actually has: a dict keyed by sequence number makes :meth:`Network.deliver`
 O(1), and per-receiver-per-sender deques make the acceptable-window delivery
 (:meth:`Network.take_window_deliveries`) proportional to the number of
 allowed senders rather than to the number of undelivered messages.  Removal
-through the sequence index leaves ghost entries in the deques; they are
-skipped (and trimmed from the newest end) lazily.
+through the sequence index leaves ghost entries in the deques; each
+delivery trims them from both ends of its channel, and a window delivery
+skips any left in the middle.
 """
 
 from __future__ import annotations
@@ -150,8 +151,16 @@ class Network:
         if candidate is None or candidate.receiver != message.receiver:
             raise InvalidStepError(
                 f"message {message} is not pending delivery")
-        del self._live[message.sequence]
+        live = self._live
+        del live[message.sequence]
         self._delivered_count += 1
+        # Trim ghosts from both ends of the channel, so delivered messages
+        # do not pile up in the deque behind the live ones.
+        queue = self._channels[candidate.receiver].get(candidate.sender)
+        while queue and queue[-1].sequence not in live:
+            queue.pop()
+        while queue and queue[0].sequence not in live:
+            queue.popleft()
         return candidate
 
     def take_window_deliveries(self, receiver: int,

@@ -80,6 +80,9 @@ _BATCH_MS = (("dur", "total_ms"), ("deliver_s", "deliver_ms"),
 """Seconds-valued ``batch`` span fields and the millisecond columns
 :func:`batch_timing_rows` totals them into."""
 
+_BATCH_COUNTS = ("windows", "general_windows")
+"""Count-valued ``batch`` span fields :func:`batch_timing_rows` totals."""
+
 
 def batch_timing_rows(events: Sequence[Dict[str, Any]]
                       ) -> List[Dict[str, Any]]:
@@ -88,9 +91,11 @@ def batch_timing_rows(events: Sequence[Dict[str, Any]]
     The batched counterpart of :func:`cell_timing_rows`: a batched chunk
     records one ``batch`` span and no ``trial`` spans.  Besides the
     wall time, each row totals the engine's window phases the spans
-    carry (``deliver_s``, ``tally_s``, ``decide_s``).  A column no span
-    of the signature carries (a run recorded before batch spans held
-    the phase split) stays ``None``, not a measured zero.
+    carry (``deliver_s``, ``tally_s``, ``decide_s``) and its window
+    counts (``windows``, and the ``general_windows`` that missed the
+    closed form).  A column no span of the signature carries (a run
+    recorded before batch spans held it) stays ``None``, not a measured
+    zero.
     """
     totals: Dict[str, Dict[str, Any]] = {}
     for span in spans(events):
@@ -99,13 +104,17 @@ def batch_timing_rows(events: Sequence[Dict[str, Any]]
         key = " ".join(str(part) for part in span.get("signature", ()))
         row = totals.setdefault(key, {
             "signature": key, "batches": 0, "trials": 0,
-            **dict.fromkeys((column for _, column in _BATCH_MS))})
+            **dict.fromkeys((column for _, column in _BATCH_MS)),
+            **dict.fromkeys(_BATCH_COUNTS)})
         row["batches"] += 1
         row["trials"] += int(span.get("trials") or 0)
         for field, column in _BATCH_MS:
             if span.get(field) is not None:
                 row[column] = (row[column] or 0.0) \
                     + float(span[field]) * 1000.0
+        for field in _BATCH_COUNTS:
+            if span.get(field) is not None:
+                row[field] = (row[field] or 0) + int(span[field])
     rows = sorted(totals.values(),
                   key=lambda row: (-(row["total_ms"] or 0.0),
                                    row["signature"]))

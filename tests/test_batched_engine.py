@@ -19,6 +19,7 @@ import pytest
 
 from repro.batched.support import (batch_signature, numpy_ok,
                                    unsupported_reason)
+from repro.core.thresholds import ThresholdConfig
 from repro.runner.spec import TrialSpec, execute_trial
 from repro.simulation.windows import WindowSpec
 
@@ -27,7 +28,7 @@ pytestmark = pytest.mark.skipif(
 
 
 def _specs(protocol, adversary, n, t, count, base_seed, stop_when="all",
-           adversary_kwargs_fn=None, max_windows=2000):
+           adversary_kwargs_fn=None, max_windows=2000, protocol_kwargs=None):
     rng = random.Random(base_seed)
     specs = []
     for _ in range(count):
@@ -37,7 +38,8 @@ def _specs(protocol, adversary, n, t, count, base_seed, stop_when="all",
             protocol=protocol, adversary=adversary, n=n, t=t,
             inputs=inputs, seed=rng.getrandbits(32),
             adversary_kwargs=kwargs, stop_when=stop_when,
-            max_windows=max_windows))
+            max_windows=max_windows,
+            protocol_kwargs=dict(protocol_kwargs or {})))
     return specs
 
 
@@ -100,6 +102,14 @@ SHAPES = {
         stop_when="first",
         adversary_kwargs_fn=lambda r: {"seed": r.getrandbits(32),
                                        "reset_fraction": 0.5}),
+    # T1 = 7 > n - 2t = 6: with one processor reset each window, the
+    # tallies fall short, so resyncing processors buffer sub-T1 votes at
+    # mixed rounds and the windows take the general path.
+    "rt-adaptive-over-threshold": lambda: _specs(
+        "reset-tolerant", "adaptive-resetting", 8, 1, 12, 12,
+        adversary_kwargs_fn=_seeded, max_windows=300,
+        protocol_kwargs={"thresholds": ThresholdConfig(8, 1, 7, 7, 5),
+                         "validate_thresholds": False}),
 }
 
 
@@ -148,18 +158,62 @@ def test_quarantined_indices_have_no_result(monkeypatch):
     ``run_group`` re-runs it on the oracle."""
     from repro.batched import engine
 
-    # Two round slots cannot buffer the votes resets leave a round ahead,
-    # so trials leave the envelope mid-batch.
+    # Two round slots cannot buffer the votes resyncing processors anchor
+    # two rounds below their first one, so trials leave the envelope
+    # mid-batch on the general path.
     monkeypatch.setattr(engine, "RING_SLOTS", 2)
-    specs = SHAPES["rt-adaptive"]()
+    specs = SHAPES["rt-adaptive-over-threshold"]()
     results, quarantined = engine.BatchedWindowEngine(specs).run()
     assert quarantined
     for index in quarantined:
         assert results[index] is None
-    grouped, count, phases = engine.run_group(specs)
+    grouped, count, stats = engine.run_group(specs)
     assert count == len(quarantined)
-    assert set(phases) == set(engine.PHASES)
+    assert set(stats) == {f"{name}_s" for name in engine.PHASES} | {
+        "windows", "general_windows"}
+    assert 0 < stats["general_windows"] <= stats["windows"]
     assert grouped == [execute_trial(spec) for spec in specs]
+
+
+def _e2_quick_groups():
+    from repro.batched.support import group_specs
+    from repro.experiments import get_experiment
+
+    experiment = get_experiment("E2")
+    specs = [spec for cell in experiment.cells(None, quick=True)
+             for spec in cell.specs]
+    groups = [[specs[i] for i in members]
+              for _, members in group_specs(specs).groups]
+    return [group for group in groups
+            if group[0].adversary == "adaptive-resetting"]
+
+
+def test_reset_windows_take_the_closed_form(monkeypatch):
+    """Resetting workloads run every window in closed form: none of E2's
+    quick reset groups, nor the adaptive shapes, reaches the general
+    window, and the results still equal the oracle's."""
+    from repro.batched import engine
+
+    general = []
+    real = engine.BatchedWindowEngine._slow_window
+
+    def counting(self, *args):
+        general.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(engine.BatchedWindowEngine, "_slow_window",
+                        counting)
+    groups = _e2_quick_groups()
+    assert groups
+    groups += [SHAPES["rt-adaptive"](), SHAPES["rt-adaptive-frac"]()]
+    for specs in groups:
+        batch = engine.BatchedWindowEngine(specs)
+        results, quarantined = batch.run()
+        assert not quarantined
+        assert results == [execute_trial(spec) for spec in specs]
+        assert not general
+        assert batch.windows > 0 and batch.general_windows == 0
+        assert any(result.total_resets for result in results)
 
 
 def test_support_gate_declines_what_the_oracle_rejects():

@@ -71,6 +71,41 @@ class TestPendingAndDelivery:
         sequences = [m.sequence for m in network.all_pending()]
         assert sequences == sorted(sequences)
 
+    def test_deliver_trims_ghosts_from_both_channel_ends(self, network):
+        """A step delivery leaves no delivered message in its channel's
+        deque at either end, only the live ones between."""
+        for payload in ("a", "b", "c", "d"):
+            network.submit([Message(sender=0, receiver=1, payload=payload)])
+        first, second, third, fourth = pending_to(network, 1)
+        network.deliver(second)  # a middle ghost stays until exposed
+        network.deliver(fourth)
+        assert [m.payload for m in network._channels[1][0]] == [
+            "a", "b", "c"]
+        network.deliver(first)
+        assert [m.payload for m in network._channels[1][0]] == ["c"]
+        network.deliver(third)
+        assert not network._channels[1][0]
+
+    def test_step_fuzzing_keeps_channel_deques_near_pending(self):
+        """Bracha step fuzzing delivers out of order; the channel deques
+        stay within twice the pending messages instead of keeping a
+        ghost per delivered message."""
+        from repro.adversaries.registry import build_adversary
+        from repro.runner.spec import build_engine
+        from repro.verification import resolve_fuzz_params
+        from repro.verification.fuzzer import fuzz_trial_spec
+
+        params = resolve_fuzz_params(protocol="bracha", trials=1, seed=1)
+        spec = fuzz_trial_spec(params, 0)
+        engine = build_engine(spec)
+        engine.run(build_adversary(spec.adversary, **spec.adversary_kwargs),
+                   max_steps=spec.max_steps, stop_when=spec.stop_when)
+        network = engine.network
+        entries = sum(len(queue) for channels in network._channels.values()
+                      for queue in channels.values())
+        assert network.pending_count() > 0
+        assert entries <= 2 * network.pending_count()
+
 
 class TestWindowDeliveries:
     def test_take_window_deliveries_only_allowed_senders(self, network):

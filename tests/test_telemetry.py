@@ -172,7 +172,8 @@ class TestTimingReductions:
         assert rows[1]["p50_ms"] == pytest.approx(20.0)
 
     def test_batch_timing_rows_total_the_phase_split(self):
-        phases = {"deliver_s": 0.006, "tally_s": 0.002, "decide_s": 0.001}
+        phases = {"deliver_s": 0.006, "tally_s": 0.002, "decide_s": 0.001,
+                  "windows": 40, "general_windows": 3}
         events = self._events() + [
             self._span(4, 0, "batch", 0.0, 0.010, trials=3,
                        signature=["reset-tolerant", 12], **phases),
@@ -185,6 +186,7 @@ class TestTimingReductions:
         assert row["deliver_ms"] == pytest.approx(12.0)
         assert row["tally_ms"] == pytest.approx(4.0)
         assert row["decide_ms"] == pytest.approx(2.0)
+        assert (row["windows"], row["general_windows"]) == (80, 6)
 
     def test_batch_timing_rows_leave_unrecorded_phases_blank(self):
         """A batch span without the phase split (an older run) totals its
@@ -195,10 +197,10 @@ class TestTimingReductions:
         ]
         [row] = batch_timing_rows(events)
         assert row["total_ms"] == pytest.approx(10.0)
-        assert (row["deliver_ms"], row["tally_ms"],
-                row["decide_ms"]) == (None, None, None)
+        assert (row["deliver_ms"], row["tally_ms"], row["decide_ms"],
+                row["windows"], row["general_windows"]) == (None,) * 5
         body = format_table([row]).splitlines()[-1]
-        assert body.split()[-3:] == ["-", "-", "-"]
+        assert body.split()[-5:] == ["-"] * 5
 
     def test_slowest_trial_chain_walks_to_the_root(self):
         chain = slowest_trial_chain(self._events())
@@ -281,7 +283,8 @@ class TestBatchSpans:
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_batch_spans_carry_the_engine_phase_split(self, workers):
-        """Every batch span times its window phases, wherever it ran."""
+        """Every batch span times its window phases and counts its
+        windows, wherever it ran."""
         from repro.batched import numpy_ok
 
         if not numpy_ok():
@@ -301,7 +304,10 @@ class TestBatchSpans:
                       batch["decide_s"]]
             assert all(seconds >= 0.0 for seconds in phases)
             assert sum(phases) <= batch["dur"]
+            assert batch["windows"] > 0
         assert sum(batch["deliver_s"] for batch in batches) > 0.0
+        # E2 resets every window; each one still runs in closed form.
+        assert sum(batch["general_windows"] for batch in batches) == 0
         assert telemetry.counters["trials_batched"] == sum(
             len(cell.specs) for cell in experiment.cells(params=params))
 
