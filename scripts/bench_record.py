@@ -106,7 +106,18 @@ def distill(report: dict) -> dict:
     return benchmarks
 
 
-def compare(previous: dict, current: dict, threshold_pct: float) -> list:
+def recorded_machines(root: str = REPO_ROOT) -> dict:
+    """{``BENCH_<n>.json`` file name: the machine it was recorded on}."""
+    machines = {}
+    for path in glob.glob(os.path.join(root, "BENCH_*.json")):
+        with open(path) as handle:
+            machines[os.path.basename(path)] = json.load(handle).get(
+                "machine")
+    return machines
+
+
+def compare(previous: dict, current: dict, threshold_pct: float,
+            origins: dict = None, machine: str = None) -> list:
     """Benchmarks that regressed beyond the threshold.
 
     Two regression directions are gated:
@@ -116,6 +127,11 @@ def compare(previous: dict, current: dict, threshold_pct: float) -> list:
       (throughput — ``candidate_evals_per_sec``, ``trials_per_sec`` —
       lower is worse).  Non-numeric and unshared ``extra_info`` keys are
       ignored, so benchmarks may attach arbitrary annotations.
+
+    ``origins`` maps a benchmark name to ``(file name, machine)`` of its
+    earlier point and ``machine`` names this run's machine; when given,
+    each regression line ends with both, so a verdict reached across two
+    machines reads as such.
     """
     regressions = []
     factor = 1.0 + threshold_pct / 100.0
@@ -123,12 +139,17 @@ def compare(previous: dict, current: dict, threshold_pct: float) -> list:
         old = previous.get(name)
         if not old:
             continue
+        where = ""
+        if origins and name in origins:
+            source, recorded_on = origins[name]
+            where = (f" [{source} recorded on {recorded_on}; "
+                     f"this run on {machine}]")
         old_mean = old.get("mean_seconds")
         new_mean = stats.get("mean_seconds")
         if old_mean and new_mean and new_mean > old_mean * factor:
             regressions.append(
                 f"{name}: {old_mean:.4f}s -> {new_mean:.4f}s "
-                f"(+{(new_mean / old_mean - 1) * 100:.1f}%)")
+                f"(+{(new_mean / old_mean - 1) * 100:.1f}%){where}")
         old_extra = old.get("extra_info") or {}
         new_extra = stats.get("extra_info") or {}
         for key in sorted(set(old_extra) & set(new_extra)):
@@ -142,7 +163,7 @@ def compare(previous: dict, current: dict, threshold_pct: float) -> list:
                 regressions.append(
                     f"{name} [{key}]: {old_rate:.1f}/s -> "
                     f"{new_rate:.1f}/s "
-                    f"({(new_rate / old_rate - 1) * 100:.1f}%)")
+                    f"({(new_rate / old_rate - 1) * 100:.1f}%){where}")
     return regressions
 
 
@@ -163,8 +184,14 @@ def main() -> int:
         print("no benchmarks were collected", file=sys.stderr)
         return 2
 
+    machine = report.get("machine_info", {}).get("cpu", {}).get(
+        "brand_raw") or report.get("machine_info", {}).get("machine")
+    machines = recorded_machines()
     previous = {name: stats for name, (stats, _) in latest.items()}
-    regressions = compare(previous, benchmarks, args.threshold)
+    origins = {name: (source, machines.get(source))
+               for name, (_, source) in latest.items()}
+    regressions = compare(previous, benchmarks, args.threshold,
+                          origins=origins, machine=machine)
     sources = ", ".join(sorted({latest[name][1] for name in benchmarks
                                 if name in latest})) or None
 
@@ -175,8 +202,7 @@ def main() -> int:
         "index": index,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "pytest_args": pytest_args,
-        "machine": report.get("machine_info", {}).get("cpu", {}).get(
-            "brand_raw") or report.get("machine_info", {}).get("machine"),
+        "machine": machine,
         "benchmarks": benchmarks,
     }
     out_path = os.path.join(REPO_ROOT, f"BENCH_{index}.json")

@@ -69,6 +69,8 @@ class ResetTolerantAgreement(Protocol):
         elif validate_thresholds:
             thresholds.require_valid()
         self.thresholds = thresholds
+        # T1 is read for every delivered vote; cache it off the config.
+        self._t1 = thresholds.t1
         # Volatile state (erased by a reset).
         self.round: Optional[int] = 1
         self.estimate: Optional[int] = input_bit
@@ -103,7 +105,7 @@ class ResetTolerantAgreement(Protocol):
             return
         votes = self._votes[vote_round]
         votes[message.sender] = vote_value
-        if vote_round == current_round and len(votes) >= self.thresholds.t1:
+        if vote_round == current_round and len(votes) >= self._t1:
             self._finish_round(vote_round)
 
     def _on_reset(self) -> None:
@@ -138,14 +140,14 @@ class ResetTolerantAgreement(Protocol):
         self.round = finished_round + 1
         # Votes buffered for the new round may already satisfy the
         # threshold (possible under very asynchronous schedules).
-        if len(self._votes.get(self.round, {})) >= self.thresholds.t1:
+        if len(self._votes.get(self.round, {})) >= self._t1:
             self._finish_round(self.round)
 
     def _handle_resync_vote(self, sender: int, vote_round: int,
                             vote_value: int) -> None:
         """Reset recovery: collect votes until some round has T1 of them."""
         self._votes[vote_round][sender] = vote_value
-        if len(self._votes[vote_round]) >= self.thresholds.t1:
+        if len(self._votes[vote_round]) >= self._t1:
             self._resyncing = False
             self.round = vote_round
             self.estimate = None  # will be set by step 3 below

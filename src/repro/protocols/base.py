@@ -128,10 +128,15 @@ class Protocol(abc.ABC):
         if not self._pending_send:
             return []
         self._pending_send = False
-        return list(self._compose_messages())
+        return self._compose_messages()
 
     def receive_step(self, message: Message) -> None:
-        """Take a receiving step: consume a delivered message."""
+        """Take a receiving step: consume a delivered message.
+
+        The engine delivers through :meth:`Processor.receive
+        <repro.simulation.processor.Processor.receive>`, which does the
+        same for a whole batch.
+        """
         self._pending_send = True
         self._handle_message(message)
 
@@ -156,7 +161,7 @@ class Protocol(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def _compose_messages(self) -> List[Message]:
-        """Return the messages to send for the current sending step."""
+        """Return a fresh list of the messages for this sending step."""
 
     @abc.abstractmethod
     def _handle_message(self, message: Message) -> None:

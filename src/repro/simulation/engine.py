@@ -203,18 +203,20 @@ class Engine:
                 corrupted: bool = False) -> None:
         """Processor ``pid`` receives a batch of already-removed messages.
 
-        Decision bookkeeping runs once per batch, so a window's deliveries
-        to one receiver cost one decision check, not one per message.
+        The trace's ``deliver`` events are written first, then the whole
+        batch goes to :meth:`Processor.receive` in one call, and decision
+        bookkeeping runs once per batch, so a window's deliveries to one
+        receiver cost one decision check, not one per message.  A decision
+        taken mid-batch is traced after every ``deliver`` of the batch.
         """
         proc = self.processors[pid]
         was_decided = proc.decided
         trace = self.trace
-        receive_step = proc.receive_step
-        for message in messages:
-            if trace is not None:
+        if trace is not None:
+            for message in messages:
                 trace.record_deliver(message, window=window,
                                      corrupted=corrupted)
-            receive_step(message)
+        proc.receive(messages)
         if not was_decided and proc.decided:
             self._note_decision(proc, window)
 

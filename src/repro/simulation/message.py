@@ -7,17 +7,30 @@ therefore a triple (sender, receiver, contents); we additionally stamp each
 message with a monotonically increasing sequence number when it enters the
 network, which is used for deterministic replay and for message-chain
 accounting (Section 5 measures running time by message-chain length).
+
+A :class:`Message` is an immutable tuple-based record: building one is a
+single tuple allocation, and its fields read through C-level accessors.
+Nothing ever changes a message in place; :meth:`Network.submit
+<repro.simulation.network.Network.submit>` builds the stamped copy that
+travels through the buffer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from typing import Any, Tuple
 
+_MessageFields = namedtuple(
+    "_MessageFields", ("sender", "receiver", "payload", "sequence",
+                       "chain_depth"),
+    defaults=(-1, 1))
 
-@dataclass(frozen=True, slots=True)
-class Message:
+
+class Message(_MessageFields):
     """A single message travelling on a dedicated sender->receiver channel.
+
+    Equality and hashing are those of the field tuple, so two messages with
+    equal fields are interchangeable.
 
     Attributes:
         sender: identity of the sending processor (``0 <= sender < n``).
@@ -32,33 +45,15 @@ class Message:
             had received before sending.  Used for Theorem 17 experiments.
     """
 
-    sender: int
-    receiver: int
-    payload: Any
-    sequence: int = -1
-    chain_depth: int = 1
+    __slots__ = ()
 
     def with_sequence(self, sequence: int) -> "Message":
         """Return a copy stamped with the given network sequence number."""
-        return replace(self, sequence=sequence)
+        return self._replace(sequence=sequence)
 
     def with_chain_depth(self, chain_depth: int) -> "Message":
         """Return a copy carrying the given message-chain depth."""
-        return replace(self, chain_depth=chain_depth)
-
-    def stamp_in_place(self, sequence: int, chain_depth: int) -> None:
-        """Set both bookkeeping fields without allocating a copy.
-
-        Messages follow a mutable-until-submitted convention: a freshly
-        composed message is owned exclusively by its sender until it is
-        handed to :meth:`~repro.simulation.network.Network.submit`, which
-        stamps it in place (one message object per send instead of three)
-        and freezes it by publication.  Code holding a message obtained from
-        the network must treat it as immutable, as before.
-        """
-        _set = object.__setattr__
-        _set(self, "sequence", sequence)
-        _set(self, "chain_depth", chain_depth)
+        return self._replace(chain_depth=chain_depth)
 
     def corrupted(self, payload: Any) -> "Message":
         """Return a copy whose payload has been replaced by an adversary.
@@ -67,11 +62,18 @@ class Message:
         contents of messages sent by corrupted processors (the channel
         still truthfully reports the sender identity).
         """
-        return replace(self, payload=payload)
+        return self._replace(payload=payload)
 
     def key(self) -> Tuple[int, int, Any]:
         """A channel-level identity ignoring sequence/chain bookkeeping."""
         return (self.sender, self.receiver, self.payload)
+
+
+new_message = tuple.__new__
+"""``new_message(Message, fields)`` builds a message from its five fields in
+one C call, skipping the Python-level constructor; the hot paths
+(:func:`broadcast` and :meth:`Network.submit
+<repro.simulation.network.Network.submit>`) use it."""
 
 
 def broadcast(sender: int, n: int, payload: Any,
@@ -92,7 +94,7 @@ def broadcast(sender: int, n: int, payload: Any,
         A list of :class:`Message` objects, one per destination.
     """
     return [
-        Message(sender=sender, receiver=receiver, payload=payload)
+        new_message(Message, (sender, receiver, payload, -1, 1))
         for receiver in range(n)
         if include_self or receiver != sender
     ]

@@ -16,21 +16,25 @@ engine needs, window by window or step by step:
 
 Internally the buffer is indexed for the access patterns the engine
 actually has: a dict keyed by sequence number makes :meth:`Network.deliver`
-O(1), and per-receiver-per-sender deques make the acceptable-window delivery
+O(1), and a preallocated ``n x n`` table of channel deques, indexed
+``[receiver][sender]``, makes the acceptable-window delivery
 (:meth:`Network.take_window_deliveries`) proportional to the number of
 allowed senders rather than to the number of undelivered messages.  Removal
 through the sequence index leaves ghost entries in the deques; each
 delivery trims them from both ends of its channel, and a window delivery
 skips any left in the middle.
+
+Messages are immutable: :meth:`Network.submit` builds each stamped message
+in one allocation and returns those, not the objects it was handed.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Set
 
 from repro.simulation.errors import InvalidStepError
-from repro.simulation.message import Message
+from repro.simulation.message import Message, new_message
 
 
 class Network:
@@ -46,11 +50,11 @@ class Network:
         # Undelivered messages keyed by sequence number: the authoritative
         # "is this message still pending?" index, giving O(1) delivery.
         self._live: Dict[int, Message] = {}
-        # Per-receiver, per-sender channel queues in send order.  Entries
-        # whose sequence is no longer in ``_live`` are ghosts left behind by
-        # out-of-order delivery and are skipped lazily.
-        self._channels: Dict[int, Dict[int, Deque[Message]]] = \
-            defaultdict(dict)
+        # Channel queues in send order, ``_channels[receiver][sender]``.
+        # Entries whose sequence is no longer in ``_live`` are ghosts left
+        # behind by out-of-order delivery and are skipped lazily.
+        self._channels: List[List[Deque[Message]]] = [
+            [deque() for _ in range(n)] for _ in range(n)]
         self._delivered_count = 0
         self._sent_count = 0
 
@@ -67,33 +71,32 @@ class Network:
                 (``1 +`` the deepest chain the sender had received).
 
         Returns:
-            The stamped messages actually stored in the buffer.  Stamping
-            happens in place (messages are mutable until submitted), so
-            these are the same objects the caller passed in.
+            The stamped messages actually stored in the buffer: new
+            objects carrying the caller's sender, receiver and payload
+            with this network's sequence numbers and ``chain_depth``.
         """
         stored = []
         n = self.n
         sequence = self._sequence
         live = self._live
-        all_channels = self._channels
+        channels = self._channels
         try:
             for message in messages:
+                sender = message.sender
                 receiver = message.receiver
                 if not 0 <= receiver < n:
                     raise InvalidStepError(
                         f"message addressed to unknown processor {receiver}")
-                if not 0 <= message.sender < n:
+                if not 0 <= sender < n:
                     raise InvalidStepError(
-                        f"message from unknown processor {message.sender}")
-                message.stamp_in_place(sequence, chain_depth)
-                live[sequence] = message
+                        f"message from unknown processor {sender}")
+                stamped = new_message(Message, (
+                    sender, receiver, message.payload, sequence,
+                    chain_depth))
+                live[sequence] = stamped
                 sequence += 1
-                channels = all_channels[receiver]
-                queue = channels.get(message.sender)
-                if queue is None:
-                    queue = channels[message.sender] = deque()
-                queue.append(message)
-                stored.append(message)
+                channels[receiver][sender].append(stamped)
+                stored.append(stamped)
         finally:
             # Messages accepted before a mid-batch validation error stay
             # in the buffer, exactly as with per-message bookkeeping.
@@ -156,7 +159,7 @@ class Network:
         self._delivered_count += 1
         # Trim ghosts from both ends of the channel, so delivered messages
         # do not pile up in the deque behind the live ones.
-        queue = self._channels[candidate.receiver].get(candidate.sender)
+        queue = self._channels[candidate.receiver][candidate.sender]
         while queue and queue[-1].sequence not in live:
             queue.pop()
         while queue and queue[0].sequence not in live:
@@ -173,16 +176,15 @@ class Network:
         so this returns at most one message per allowed sender — the most
         recently sent one — leaving older undelivered messages in the buffer
         (they model the asynchrony the adversary may exploit later).
+        ``receiver`` and every sender must be identities in ``[0, n)``,
+        as :meth:`WindowSpec.validate
+        <repro.simulation.windows.WindowSpec.validate>` guarantees.
         """
-        channels = self._channels.get(receiver)
-        if not channels:
-            return []
+        channels = self._channels[receiver]
         live = self._live
         deliveries: List[Message] = []
         for sender in sorted(senders):
-            queue = channels.get(sender)
-            if not queue:
-                continue
+            queue = channels[sender]
             # Trim ghosts so the rightmost entry is the newest live message.
             while queue and queue[-1].sequence not in live:
                 queue.pop()

@@ -9,7 +9,7 @@ crash-failure setting (Section 5).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.simulation.errors import InvalidStepError
 from repro.simulation.message import Message
@@ -78,27 +78,48 @@ class Processor:
         self._messages_sent += len(messages)
         return messages
 
-    def receive_step(self, message: Message) -> None:
-        """Deliver a message to the processor.
+    def receive(self, messages: Sequence[Message]) -> None:
+        """Deliver messages in order; a single message is a batch of one.
+
+        Equivalent to taking one receiving step per message: the crash
+        check holds for the whole batch, each message must be addressed to
+        this processor, and :attr:`deciding_chain_depth` is taken at the
+        message whose receipt makes the protocol decide.  If a message is
+        rejected (or the protocol raises), the messages before it stay
+        received, exactly as step by step.
 
         Raises:
-            InvalidStepError: if the processor has crashed or the message is
+            InvalidStepError: if the processor has crashed or a message is
                 addressed to someone else.
         """
-        protocol = self.protocol
         if self.crashed:
             raise InvalidStepError(
                 f"cannot deliver to crashed processor {self.pid}")
-        if message.receiver != protocol.pid:
-            raise InvalidStepError(
-                f"message for {message.receiver} delivered to {self.pid}")
-        was_decided = protocol.decided
-        self._messages_received += 1
-        if message.chain_depth > self._max_received_chain:
-            self._max_received_chain = message.chain_depth
-        protocol.receive_step(message)
-        if not was_decided and protocol.decided:
-            self._deciding_chain_depth = self._max_received_chain
+        protocol = self.protocol
+        pid = protocol.pid
+        handle = protocol._handle_message
+        chain = self._max_received_chain
+        undecided = not protocol.decided
+        received = 0
+        try:
+            for message in messages:
+                if message.receiver != pid:
+                    raise InvalidStepError(
+                        f"message for {message.receiver} delivered to {pid}")
+                received += 1
+                if message.chain_depth > chain:
+                    chain = message.chain_depth
+                handle(message)
+                if undecided and protocol.decided:
+                    self._deciding_chain_depth = chain
+                    undecided = False
+        finally:
+            if received:
+                # A receiving step is what makes the next sending step
+                # respond (the "complete response" rule of Protocol).
+                protocol._pending_send = True
+                self._messages_received += received
+                self._max_received_chain = chain
 
     def reset(self) -> None:
         """Apply a resetting failure (erase volatile protocol memory)."""

@@ -152,6 +152,31 @@ def test_compare_gates_on_throughput_extra_info():
     assert bench.compare(previous, odd, 20.0) == []
 
 
+def test_compare_names_both_machines_on_each_regression(tmp_path):
+    bench = _bench_record()
+    (tmp_path / "BENCH_5.json").write_text(json.dumps(
+        {"index": 5, "machine": "Xeon @ 2.10GHz",
+         "benchmarks": {"b": {"mean_seconds": 1.0,
+                              "extra_info": {"trials_per_sec": 100.0}}}}))
+    machines = bench.recorded_machines(str(tmp_path))
+    assert machines == {"BENCH_5.json": "Xeon @ 2.10GHz"}
+    _, latest = bench.find_previous(str(tmp_path))
+    previous = {name: stats for name, (stats, _) in latest.items()}
+    origins = {name: (source, machines[source])
+               for name, (_, source) in latest.items()}
+    slow = {"b": {"mean_seconds": 2.0, "extra_info": {"trials_per_sec": 50.0}}}
+    found = bench.compare(previous, slow, 20.0, origins=origins,
+                          machine="EPYC 7B13")
+    assert len(found) == 2
+    for line in found:
+        assert line.endswith("[BENCH_5.json recorded on Xeon @ 2.10GHz; "
+                             "this run on EPYC 7B13]")
+    # Same threshold, same verdicts, with or without the annotation.
+    assert len(bench.compare(previous, slow, 20.0)) == 2
+    assert bench.compare(previous, {"b": {"mean_seconds": 1.1}}, 20.0,
+                         origins=origins, machine="EPYC 7B13") == []
+
+
 def test_compare_ignores_non_numeric_rates():
     bench = _bench_record()
     previous = {"b": {"extra_info": {"x_per_sec": "fast"}}}

@@ -1,5 +1,8 @@
 """Unit tests for message primitives."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.simulation.message import Message, broadcast
@@ -47,6 +50,61 @@ class TestMessage:
         message = Message(sender=0, receiver=1, payload="x")
         with pytest.raises(Exception):
             message.sender = 5  # type: ignore[misc]
+
+
+class TestMessageContract:
+    """What the pool, ``Engine.clone`` and the network rely on."""
+
+    FIELDS = ("sender", "receiver", "payload", "sequence", "chain_depth")
+
+    def sample(self):
+        return Message(sender=2, receiver=5, payload=("VOTE", 3, 1),
+                       sequence=41, chain_depth=7)
+
+    def test_pickle_round_trip(self):
+        message = self.sample()
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(message, protocol=protocol))
+            assert type(back) is Message
+            assert back == message
+            assert back.chain_depth == 7 and back.sequence == 41
+
+    def test_deepcopy_round_trip(self):
+        message = self.sample()
+        clone = copy.deepcopy(message)
+        assert type(clone) is Message
+        assert clone == message
+        assert clone.payload == ("VOTE", 3, 1)
+
+    def test_equal_messages_hash_and_compare_equal(self):
+        a, b = self.sample(), self.sample()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != a.with_sequence(42)
+        assert a != a.with_chain_depth(8)
+
+    def test_copies_are_messages(self):
+        message = self.sample()
+        for copied in (message.corrupted(("VOTE", 3, 0)),
+                       message.with_sequence(0),
+                       message.with_chain_depth(1)):
+            assert type(copied) is Message
+
+    def test_every_field_refuses_assignment(self):
+        message = self.sample()
+        for field in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(message, field, 0)
+        with pytest.raises(AttributeError):
+            message.extra = 0  # no per-instance __dict__
+        assert message == self.sample()
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert Message(2, 5, ("VOTE", 3, 1), 41, 7) == self.sample()
+        assert Message(0, 1, "x") == Message(sender=0, receiver=1,
+                                             payload="x", sequence=-1,
+                                             chain_depth=1)
 
 
 class TestBroadcast:

@@ -101,8 +101,8 @@ class TestPendingAndDelivery:
         engine.run(build_adversary(spec.adversary, **spec.adversary_kwargs),
                    max_steps=spec.max_steps, stop_when=spec.stop_when)
         network = engine.network
-        entries = sum(len(queue) for channels in network._channels.values()
-                      for queue in channels.values())
+        entries = sum(len(queue) for channels in network._channels
+                      for queue in channels)
         assert network.pending_count() > 0
         assert entries <= 2 * network.pending_count()
 

@@ -47,11 +47,11 @@ class TestBasics:
 
     def test_receive_wrong_recipient_raises(self, processor):
         with pytest.raises(InvalidStepError):
-            processor.receive_step(Message(sender=1, receiver=2, payload="x"))
+            processor.receive([Message(sender=1, receiver=2, payload="x")])
 
     def test_receive_counts_and_decides(self, processor):
-        processor.receive_step(Message(sender=1, receiver=0, payload="a"))
-        processor.receive_step(Message(sender=2, receiver=0, payload="b"))
+        processor.receive([Message(sender=1, receiver=0, payload="a")])
+        processor.receive([Message(sender=2, receiver=0, payload="b")])
         assert processor.messages_received == 2
         assert processor.decided
         assert processor.output == 1
@@ -65,7 +65,7 @@ class TestCrash:
     def test_delivery_to_crashed_processor_raises(self, processor):
         processor.crash()
         with pytest.raises(InvalidStepError):
-            processor.receive_step(Message(sender=1, receiver=0, payload="x"))
+            processor.receive([Message(sender=1, receiver=0, payload="x")])
 
     def test_reset_of_crashed_processor_raises(self, processor):
         processor.crash()
@@ -83,25 +83,25 @@ class TestCrash:
 class TestMessageChains:
     def test_outgoing_chain_depth_tracks_deepest_received(self, processor):
         assert processor.outgoing_chain_depth == 1
-        processor.receive_step(Message(sender=1, receiver=0, payload="a",
-                                       chain_depth=4))
+        processor.receive([Message(sender=1, receiver=0, payload="a",
+                                   chain_depth=4)])
         assert processor.outgoing_chain_depth == 5
 
     def test_deciding_chain_depth_recorded_at_decision(self, processor):
-        processor.receive_step(Message(sender=1, receiver=0, payload="a",
-                                       chain_depth=2))
+        processor.receive([Message(sender=1, receiver=0, payload="a",
+                                   chain_depth=2)])
         assert processor.deciding_chain_depth is None
-        processor.receive_step(Message(sender=2, receiver=0, payload="b",
-                                       chain_depth=7))
+        processor.receive([Message(sender=2, receiver=0, payload="b",
+                                   chain_depth=7)])
         assert processor.decided
         assert processor.deciding_chain_depth == 7
 
     def test_deciding_chain_depth_not_updated_after_decision(self, processor):
-        processor.receive_step(Message(sender=1, receiver=0, payload="a",
-                                       chain_depth=2))
-        processor.receive_step(Message(sender=2, receiver=0, payload="b",
-                                       chain_depth=3))
+        processor.receive([Message(sender=1, receiver=0, payload="a",
+                                   chain_depth=2)])
+        processor.receive([Message(sender=2, receiver=0, payload="b",
+                                   chain_depth=3)])
         depth_at_decision = processor.deciding_chain_depth
-        processor.receive_step(Message(sender=1, receiver=0, payload="c",
-                                       chain_depth=50))
+        processor.receive([Message(sender=1, receiver=0, payload="c",
+                                   chain_depth=50)])
         assert processor.deciding_chain_depth == depth_at_decision

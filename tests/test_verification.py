@@ -57,6 +57,26 @@ class TestTraceRecording:
         assert sorted(pid for pid, _ in decisions) == list(range(13))
         assert {value for _, value in decisions} == {1}
 
+    def test_decision_mid_batch_traced_after_the_whole_batch(self):
+        """Unanimous votes decide at the T1-th of 13 deliveries; the
+        window's remaining deliveries still come before the decide."""
+        engine = _window_engine(inputs=[1] * 13)
+        t1 = engine.processors[0].protocol.waiting_threshold()
+        assert t1 < engine.n
+        engine.run_window(WindowSpec.full_delivery(engine.n))
+        events = engine.trace.events
+        for pid in range(engine.n):
+            assert engine.processors[pid].messages_received == engine.n
+            delivers = [index for index, event in enumerate(events)
+                        if event.kind == "deliver" and event.pid == pid]
+            decides = [index for index, event in enumerate(events)
+                       if event.kind == "decide" and event.pid == pid]
+            assert len(delivers) == engine.n and len(decides) == 1
+            assert max(delivers) < decides[0]
+            # The decide is the first event after that receiver's batch.
+            assert decides[0] == max(delivers) + 1
+        assert InvariantChecker().check(engine.trace).ok
+
     def test_step_engine_records_steps_and_crashes(self):
         info = get_protocol("ben-or")
         factory = ProtocolFactory(info.protocol_cls, n=5, t=2)
