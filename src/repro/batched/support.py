@@ -42,15 +42,6 @@ BACKEND_TRIAL = "trial"
 BACKEND_BATCHED = "batched"
 BACKENDS = (BACKEND_TRIAL, BACKEND_BATCHED)
 
-#: Largest processor count a batch supports: vote tallies are kept as one
-#: uint64 sender bitmask per (trial, processor, round-slot).
-MAX_PROCESSORS = 64
-
-#: Largest window cap a batch supports: channel messages pack round and
-#: chain depth into 24-bit fields (round can cascade up to ``n`` times
-#: per window, so the safe cap is ``2**24 / MAX_PROCESSORS``).
-MAX_WINDOW_CAP = 200_000
-
 MIN_BATCH = 2
 """Smallest group worth building array state for; singletons fall back."""
 
@@ -132,10 +123,6 @@ def unsupported_reason(spec: TrialSpec) -> Optional[str]:
         # Unseeded trials draw processor RNGs from the shared fallback
         # stream; batching would reorder those draws.
         return "unseeded trial (shared fallback stream)"
-    if spec.n > MAX_PROCESSORS:
-        return f"n > {MAX_PROCESSORS} (sender bitmask width)"
-    if spec.max_windows > MAX_WINDOW_CAP:
-        return f"max_windows > {MAX_WINDOW_CAP} (packed round field)"
     if spec.protocol != "reset-tolerant":
         return f"protocol {spec.protocol!r} not vectorized"
     if set(spec.protocol_kwargs) - _RT_KWARGS:
@@ -151,7 +138,7 @@ def batch_signature(spec: TrialSpec) -> Tuple[Any, ...]:
     """The grouping key for one batched-engine run.
 
     Trials in one batch must share the thresholds (they become scalars in
-    the kernel) and the stop rule; seeds, inputs, window caps and
+    the engine) and the stop rule; seeds, inputs, window caps and
     per-trial adversary kwargs may all differ.  Only call on specs
     :func:`unsupported_reason` accepted.
     """
@@ -214,8 +201,6 @@ __all__ = [
     "BACKENDS",
     "BACKEND_BATCHED",
     "BACKEND_TRIAL",
-    "MAX_PROCESSORS",
-    "MAX_WINDOW_CAP",
     "MIN_BATCH",
     "BatchPlan",
     "batch_signature",

@@ -137,15 +137,14 @@ class _Chunk(NamedTuple):
 
 
 class BatchOutcome(NamedTuple):
-    """A batched chunk's results plus its own timing: ``quarantined``
-    counts members re-run on the oracle mid-batch, ``stats`` holds the
-    engine's seconds per window phase and its window counts, keyed by
-    their ``batch`` span field names."""
+    """A batched chunk's results plus its own timing: ``stats`` holds the
+    engine's seconds per window phase, its window count and the members
+    it ``quarantined`` (re-run on the oracle mid-batch), keyed by their
+    ``batch`` span field names."""
 
     results: List[Any]
     t0: float
     duration: float
-    quarantined: int
     stats: Dict[str, float]
 
 
@@ -168,12 +167,12 @@ def _execute_chunk_guarded(chunk: _Chunk,
         if injector is not None:
             for spec in chunk.specs:
                 injector.fire(spec, attempt, scope)
-        results, quarantined, stats = run_group(chunk.specs)
+        results, stats = run_group(chunk.specs)
         results = [result if reduce is None else reduce(spec, result)
                    for spec, reduce, result
                    in zip(chunk.specs, chunk.reducers, results)]
         return BatchOutcome(results, t0, time.perf_counter() - start,
-                            quarantined, stats)
+                            stats)
     timed: List[TimedResult] = []
     for spec, reduce in zip(chunk.specs, chunk.reducers):
         t0 = time.time()
@@ -317,7 +316,7 @@ class SupervisedRunner:
 
         A batched chunk becomes one ``batch`` span carrying the engine's
         phase seconds (``deliver_s``, ``tally_s``, ``decide_s``) and its
-        window counts (``windows``, ``general_windows``).  A
+        counts (``windows``, and the trials it ``quarantined``).  A
         multi-trial per-trial chunk becomes a ``chunk`` span (worker
         busy-time) parenting one ``trial`` span per spec; a singleton
         records just the trial span.  Spans nest under whatever span the
@@ -327,7 +326,8 @@ class SupervisedRunner:
         if isinstance(outcome, BatchOutcome):
             if telemetry is None:
                 return outcome.results
-            trials, quarantined = len(chunk.specs), outcome.quarantined
+            trials = len(chunk.specs)
+            quarantined = int(outcome.stats["quarantined"])
             telemetry.record_span(
                 "batch", outcome.t0, outcome.duration, trials=trials,
                 signature=[str(part) for part in chunk.signature],

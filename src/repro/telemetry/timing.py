@@ -80,7 +80,7 @@ _BATCH_MS = (("dur", "total_ms"), ("deliver_s", "deliver_ms"),
 """Seconds-valued ``batch`` span fields and the millisecond columns
 :func:`batch_timing_rows` totals them into."""
 
-_BATCH_COUNTS = ("windows", "general_windows")
+_BATCH_COUNTS = ("windows", "quarantined")
 """Count-valued ``batch`` span fields :func:`batch_timing_rows` totals."""
 
 
@@ -91,11 +91,11 @@ def batch_timing_rows(events: Sequence[Dict[str, Any]]
     The batched counterpart of :func:`cell_timing_rows`: a batched chunk
     records one ``batch`` span and no ``trial`` spans.  Besides the
     wall time, each row totals the engine's window phases the spans
-    carry (``deliver_s``, ``tally_s``, ``decide_s``) and its window
-    counts (``windows``, and the ``general_windows`` that missed the
-    closed form).  A column no span of the signature carries (a run
-    recorded before batch spans held it) stays ``None``, not a measured
-    zero.
+    carry (``deliver_s``, ``tally_s``, ``decide_s``) and its counts
+    (``windows``, and the trials ``quarantined`` to the per-trial oracle
+    because they left the closed form).  A column no span of the
+    signature carries (a run recorded before batch spans held it) stays
+    ``None``, not a measured zero.
     """
     totals: Dict[str, Dict[str, Any]] = {}
     for span in spans(events):

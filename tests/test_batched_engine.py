@@ -102,15 +102,20 @@ SHAPES = {
         stop_when="first",
         adversary_kwargs_fn=lambda r: {"seed": r.getrandbits(32),
                                        "reset_fraction": 0.5}),
-    # T1 = 7 > n - 2t = 6: with one processor reset each window, the
-    # tallies fall short, so resyncing processors buffer sub-T1 votes at
-    # mixed rounds and the windows take the general path.
+    # T1 = 7 > n - 2t = 6: once a window resets one processor and the
+    # adversary hides another, fewer than T1 synchronised voters remain,
+    # receivers would buffer a partial tally, and the trial quarantines.
     "rt-adaptive-over-threshold": lambda: _specs(
         "reset-tolerant", "adaptive-resetting", 8, 1, 12, 12,
         adversary_kwargs_fn=_seeded, max_windows=300,
         protocol_kwargs={"thresholds": ThresholdConfig(8, 1, 7, 7, 5),
                          "validate_thresholds": False}),
+    # n above 64: the engine holds no per-sender bitmask, so no n cap.
+    "rt-silencing-n80": lambda: _specs(
+        "reset-tolerant", "silencing", 80, 2, 3, 14, max_windows=6),
 }
+
+_QUARANTINING = "rt-adaptive-over-threshold"
 
 
 _BEN_OR = "protocol 'ben-or' not vectorized"
@@ -147,32 +152,84 @@ def test_engine_is_bit_identical_to_oracle(shape):
         assert unsupported_reason(spec) is None
     assert len({batch_signature(spec) for spec in specs}) == 1
     results, quarantined = BatchedWindowEngine(specs).run()
+    if shape != _QUARANTINING:
+        assert quarantined == [], shape
     for index, spec in enumerate(specs):
         if index in quarantined:
             continue  # quarantined trials rerun on the oracle upstream
         assert results[index] == execute_trial(spec), f"{shape}[{index}]"
 
 
-def test_quarantined_indices_have_no_result(monkeypatch):
+def test_quarantined_indices_have_no_result():
     """A quarantined trial yields None, never a wrong result, and
     ``run_group`` re-runs it on the oracle."""
     from repro.batched import engine
 
-    # Two round slots cannot buffer the votes resyncing processors anchor
-    # two rounds below their first one, so trials leave the envelope
-    # mid-batch on the general path.
-    monkeypatch.setattr(engine, "RING_SLOTS", 2)
-    specs = SHAPES["rt-adaptive-over-threshold"]()
+    specs = SHAPES[_QUARANTINING]()
     results, quarantined = engine.BatchedWindowEngine(specs).run()
-    assert quarantined
+    assert 0 < len(quarantined) < len(specs)
     for index in quarantined:
         assert results[index] is None
-    grouped, count, stats = engine.run_group(specs)
-    assert count == len(quarantined)
+    grouped, stats = engine.run_group(specs)
     assert set(stats) == {f"{name}_s" for name in engine.PHASES} | {
-        "windows", "general_windows"}
-    assert 0 < stats["general_windows"] <= stats["windows"]
+        "windows", "quarantined"}
+    assert stats["quarantined"] == len(quarantined)
+    assert stats["windows"] > 0
     assert grouped == [execute_trial(spec) for spec in specs]
+
+
+@pytest.mark.parametrize("state", ["stale-channel", "few-voters"])
+def test_gate_quarantines_only_the_trial_outside_the_closed_form(state):
+    """A trial set directly into a state the closed form cannot run
+    quarantines before its next window; its batch-mates still equal the
+    oracle.  The benign adversary permits every sender."""
+    from repro.batched.engine import BatchedWindowEngine
+
+    specs = SHAPES["rt-benign-all"]()
+    batch = BatchedWindowEngine(specs)
+    victim = 3
+    if state == "stale-channel":
+        # Processor 0 resyncs with a vote queued from a window that
+        # excluded it: permitted now, its channels would deliver that
+        # stale vote.
+        batch.resync[victim, 0] = True
+        batch.est[victim, 0] = -1
+        batch.backlog[victim, 0] = 1
+    else:
+        # Resyncing processors are silent: one voter short of T1.
+        silent = batch.n - batch.t1 + 1
+        batch.resync[victim, :silent] = True
+        batch.est[victim, :silent] = -1
+    assert batch._fast_ready(batch.driver.next_window(batch)[0]).tolist() \
+        == [index != victim for index in range(len(specs))]
+    results, quarantined = batch.run()
+    assert quarantined == [victim]
+    assert results[victim] is None
+    for index, spec in enumerate(specs):
+        if index != victim:
+            assert results[index] == execute_trial(spec), index
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_runner_reruns_quarantined_trials(workers):
+    """Through the runner, quarantined trials come back equal to the
+    oracle, and the quarantine counter matches the batch spans."""
+    from repro.runner import run_trials
+    from repro.telemetry import Telemetry
+
+    specs = SHAPES[_QUARANTINING]()
+    events = []
+    telemetry = Telemetry()
+    telemetry.add_listener(events.append)
+    assert run_trials(specs, workers=workers, backend="batched",
+                      telemetry=telemetry) == \
+        [execute_trial(spec) for spec in specs]
+    batches = [event for event in events if event["kind"] == "span"
+               and event["name"] == "batch"]
+    assert batches
+    quarantined = sum(batch["quarantined"] for batch in batches)
+    assert quarantined > 0
+    assert telemetry.counters["quarantined_mid_batch"] == quarantined
 
 
 def _e2_quick_groups():
@@ -188,31 +245,21 @@ def _e2_quick_groups():
             if group[0].adversary == "adaptive-resetting"]
 
 
-def test_reset_windows_take_the_closed_form(monkeypatch):
+def test_reset_windows_take_the_closed_form():
     """Resetting workloads run every window in closed form: none of E2's
-    quick reset groups, nor the adaptive shapes, reaches the general
-    window, and the results still equal the oracle's."""
-    from repro.batched import engine
+    quick reset groups, nor the adaptive shapes, quarantines a trial, and
+    the results still equal the oracle's."""
+    from repro.batched.engine import BatchedWindowEngine
 
-    general = []
-    real = engine.BatchedWindowEngine._slow_window
-
-    def counting(self, *args):
-        general.append(1)
-        return real(self, *args)
-
-    monkeypatch.setattr(engine.BatchedWindowEngine, "_slow_window",
-                        counting)
     groups = _e2_quick_groups()
     assert groups
     groups += [SHAPES["rt-adaptive"](), SHAPES["rt-adaptive-frac"]()]
     for specs in groups:
-        batch = engine.BatchedWindowEngine(specs)
+        batch = BatchedWindowEngine(specs)
         results, quarantined = batch.run()
         assert not quarantined
         assert results == [execute_trial(spec) for spec in specs]
-        assert not general
-        assert batch.windows > 0 and batch.general_windows == 0
+        assert batch.windows > 0
         assert any(result.total_resets for result in results)
 
 
@@ -230,8 +277,6 @@ def test_support_gate_declines_what_the_oracle_rejects():
     assert "trace" in unsupported_reason(TrialSpec(**traced))
     stepped = dict(base, engine="step")
     assert "step engine" in unsupported_reason(TrialSpec(**stepped))
-    big = dict(base, n=80, t=1, inputs=(0, 1) * 40)
-    assert "bitmask" in unsupported_reason(TrialSpec(**big))
     byzantine = dict(base, adversary="random-scheduler",
                      adversary_kwargs={})
     assert "not vectorized" in unsupported_reason(TrialSpec(**byzantine))

@@ -173,7 +173,7 @@ class TestTimingReductions:
 
     def test_batch_timing_rows_total_the_phase_split(self):
         phases = {"deliver_s": 0.006, "tally_s": 0.002, "decide_s": 0.001,
-                  "windows": 40, "general_windows": 3}
+                  "windows": 40, "quarantined": 3}
         events = self._events() + [
             self._span(4, 0, "batch", 0.0, 0.010, trials=3,
                        signature=["reset-tolerant", 12], **phases),
@@ -186,7 +186,7 @@ class TestTimingReductions:
         assert row["deliver_ms"] == pytest.approx(12.0)
         assert row["tally_ms"] == pytest.approx(4.0)
         assert row["decide_ms"] == pytest.approx(2.0)
-        assert (row["windows"], row["general_windows"]) == (80, 6)
+        assert (row["windows"], row["quarantined"]) == (80, 6)
 
     def test_batch_timing_rows_leave_unrecorded_phases_blank(self):
         """A batch span without the phase split (an older run) totals its
@@ -198,7 +198,7 @@ class TestTimingReductions:
         [row] = batch_timing_rows(events)
         assert row["total_ms"] == pytest.approx(10.0)
         assert (row["deliver_ms"], row["tally_ms"], row["decide_ms"],
-                row["windows"], row["general_windows"]) == (None,) * 5
+                row["windows"], row["quarantined"]) == (None,) * 5
         body = format_table([row]).splitlines()[-1]
         assert body.split()[-5:] == ["-"] * 5
 
@@ -307,7 +307,7 @@ class TestBatchSpans:
             assert batch["windows"] > 0
         assert sum(batch["deliver_s"] for batch in batches) > 0.0
         # E2 resets every window; each one still runs in closed form.
-        assert sum(batch["general_windows"] for batch in batches) == 0
+        assert sum(batch["quarantined"] for batch in batches) == 0
         assert telemetry.counters["trials_batched"] == sum(
             len(cell.specs) for cell in experiment.cells(params=params))
 
