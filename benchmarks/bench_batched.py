@@ -22,7 +22,6 @@ import time
 
 import pytest
 
-from repro.batched import numpy_ok
 from repro.core.thresholds import max_tolerable_t
 from repro.runner import TrialSpec, run_trials
 
@@ -50,8 +49,6 @@ def _e2_shaped_specs(count: int = TRIALS, n: int = N,
 @pytest.mark.benchmark(group="batched-backend")
 def test_bench_batched_backend(benchmark):
     """The vectorized path, with the per-trial oracle as its baseline."""
-    if not numpy_ok():
-        pytest.skip("batched backend needs numpy >= 2.0")
     specs = _e2_shaped_specs()
 
     results = benchmark.pedantic(
@@ -78,8 +75,6 @@ def test_bench_batched_reset_path(benchmark):
     Every window resets processors, which then sit out the next window
     resyncing; the engine runs these windows in closed form too.
     """
-    if not numpy_ok():
-        pytest.skip("batched backend needs numpy >= 2.0")
     specs = _e2_shaped_specs(adversary="adaptive-resetting")
 
     results = benchmark.pedantic(

@@ -94,17 +94,11 @@ class CrashSplitVoteAdversary(SplitVoteAdversary):
     actually crashing anyone) suffices to keep forgetful, fully
     communicative protocols such as Ben-Or undecided for exponentially many
     iterations, because withheld messages can always be delivered later
-    without affecting the processors' forward behaviour.  The class exists
-    so experiment code can name the crash-model adversary explicitly, and it
-    additionally refuses to issue resets (the crash model has none).
+    without affecting the processors' forward behaviour.  The split-vote
+    schedule never resets anyone, so it already lies in the crash model;
+    the class adds no behaviour and exists so experiment code and the
+    adversary registry can name the crash-model adversary explicitly.
     """
-
-    def next_window(self, engine: Engine) -> WindowSpec:
-        spec = super().next_window(engine)
-        if spec.resets:
-            spec = WindowSpec(senders_for=spec.senders_for,
-                              resets=frozenset(), crashes=spec.crashes)
-        return spec
 
 
 __all__ = [

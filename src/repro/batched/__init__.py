@@ -1,4 +1,4 @@
-"""Vectorized batched trial execution (numpy-backed, oracle-checked).
+"""Vectorized batched trial execution (numpy >= 2.0, oracle-checked).
 
 This package holds the ``batched`` execution backend: many trials of one
 experiment cell run inside a single process with per-processor state laid
@@ -16,8 +16,9 @@ Import surface:
 
 * :mod:`~repro.batched.support` — capability gating
   (:func:`~repro.batched.support.unsupported_reason`), the one grouping
-  rule (:func:`~repro.batched.support.group_specs`) and backend name
-  resolution (:func:`~repro.batched.support.resolve_backend`).
+  rule (:func:`~repro.batched.support.group_specs`, which batches groups
+  of any size, one trial included) and backend name validation
+  (:func:`~repro.batched.support.resolve_backend`).
 * :class:`~repro.batched.engine.BatchedWindowEngine` — the vectorized
   engine, and :func:`~repro.batched.engine.run_group`, which
   :class:`~repro.runner.supervisor.SupervisedRunner` runs for each
@@ -29,10 +30,8 @@ from repro.batched.support import (
     BACKEND_BATCHED,
     BACKEND_TRIAL,
     BACKENDS,
-    MIN_BATCH,
     batch_signature,
     group_specs,
-    numpy_ok,
     resolve_backend,
     unsupported_reason,
 )
@@ -41,10 +40,8 @@ __all__ = [
     "BACKENDS",
     "BACKEND_BATCHED",
     "BACKEND_TRIAL",
-    "MIN_BATCH",
     "batch_signature",
     "group_specs",
-    "numpy_ok",
     "resolve_backend",
     "unsupported_reason",
 ]

@@ -44,8 +44,8 @@ Bit identity dictates the design:
 
 **Quarantine** keeps the closed form exact.  Before each window the
 engine drops from the batch, *without a result*, every trial whose
-window falls outside it: fewer than ``T1`` permitted synchronised
-voters (zero included), which would leave receivers holding a partial
+window falls outside it: fewer than ``T1`` (at least 1) permitted
+synchronised voters, which would leave receivers holding a partial
 tally, or a permitted resyncing sender with a backlog, whose channels
 would deliver a stale vote.  :func:`run_group` re-runs those trials
 through the per-trial oracle, so quarantine affects speed, never values.
@@ -68,7 +68,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.batched.support import effective_thresholds
+from repro.core.thresholds import resolve_thresholds
 from repro.determinism import seeded_rng
 from repro.runner.spec import TrialSpec, execute_trial
 from repro.simulation.trace import ExecutionResult
@@ -137,7 +137,8 @@ class BatchedWindowEngine:
         first = self.specs[0]
         self.n = first.n
         self.t = first.t
-        thresholds = effective_thresholds(first)
+        thresholds = resolve_thresholds(first.n, first.t,
+                                        **first.protocol_kwargs)
         self.t1 = thresholds.t1
         self.t2 = thresholds.t2
         self.t3 = thresholds.t3
@@ -296,7 +297,7 @@ class BatchedWindowEngine:
         """
         voters = (senders & ~self.resync).sum(axis=1)
         stale = (senders & self.resync & (self.backlog > 0)).any(axis=1)
-        return (voters >= max(self.t1, 1)) & ~stale
+        return (voters >= self.t1) & ~stale
 
     def _run_window(self, senders: np.ndarray,
                     deliver_last: Optional[np.ndarray],

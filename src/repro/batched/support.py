@@ -5,27 +5,28 @@ traffic behind the paper's Section 3 result: the reset-tolerant protocol
 under the benign, silencing, split-vote and adaptive-resetting
 adversaries (the E1/E2/E7/E9 workloads).  Everything else keeps flowing
 through the per-trial engines, which remain the bit-identity oracle.
-This module is the single place where that boundary is defined:
+This module is the single place where that boundary is defined, from
+each spec's own fields and the oracle's own rules:
 
-* :func:`numpy_ok` — whether numpy provides ``np.bitwise_count``
-  (numpy >= 2.0); without it every spec reports unsupported and the
-  runner degrades to the per-trial path.
 * :func:`unsupported_reason` — ``None`` when a spec is vectorizable, else
   a short human-readable reason (counted as `fallback_reason:<reason>`).
 * :func:`batch_signature` — the grouping key: specs with equal signatures
-  share one :class:`~repro.batched.engine.BatchedWindowEngine` run.
+  share one :class:`~repro.batched.engine.BatchedWindowEngine` run, one
+  trial or many.
 * :func:`group_specs` — the one grouping rule: the batched groups, the
   per-trial remainder and the fallback reasons of a spec list.  The
   executor dispatches exactly these groups and the differential harness
   checks exactly these groups.
-* :func:`resolve_backend` — maps the CLI/TrialSpec backend names
-  (``trial`` / ``batched``) to the backend actually used.
+* :func:`resolve_backend` — validates the CLI/TrialSpec backend names
+  (``trial`` / ``batched``).
 
 The support checks are deliberately conservative: whenever the per-trial
 oracle would *raise* for a spec (invalid thresholds, oversized silenced
 set, invalid reset fraction), the spec is declared unsupported so the
 per-trial path reproduces the exact failure instead of the batch engine
-having to emulate exception timing.
+having to emulate exception timing.  Thresholds resolve through the
+protocol's own :func:`~repro.core.thresholds.resolve_thresholds`, so the
+gate and the oracle cannot disagree about them.
 """
 
 from __future__ import annotations
@@ -33,44 +34,16 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.thresholds import ThresholdConfig, default_thresholds
+from repro.core.thresholds import resolve_thresholds
 from repro.runner.spec import TrialSpec
 
 BACKEND_TRIAL = "trial"
 BACKEND_BATCHED = "batched"
 BACKENDS = (BACKEND_TRIAL, BACKEND_BATCHED)
 
-MIN_BATCH = 2
-"""Smallest group worth building array state for; singletons fall back."""
-
 _RT_KWARGS = frozenset({"thresholds", "validate_thresholds"})
 _SPLIT_KWARGS = frozenset({"block_threshold", "seed"})
 _ADAPTIVE_KWARGS = frozenset({"block_threshold", "seed", "reset_fraction"})
-
-
-def numpy_ok() -> bool:
-    """Whether the vector backend's numpy requirements are met."""
-    return hasattr(np, "bitwise_count")
-
-
-def effective_thresholds(spec: TrialSpec) -> ThresholdConfig:
-    """The (T1, T2, T3) a reset-tolerant trial will actually run with.
-
-    Mirrors ``ResetTolerantAgreement.__init__`` exactly; raises whatever
-    it would raise (the caller treats any raise as "fall back, let the
-    oracle fail").
-    """
-    kwargs = dict(spec.protocol_kwargs)
-    thresholds = kwargs.get("thresholds")
-    if thresholds is None:
-        return default_thresholds(spec.n, spec.t)
-    if not isinstance(thresholds, ThresholdConfig):
-        raise TypeError("thresholds must be a ThresholdConfig")
-    if kwargs.get("validate_thresholds", True):
-        thresholds.require_valid()
-    return thresholds
 
 
 def _adversary_reason(spec: TrialSpec) -> Optional[str]:
@@ -111,8 +84,6 @@ def _adversary_reason(spec: TrialSpec) -> Optional[str]:
 
 def unsupported_reason(spec: TrialSpec) -> Optional[str]:
     """Why ``spec`` cannot run on the batched engine (``None`` if it can)."""
-    if not numpy_ok():
-        return "numpy >= 2.0 unavailable"
     if spec.engine != "window":
         return "step engine"
     if spec.record_trace:
@@ -128,7 +99,7 @@ def unsupported_reason(spec: TrialSpec) -> Optional[str]:
     if set(spec.protocol_kwargs) - _RT_KWARGS:
         return "unsupported protocol kwargs"
     try:
-        effective_thresholds(spec)
+        resolve_thresholds(spec.n, spec.t, **spec.protocol_kwargs)
     except Exception:
         return "invalid thresholds (oracle raises)"
     return _adversary_reason(spec)
@@ -142,7 +113,7 @@ def batch_signature(spec: TrialSpec) -> Tuple[Any, ...]:
     per-trial adversary kwargs may all differ.  Only call on specs
     :func:`unsupported_reason` accepted.
     """
-    thresholds = effective_thresholds(spec)
+    thresholds = resolve_thresholds(spec.n, spec.t, **spec.protocol_kwargs)
     return (spec.protocol, (thresholds.t1, thresholds.t2, thresholds.t3),
             spec.adversary, spec.n, spec.t, spec.stop_when)
 
@@ -159,8 +130,8 @@ class BatchPlan(NamedTuple):
 
 def group_specs(specs: Sequence[TrialSpec]) -> BatchPlan:
     """Split ``specs`` into batched groups and per-trial fallbacks:
-    :func:`unsupported_reason` gates each spec, :func:`batch_signature`
-    groups the rest, and groups under :data:`MIN_BATCH` fall back."""
+    :func:`unsupported_reason` gates each spec and
+    :func:`batch_signature` groups the rest."""
     reasons: Counter = Counter()
     per_trial: List[int] = []
     by_signature: Dict[Tuple[Any, ...], List[int]] = {}
@@ -171,42 +142,26 @@ def group_specs(specs: Sequence[TrialSpec]) -> BatchPlan:
         else:
             reasons[reason] += 1
             per_trial.append(index)
-    groups = []
-    for signature, members in by_signature.items():
-        if len(members) < MIN_BATCH:
-            reasons[f"batch smaller than {MIN_BATCH}"] += len(members)
-            per_trial.extend(members)
-        else:
-            groups.append((signature, members))
-    return BatchPlan(groups, sorted(per_trial), reasons)
+    return BatchPlan(list(by_signature.items()), per_trial, reasons)
 
 
 def resolve_backend(backend: Optional[str]) -> str:
-    """Map a requested backend name to the backend actually used.
-
-    ``batched`` without numpy degrades to ``trial`` (every spec would
-    take the per-trial path anyway).
-    """
+    """The backend name ``backend`` requests (``None`` means ``trial``)."""
     if backend is None:
         return BACKEND_TRIAL
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend == BACKEND_TRIAL:
-        return BACKEND_TRIAL
-    return BACKEND_BATCHED if numpy_ok() else BACKEND_TRIAL
+    return backend
 
 
 __all__ = [
     "BACKENDS",
     "BACKEND_BATCHED",
     "BACKEND_TRIAL",
-    "MIN_BATCH",
     "BatchPlan",
     "batch_signature",
-    "effective_thresholds",
     "group_specs",
-    "numpy_ok",
     "resolve_backend",
     "unsupported_reason",
 ]

@@ -26,7 +26,7 @@ import random
 from collections import defaultdict
 from typing import ClassVar, Dict, List, Optional, Tuple
 
-from repro.core.thresholds import ThresholdConfig, default_thresholds
+from repro.core.thresholds import ThresholdConfig, resolve_thresholds
 from repro.protocols.base import Protocol
 from repro.simulation.message import Message, broadcast
 
@@ -53,7 +53,9 @@ class ResetTolerantAgreement(Protocol):
             the Theorem 4 defaults (``T1 = T2 = n - 2t``, ``T3 = n - 3t``)
             are used.
         validate_thresholds: set False to allow deliberately invalid
-            thresholds (used by the ablation experiment E7).
+            thresholds (used by the ablation experiment E7); ``T1 >= 1``
+            is still required (see
+            :func:`~repro.core.thresholds.resolve_thresholds`).
     """
 
     forgetful: ClassVar[bool] = True
@@ -64,13 +66,10 @@ class ResetTolerantAgreement(Protocol):
                  thresholds: Optional[ThresholdConfig] = None,
                  validate_thresholds: bool = True) -> None:
         super().__init__(pid=pid, n=n, t=t, input_bit=input_bit, rng=rng)
-        if thresholds is None:
-            thresholds = default_thresholds(n, t)
-        elif validate_thresholds:
-            thresholds.require_valid()
-        self.thresholds = thresholds
+        self.thresholds = resolve_thresholds(n, t, thresholds,
+                                             validate_thresholds)
         # T1 is read for every delivered vote; cache it off the config.
-        self._t1 = thresholds.t1
+        self._t1 = self.thresholds.t1
         # Volatile state (erased by a reset).
         self.round: Optional[int] = 1
         self.estimate: Optional[int] = input_bit

@@ -23,7 +23,7 @@ experiment (E7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 
 class ThresholdError(ValueError):
@@ -116,6 +116,29 @@ def default_thresholds(n: int, t: int) -> ThresholdConfig:
     return config.require_valid()
 
 
+def resolve_thresholds(n: int, t: int,
+                       thresholds: Optional[ThresholdConfig] = None,
+                       validate_thresholds: bool = True) -> ThresholdConfig:
+    """The (T1, T2, T3) a reset-tolerant processor runs with.
+
+    The one resolution rule, shared by the protocol and the batched
+    backend: the Theorem 4 defaults when ``thresholds`` is omitted, else
+    ``thresholds`` itself, checked against Theorem 4 unless
+    ``validate_thresholds`` is false.  ``T1 >= 1`` is required even
+    then: a processor waiting for zero votes never finishes a round.
+
+    Raises:
+        ThresholdError: on a violated constraint.
+    """
+    if thresholds is None:
+        return default_thresholds(n, t)
+    if validate_thresholds:
+        return thresholds.require_valid()
+    if thresholds.t1 < 1:
+        raise ThresholdError(f"need T1 >= 1, got {thresholds.t1}")
+    return thresholds
+
+
 def fast_decide_thresholds(n: int, t: int) -> ThresholdConfig:
     """A variant with the smallest admissible ``T2``.
 
@@ -177,5 +200,6 @@ __all__ = [
     "default_thresholds",
     "fast_decide_thresholds",
     "max_tolerable_t",
+    "resolve_thresholds",
     "threshold_grid",
 ]

@@ -52,6 +52,7 @@ from typing import (AbstractSet, Any, Dict, Iterable, List, Mapping,
 
 from repro.results.store import scan_runs
 from repro.telemetry import TELEMETRY_NAME, read_events
+from repro.telemetry.timing import span_attrs
 
 #: Manifest-derived columns of the ``rows`` table, in order.  A row
 #: column with the same name (e.g. the experiments' own ``experiment``
@@ -78,10 +79,6 @@ SPAN_META_COLUMNS = (
 METRICS_COLUMNS = (
     "experiment", "run_id", "kind", "name", "t", "delta", "value",
 )
-
-#: The fixed event-schema keys of a span event; everything else on the
-#: event is a free-form attribute.
-_SPAN_EVENT_KEYS = ("kind", "id", "parent", "name", "t0", "dur")
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -226,8 +223,7 @@ def _mount_telemetry(run_dir: str, name: str, run_id: str,
         if kind == "span":
             values = [name, run_id, event.get("id"), event.get("parent"),
                       event.get("name"), event.get("t0"), event.get("dur")]
-            spans.append(values, {key: value for key, value in event.items()
-                                  if key not in _SPAN_EVENT_KEYS})
+            spans.append(values, span_attrs(event))
         elif kind in ("counter", "gauge"):
             values = [name, run_id, kind, event.get("name"), event.get("t"),
                       event.get("delta"), event.get("value")]

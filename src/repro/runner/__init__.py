@@ -6,14 +6,14 @@ adversarial executions.  This package turns each execution into a picklable
 executor (:class:`~repro.runner.supervisor.SupervisedRunner`: chunks of
 per-trial specs or whole batched groups, fanned out across worker
 processes under a retry/quarantine ladder, with a bit-identical serial
-path at ``workers=0``), and regroups the flat result list into
-experiment cells (:mod:`repro.runner.aggregate`).
+path at ``workers=0``), and reduces each experiment cell's results
+(:mod:`repro.runner.aggregate`).
 
 See ``PERFORMANCE.md`` at the repository root for the usage guide.
 """
 
-from repro.runner.aggregate import (correctness_flags, group_by_tag,
-                                    measure, message_chain_length,
+from repro.runner.aggregate import (correctness_flags, measure,
+                                    message_chain_length,
                                     undecided_windows,
                                     windows_to_first_decision)
 from repro.runner.health import (RunHealth, TrialFailure,
@@ -41,7 +41,6 @@ __all__ = [
     "run_trials",
     "iter_trials",
     "default_workers",
-    "group_by_tag",
     "measure",
     "windows_to_first_decision",
     "undecided_windows",

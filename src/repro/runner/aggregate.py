@@ -1,44 +1,19 @@
-"""Result aggregation: from flat result lists back to experiment cells.
+"""Result aggregation: per-trial metrics and per-cell reductions.
 
-Experiment functions build one :class:`~repro.runner.spec.TrialSpec` per
-trial, tagging all trials of the same experiment cell (same ``n``, same
-workload, same adversary, ...) with a shared ``tag``.  After a single
-:func:`~repro.runner.parallel.run_trials` over the whole batch,
-these helpers regroup the flat result list by tag — in first-appearance
-order, so rows come out in the same order the serial loops produced them —
-and feed per-cell measurements to
-:func:`repro.analysis.statistics.summarize_trials`.
+An experiment cell (:class:`~repro.experiments.base.Cell`) receives its
+own trials' results, in spec order, from
+:func:`~repro.experiments.base.run_cells`; its row builder reduces them
+with these helpers — a per-execution metric mapped over the cell
+(:func:`measure`) and fed to
+:func:`repro.analysis.statistics.summarize_trials`, or the cell's
+correctness flags (:func:`correctness_flags`).
 """
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Hashable, Iterable, List, Sequence,
-                    Tuple)
+from typing import Callable, Iterable, List, Tuple
 
-from repro.runner.spec import TrialSpec
 from repro.simulation.trace import ExecutionResult
-
-
-def group_by_tag(specs: Sequence[TrialSpec],
-                 results: Sequence[ExecutionResult]
-                 ) -> Dict[Hashable, List[ExecutionResult]]:
-    """Group results by their spec's tag, preserving first-seen tag order.
-
-    Args:
-        specs: the submitted specs, in submission order.
-        results: the results, aligned index-for-index with ``specs``.
-
-    Returns:
-        An insertion-ordered dict mapping each tag to its results in
-        submission order.
-    """
-    if len(specs) != len(results):
-        raise ValueError(
-            f"got {len(results)} results for {len(specs)} specs")
-    grouped: Dict[Hashable, List[ExecutionResult]] = {}
-    for spec, result in zip(specs, results):
-        grouped.setdefault(spec.tag, []).append(result)
-    return grouped
 
 
 def measure(results: Iterable[ExecutionResult],
@@ -93,7 +68,6 @@ def correctness_flags(results: Iterable[ExecutionResult]
 
 
 __all__ = [
-    "group_by_tag",
     "measure",
     "windows_to_first_decision",
     "undecided_windows",

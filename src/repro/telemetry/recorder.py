@@ -46,6 +46,10 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 TELEMETRY_NAME = "telemetry.jsonl"
 """File name of the per-run event log inside a run directory."""
 
+SPAN_KEYS = ("kind", "id", "parent", "name", "t0", "dur")
+"""The fixed keys of a span event (see the schema above); every other
+key on it is a free-form attribute."""
+
 #: Sink debounce: flush the event buffer once it holds this many events...
 FLUSH_EVERY_EVENTS = 256
 #: ...or once this many seconds have passed since the last flush,
@@ -279,6 +283,7 @@ def read_events(path: str) -> List[Dict[str, Any]]:
 __all__ = [
     "FLUSH_EVERY_EVENTS",
     "FLUSH_MIN_INTERVAL",
+    "SPAN_KEYS",
     "TELEMETRY_NAME",
     "Telemetry",
     "merge_telemetry_block",

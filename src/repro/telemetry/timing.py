@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-_SPAN_FIXED = ("kind", "id", "parent", "name", "t0", "dur")
+from repro.telemetry.recorder import SPAN_KEYS
 
 
 def spans(events: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
@@ -25,7 +25,7 @@ def spans(events: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
 def span_attrs(span: Dict[str, Any]) -> Dict[str, Any]:
     """A span's free-form attributes (everything beyond the schema)."""
     return {key: value for key, value in span.items()
-            if key not in _SPAN_FIXED}
+            if key not in SPAN_KEYS}
 
 
 def trial_cell(span: Dict[str, Any]) -> str:

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.batched.support import group_specs, numpy_ok
+from repro.batched.support import group_specs
 from repro.runner.spec import TrialSpec, execute_trial
 
 #: ExecutionResult fields compared per replayed trial.  This is the whole
@@ -114,15 +114,7 @@ def diff_specs(specs: Sequence[TrialSpec], *, sample: float = 1.0,
             ``execute_trial`` (at least one trial per batch; ``1.0``
             replays every batched trial).
         sample_seed: seed for the deterministic sample draw.
-
-    Raises:
-        RuntimeError: when numpy is unavailable — a differential run
-            that silently checked nothing would be worse than no run.
     """
-    if not numpy_ok():
-        raise RuntimeError(
-            "batched differential check needs numpy >= 2.0; the batched "
-            "backend is inert without it, so there is nothing to verify")
     if not 0.0 < sample <= 1.0:
         raise ValueError(f"sample must be in (0, 1], got {sample}")
     from repro.batched.engine import BatchedWindowEngine

@@ -15,14 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.batched import numpy_ok, resolve_backend
+from repro.batched import resolve_backend
 from repro.experiments import get_experiment
 from repro.runner import RunHealth, TrialSpec, run_trials
 from repro.runner.spec import execute_trial
 from repro.verification.batched_diff import diff_experiment_cells, diff_specs
-
-pytestmark = pytest.mark.skipif(
-    not numpy_ok(), reason="batched backend needs numpy >= 2.0")
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -202,7 +199,7 @@ def test_any_batch_partition_yields_identical_results(cuts):
 def test_resolve_backend_names():
     assert resolve_backend(None) == "trial"
     assert resolve_backend("trial") == "trial"
-    assert resolve_backend("batched") == "batched"  # numpy_ok gated above
+    assert resolve_backend("batched") == "batched"
     for unknown in ("auto", "gpu"):
         with pytest.raises(ValueError):
             resolve_backend(unknown)

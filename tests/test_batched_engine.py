@@ -17,14 +17,10 @@ import random
 
 import pytest
 
-from repro.batched.support import (batch_signature, numpy_ok,
-                                   unsupported_reason)
-from repro.core.thresholds import ThresholdConfig
+from repro.batched.support import batch_signature, unsupported_reason
+from repro.core.thresholds import ThresholdConfig, ThresholdError
 from repro.runner.spec import TrialSpec, execute_trial
 from repro.simulation.windows import WindowSpec
-
-pytestmark = pytest.mark.skipif(
-    not numpy_ok(), reason="batched backend needs numpy >= 2.0")
 
 
 def _specs(protocol, adversary, n, t, count, base_seed, stop_when="all",
@@ -280,6 +276,29 @@ def test_support_gate_declines_what_the_oracle_rejects():
     byzantine = dict(base, adversary="random-scheduler",
                      adversary_kwargs={})
     assert "not vectorized" in unsupported_reason(TrialSpec(**byzantine))
+    # Unvalidated T1 = 0: a processor waiting for zero votes never
+    # finishes a round, so the oracle raises instead of recursing.
+    zero_t1 = TrialSpec(**dict(base, protocol_kwargs={
+        "thresholds": ThresholdConfig(8, 1, 0, 0, 0),
+        "validate_thresholds": False}))
+    assert unsupported_reason(zero_t1) == "invalid thresholds (oracle raises)"
+    with pytest.raises(ThresholdError):
+        execute_trial(zero_t1)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_zero_t1_fails_alike_on_both_backends(workers):
+    """A group the oracle cannot run yields the same failures either way."""
+    from repro.runner import TrialFailure, run_trials
+
+    specs = _specs("reset-tolerant", "split-vote", 8, 1, 2, 23,
+                   adversary_kwargs_fn=_seeded, protocol_kwargs={
+                       "thresholds": ThresholdConfig(8, 1, 0, 0, 0),
+                       "validate_thresholds": False})
+    failures = run_trials(specs, workers=workers, backend="trial")
+    assert all(isinstance(item, TrialFailure) and
+               item.error.startswith("ThresholdError(") for item in failures)
+    assert run_trials(specs, workers=workers, backend="batched") == failures
 
 
 @pytest.mark.parametrize("shape", sorted(DECLINED_SHAPES),
@@ -360,14 +379,21 @@ def test_grouping_falls_back_and_runner_interleaves_in_order():
                           backend="batched") == oracle
 
 
-def test_singleton_group_falls_back():
-    from repro.batched.support import MIN_BATCH, group_specs
+@pytest.mark.parametrize("workers", [0, 2])
+def test_singleton_group_runs_batched(workers):
+    from repro.batched.support import group_specs
     from repro.runner import run_trials
+    from repro.telemetry import Telemetry
 
     specs = _specs("reset-tolerant", "split-vote", 8, 1, 1, 22,
                    adversary_kwargs_fn=_seeded)
     plan = group_specs(specs)
-    assert plan.groups == [] and plan.per_trial == [0]
-    assert plan.reasons == {f"batch smaller than {MIN_BATCH}": 1}
-    assert run_trials(specs, workers=0, backend="batched") == \
-        [execute_trial(specs[0])]
+    assert plan.groups == [(batch_signature(specs[0]), [0])]
+    assert plan.per_trial == [] and not plan.reasons
+    events = []
+    telemetry = Telemetry()
+    telemetry.add_listener(events.append)
+    assert run_trials(specs, workers=workers, backend="batched",
+                      telemetry=telemetry) == [execute_trial(specs[0])]
+    assert [event["trials"] for event in events if event["kind"] == "span"
+            and event["name"] == "batch"] == [1]

@@ -311,11 +311,8 @@ def test_run_no_telemetry_leaves_no_trace(tmp_path, capsys):
 
 def test_show_timing_totals_batch_spans(tmp_path, capsys):
     """A run whose trials all ran batched still has timing to show."""
-    from repro.batched import numpy_ok
     from repro.telemetry import TELEMETRY_NAME, read_events
 
-    if not numpy_ok():
-        return
     out_dir = str(tmp_path / "results")
     assert main(["run", "E2", "--quick", "--workers", "0", "--backend",
                  "batched", "--out", out_dir]) == 0

@@ -183,10 +183,7 @@ class TestResume:
             self, tmp_path, monkeypatch):
         """A batched run writes each row when its cell's groups finish,
         so a kill mid-run loses only the cells still in flight."""
-        from repro.batched import group_specs, numpy_ok
-
-        if not numpy_ok():
-            pytest.skip("batched backend needs numpy >= 2.0")
+        from repro.batched import group_specs
         from repro.batched.engine import BatchedWindowEngine
 
         experiment = get_experiment("E2")

@@ -11,7 +11,7 @@ import pytest
 from repro.adversaries.registry import (available_adversaries,
                                         build_adversary, build_strategy)
 from repro.runner import (SupervisedRunner, TrialSpec, derive_seed,
-                          execute_trial, group_by_tag, run_trials,
+                          execute_trial, run_trials,
                           windows_to_first_decision)
 from repro.simulation.windows import run_execution
 from repro.adversaries.split_vote import SplitVoteAdversary
@@ -80,22 +80,6 @@ class TestDeterminism:
 
 
 class TestAggregation:
-    def test_group_by_tag_preserves_order(self):
-        specs = make_specs()
-        results = run_trials(specs, workers=0)
-        grouped = group_by_tag(specs, results)
-        assert list(grouped) == [("cell", 0), ("cell", 1), ("step",)]
-        assert sum(len(batch) for batch in grouped.values()) == len(specs)
-        # Within a tag, results keep submission order.
-        cell0_specs = [s for s in specs if s.tag == ("cell", 0)]
-        expected = [execute_trial(s) for s in cell0_specs]
-        assert grouped[("cell", 0)] == expected
-
-    def test_group_by_tag_rejects_misaligned_results(self):
-        specs = make_specs()
-        with pytest.raises(ValueError):
-            group_by_tag(specs, [])
-
     def test_windows_metric_falls_back_to_cap(self):
         spec = TrialSpec(
             protocol="reset-tolerant", adversary="adaptive-resetting",

@@ -226,10 +226,6 @@ class TestTimingReductions:
 class TestBatchSpans:
     def test_batch_spans_nest_under_the_cell_they_deliver(self, tmp_path):
         """Each batched chunk books under the cell that consumes it."""
-        from repro.batched import numpy_ok
-
-        if not numpy_ok():
-            pytest.skip("batched backend needs numpy >= 2.0")
         experiment = get_experiment("E2")
         params = experiment.resolve_params(None, quick=True)
         events = []
@@ -260,10 +256,6 @@ class TestBatchSpans:
         ``cell`` span (the ``trial`` span's tag is the key), while a
         batched chunk has no ``trial`` spans, so its cells keep theirs.
         """
-        from repro.batched import numpy_ok
-
-        if backend == "batched" and not numpy_ok():
-            pytest.skip("batched backend needs numpy >= 2.0")
         experiment = get_experiment("E1")
         params = experiment.resolve_params(None, quick=True)
         events = []
@@ -285,10 +277,6 @@ class TestBatchSpans:
     def test_batch_spans_carry_the_engine_phase_split(self, workers):
         """Every batch span times its window phases and counts its
         windows, wherever it ran."""
-        from repro.batched import numpy_ok
-
-        if not numpy_ok():
-            pytest.skip("batched backend needs numpy >= 2.0")
         experiment = get_experiment("E2")
         params = experiment.resolve_params(None, quick=True)
         events = []
