@@ -136,9 +136,9 @@ class ReliableBroadcastLayer:
     """Multiplexes concurrent reliable-broadcast instances for one processor.
 
     The owning protocol calls :meth:`broadcast` to start its own broadcasts,
-    feeds every incoming RBC payload to :meth:`handle`, periodically drains
-    :meth:`take_outgoing` into its own outbox, and consumes accepted values
-    from :meth:`take_acceptances`.
+    feeds every incoming RBC payload to :meth:`handle`, which returns the
+    values that payload got accepted, and periodically drains
+    :meth:`take_outgoing` into its own outbox.
     """
 
     def __init__(self, pid: int, n: int, t: int) -> None:
@@ -147,7 +147,6 @@ class ReliableBroadcastLayer:
         self.t = t
         self._instances: Dict[Tuple[int, Hashable], BroadcastInstance] = {}
         self._outgoing: List[Tuple[str, int, Hashable, Any]] = []
-        self._acceptances: List[Acceptance] = []
         self._delivered: Set[Tuple[int, Hashable]] = set()
 
     # ------------------------------------------------------------------
@@ -190,27 +189,18 @@ class ReliableBroadcastLayer:
         for action_kind, action_value in actions:
             self._outgoing.append((action_kind, originator, tag,
                                    action_value))
-        newly_accepted: List[Acceptance] = []
         key = (originator, tag)
         if instance.accepted_value is not None and key not in self._delivered:
             self._delivered.add(key)
-            acceptance = Acceptance(originator=originator, tag=tag,
-                                    value=instance.accepted_value)
-            self._acceptances.append(acceptance)
-            newly_accepted.append(acceptance)
-        return newly_accepted
+            return [Acceptance(originator=originator, tag=tag,
+                               value=instance.accepted_value)]
+        return []
 
     def take_outgoing(self) -> List[Tuple[str, int, Hashable, Any]]:
         """Drain the queue of RBC payloads to broadcast to all processors."""
         outgoing = self._outgoing
         self._outgoing = []
         return outgoing
-
-    def take_acceptances(self) -> List[Acceptance]:
-        """Drain the list of accepted deliveries."""
-        acceptances = self._acceptances
-        self._acceptances = []
-        return acceptances
 
     def state_view(self) -> Tuple:
         """Hashable snapshot for configuration fingerprints."""

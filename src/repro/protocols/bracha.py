@@ -89,15 +89,25 @@ class BrachaAgreement(Protocol):
         return outgoing
 
     def _handle_message(self, message: Message) -> None:
-        acceptances = self.rbc.handle(message.sender, message.payload)
-        for acceptance in acceptances:
+        recorded = False
+        for acceptance in self.rbc.handle(message.sender, message.payload):
             tag = acceptance.tag
             if not (isinstance(tag, tuple) and len(tag) == 2):
                 continue
             self._accepted[tag][acceptance.originator] = acceptance.value
-        self._maybe_advance()
+            recorded = True
+        if recorded:
+            self._maybe_advance()
 
     def _maybe_advance(self) -> None:
+        """Finish every phase whose quorum of valid values is in.
+
+        Only a new entry in ``_accepted`` can change the valid sets, and
+        only finishing a phase moves ``(round, phase)`` or decides, so
+        :meth:`_handle_message` runs this scan only after recording an
+        acceptance: after any other message, or a sending step or a reset,
+        the scan would find nothing to finish.
+        """
         advanced = True
         while advanced and not self.decided:
             advanced = False

@@ -12,8 +12,8 @@ module defines that step vocabulary.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Optional
+from collections import namedtuple
+from typing import Any
 
 from repro.simulation.message import Message
 
@@ -34,9 +34,19 @@ class StepType(enum.Enum):
     """A processor suffers a crash failure (stops forever)."""
 
 
-@dataclass(frozen=True)
-class Step:
+_StepFields = namedtuple(
+    "_StepFields", ("step_type", "pid", "message", "corrupted_payload"),
+    defaults=(None, None))
+
+_new_step = tuple.__new__
+
+
+class Step(_StepFields):
     """A single scheduled step.
+
+    An immutable tuple record laid out like
+    :class:`~repro.simulation.message.Message`; the constructors below
+    build one in a single C call.
 
     Attributes:
         step_type: which of the model's step kinds this is.
@@ -48,31 +58,28 @@ class Step:
             message is delivered unmodified.
     """
 
-    step_type: StepType
-    pid: int
-    message: Optional[Message] = None
-    corrupted_payload: Any = None
+    __slots__ = ()
 
     @staticmethod
     def send(pid: int) -> "Step":
         """A sending step by processor ``pid``."""
-        return Step(StepType.SEND, pid)
+        return _new_step(Step, (StepType.SEND, pid, None, None))
 
     @staticmethod
     def receive(message: Message, corrupted_payload: Any = None) -> "Step":
         """Delivery of ``message`` (optionally with a corrupted payload)."""
-        return Step(StepType.RECEIVE, message.receiver, message=message,
-                    corrupted_payload=corrupted_payload)
+        return _new_step(Step, (StepType.RECEIVE, message.receiver, message,
+                                corrupted_payload))
 
     @staticmethod
     def reset(pid: int) -> "Step":
         """A resetting failure at processor ``pid``."""
-        return Step(StepType.RESET, pid)
+        return _new_step(Step, (StepType.RESET, pid, None, None))
 
     @staticmethod
     def crash(pid: int) -> "Step":
         """A crash failure at processor ``pid``."""
-        return Step(StepType.CRASH, pid)
+        return _new_step(Step, (StepType.CRASH, pid, None, None))
 
 
 __all__ = ["StepType", "Step"]

@@ -21,6 +21,7 @@ step by step.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, List, Optional, Sequence,
                     Set, Tuple)
@@ -32,9 +33,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.simulation.windows import WindowSpec
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+_TraceEventFields = namedtuple(
+    "_TraceEventFields", ("kind", "pid", "window", "value", "sequence",
+                          "sender", "sequences", "corrupted", "lost"),
+    defaults=(None, None, None, None, (), False, False))
+
+
+class TraceEvent(_TraceEventFields):
     """One recorded event of an execution.
+
+    An immutable tuple record laid out like
+    :class:`~repro.simulation.message.Message`: equality and hashing are
+    those of the field tuple, and the engine's recorders build each event
+    in one C call (:data:`new_event`).
 
     Attributes:
         kind: ``"send"``, ``"deliver"``, ``"reset"``, ``"crash"`` or
@@ -56,15 +67,13 @@ class TraceEvent:
             buffer but never processed (delivery to a crashed processor).
     """
 
-    kind: str
-    pid: int
-    window: Optional[int] = None
-    value: Optional[int] = None
-    sequence: Optional[int] = None
-    sender: Optional[int] = None
-    sequences: Tuple[int, ...] = ()
-    corrupted: bool = False
-    lost: bool = False
+    __slots__ = ()
+
+
+new_event = tuple.__new__
+"""``new_event(TraceEvent, fields)`` builds an event from its nine fields
+in one C call; the per-step recorders (:meth:`ExecutionTrace.record_send`
+and :meth:`ExecutionTrace.record_deliver`) use it."""
 
 
 @dataclass
@@ -107,18 +116,18 @@ class ExecutionTrace:
     def record_send(self, pid: int, messages: Sequence["Message"],
                     window: Optional[int] = None) -> None:
         """Record a sending step and the sequences it submitted."""
-        self.events.append(TraceEvent(
-            kind="send", pid=pid, window=window,
-            sequences=tuple(message.sequence for message in messages)))
+        self.events.append(new_event(TraceEvent, (
+            "send", pid, window, None, None, None,
+            tuple(message.sequence for message in messages), False,
+            False)))
 
     def record_deliver(self, message: "Message",
                        window: Optional[int] = None,
                        corrupted: bool = False, lost: bool = False) -> None:
         """Record the delivery (or crash-loss) of a buffered message."""
-        self.events.append(TraceEvent(
-            kind="deliver", pid=message.receiver, window=window,
-            sequence=message.sequence, sender=message.sender,
-            corrupted=corrupted, lost=lost))
+        self.events.append(new_event(TraceEvent, (
+            "deliver", message.receiver, window, None, message.sequence,
+            message.sender, (), corrupted, lost)))
 
     def record_reset(self, pid: int, window: Optional[int] = None) -> None:
         """Record a resetting failure."""

@@ -37,6 +37,8 @@ SLOTS_MANIFEST: Tuple[Tuple[str, str], ...] = (
     ("simulation/processor.py", "Processor"),
     ("simulation/message.py", "Message"),
     ("simulation/configuration.py", "Configuration"),
+    ("simulation/trace.py", "TraceEvent"),
+    ("simulation/events.py", "Step"),
 )
 """(relpath, class name) pairs that must keep ``__slots__``.
 

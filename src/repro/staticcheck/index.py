@@ -38,6 +38,30 @@ def _base_name(node: ast.expr) -> Optional[str]:
     return None
 
 
+def _trace_event_kind(call: ast.Call) -> Optional[str]:
+    """The kind literal a ``TraceEvent`` construction passes, if any.
+
+    Handles ``TraceEvent("kind", ...)``, ``TraceEvent(kind="kind", ...)``
+    and the tuple-record form ``new_event(TraceEvent, ("kind", ...))``:
+    any call whose first argument names ``TraceEvent`` and whose second is
+    a tuple literal led by the kind string.
+    """
+    args = call.args
+    kind: Optional[ast.expr] = None
+    if _base_name(call.func) == "TraceEvent":
+        if args:
+            kind = args[0]
+        for keyword in call.keywords:
+            if keyword.arg == "kind":
+                kind = keyword.value
+    elif len(args) >= 2 and _base_name(args[0]) == "TraceEvent" and \
+            isinstance(args[1], ast.Tuple) and args[1].elts:
+        kind = args[1].elts[0]
+    if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
+        return kind.value
+    return None
+
+
 def _is_dataclass_slots(decorator: ast.expr) -> bool:
     """Whether a decorator is ``@dataclass(..., slots=True)``."""
     if not isinstance(decorator, ast.Call):
@@ -298,9 +322,9 @@ class SymbolIndex:
         """``record_*`` method -> event-kind literal, from the trace class.
 
         Derived from ``simulation/trace.py``: every ``record_<x>`` method
-        of ``ExecutionTrace`` that constructs a ``TraceEvent`` with a
-        ``kind=`` keyword (or first positional string) defines one entry
-        of the engine's event vocabulary.
+        of ``ExecutionTrace`` that constructs a ``TraceEvent`` (by keyword
+        or as a tuple record, see :func:`_trace_event_kind`) defines one
+        entry of the engine's event vocabulary.
         """
         source = self.project.get("simulation/trace.py")
         if source is None:
@@ -317,16 +341,8 @@ class SymbolIndex:
                 for call in ast.walk(method):
                     if not isinstance(call, ast.Call):
                         continue
-                    if _base_name(call.func) != "TraceEvent":
-                        continue
-                    kind = None
-                    if call.args and isinstance(call.args[0], ast.Constant):
-                        kind = call.args[0].value
-                    for keyword in call.keywords:
-                        if keyword.arg == "kind" and \
-                                isinstance(keyword.value, ast.Constant):
-                            kind = keyword.value.value
-                    if isinstance(kind, str):
+                    kind = _trace_event_kind(call)
+                    if kind is not None:
                         kinds[method.name] = kind
         return kinds
 

@@ -139,8 +139,9 @@ class CheckedTrial(NamedTuple):
 def check_trial(spec: TrialSpec, result: ExecutionResult) -> CheckedTrial:
     """A fuzz cell's reducer: check the trace where the trial ran.
 
-    A recorded Bracha trace pickles to about 128 KB; the checked result
-    without it, to a few hundred bytes.
+    A recorded Bracha trace pickles to about 66 KB (trial 0 of
+    ``--seed 1``: 65,765 B; the longest of its first ten trials: 134 KB);
+    the checked result without it, to about 460 bytes.
     """
     report = _trial_checker(spec).check_result(result)
     return CheckedTrial(replace(result, trace=None), report.ok,

@@ -2,6 +2,8 @@
 
 
 class TraceEvent:
+    __slots__ = ("kind", "pid")
+
     def __init__(self, kind, pid):
         self.kind = kind
         self.pid = pid

@@ -4,3 +4,7 @@
 class StepType:
     SEND = "send"
     PRUNE = "prune"
+
+
+class Step:
+    __slots__ = ("step_type",)

@@ -59,39 +59,42 @@ class TestReliableBroadcastLayer:
         return [ReliableBroadcastLayer(pid=pid, n=n, t=t)
                 for pid in range(n)]
 
-    def _exchange(self, layers, outgoing_by_pid):
-        """Deliver every queued payload from every processor to everyone."""
-        deliveries = []
+    def _exchange(self, layers, outgoing_by_pid, accepted):
+        """Deliver every queued payload from every processor to everyone.
+
+        ``handle`` returns what each payload got accepted; those
+        acceptances are appended to ``accepted[pid]``.
+        """
         for sender, payloads in outgoing_by_pid.items():
             for payload in payloads:
-                for layer in layers:
-                    layer.handle(sender, payload)
-        return deliveries
+                for pid, layer in enumerate(layers):
+                    accepted[pid].extend(layer.handle(sender, payload))
 
     def test_broadcast_reaches_acceptance_everywhere(self):
         layers = self._full_network()
+        accepted = [[] for _ in layers]
         layers[0].broadcast("tag", 1)
         # Round 1: the INIT reaches everyone.
-        self._exchange(layers, {0: layers[0].take_outgoing()})
+        self._exchange(layers, {0: layers[0].take_outgoing()}, accepted)
         # Round 2: echoes.
         self._exchange(layers, {pid: layers[pid].take_outgoing()
-                                for pid in range(7)})
+                                for pid in range(7)}, accepted)
         # Round 3: readies.
         self._exchange(layers, {pid: layers[pid].take_outgoing()
-                                for pid in range(7)})
-        for layer in layers:
-            acceptances = layer.take_acceptances()
+                                for pid in range(7)}, accepted)
+        for acceptances in accepted:
             assert len(acceptances) == 1
             assert acceptances[0].value == 1
             assert acceptances[0].originator == 0
 
     def test_acceptance_is_reported_only_once(self):
         layers = self._full_network()
+        accepted = [[] for _ in layers]
         layers[0].broadcast("tag", 1)
         for _ in range(4):
             self._exchange(layers, {pid: layers[pid].take_outgoing()
-                                    for pid in range(7)})
-        total = sum(len(layer.take_acceptances()) for layer in layers)
+                                    for pid in range(7)}, accepted)
+        total = sum(len(acceptances) for acceptances in accepted)
         assert total == 7
 
     def test_malformed_payloads_are_ignored(self):
@@ -103,6 +106,7 @@ class TestReliableBroadcastLayer:
     def test_equivocating_originator_cannot_get_two_acceptances(self):
         """Two different INIT values cannot both gather echo quorums."""
         layers = self._full_network()
+        accepted = [[] for _ in layers]
         # The (Byzantine) originator 0 sends value 0 to processors 1-3 and
         # value 1 to processors 4-6.
         for pid in range(1, 4):
@@ -112,9 +116,7 @@ class TestReliableBroadcastLayer:
         # Exchange echoes and readies for several rounds.
         for _ in range(4):
             outgoing = {pid: layers[pid].take_outgoing() for pid in range(7)}
-            self._exchange(layers, outgoing)
-        accepted_values = set()
-        for layer in layers:
-            for acceptance in layer.take_acceptances():
-                accepted_values.add(acceptance.value)
+            self._exchange(layers, outgoing, accepted)
+        accepted_values = {acceptance.value for acceptances in accepted
+                           for acceptance in acceptances}
         assert len(accepted_values) <= 1

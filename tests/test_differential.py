@@ -97,8 +97,7 @@ class TestDifferentialReplay:
         traced = execute_trial(
             dataclasses.replace(spec, record_trace=True))
         trace = traced.trace
-        bad_event = dataclasses.replace(trace.events_of("deliver")[0],
-                                        sequence=999999)
+        bad_event = trace.events_of("deliver")[0]._replace(sequence=999999)
         trace.events[trace.events.index(
             trace.events_of("deliver")[0])] = bad_event
         with pytest.raises(LookupError, match="no pending counterpart"):

@@ -17,13 +17,19 @@ from repro.verification.invariants import InvariantChecker
 
 class TestCampaignDeterminism:
     def test_rows_bit_identical_across_worker_counts(self):
-        """The acceptance bar: 200 trials at seed 0, workers 0/1/4."""
+        """The acceptance bar: 200 trials at seed 0, workers 0/1/4, and a
+        Bracha campaign on the step engine at workers 0/2."""
         params = resolve_fuzz_params(trials=200, seed=0, max_windows=40)
         reference = run_fuzz_campaign(params, workers=0).rows
         assert len(reference) == 200
         for workers in (1, 4):
             assert run_fuzz_campaign(params, workers=workers).rows \
                 == reference
+        # The step engine: Byzantine fuzzing of Bracha.
+        bracha = resolve_fuzz_params(protocol="bracha", trials=12, seed=1)
+        serial = run_fuzz_campaign(bracha, workers=0).rows
+        assert len(serial) == 12 and serial[0]["engine"] == "step"
+        assert run_fuzz_campaign(bracha, workers=2).rows == serial
 
     def test_trial_specs_depend_only_on_seed_and_index(self):
         params = resolve_fuzz_params(trials=5, seed=9)
