@@ -2,9 +2,10 @@
 
 Every ``repro`` command pays this before it does any work, so it is the
 floor under each command's setup time.  The benchmark times a subprocess
-``python -c "import repro.cli"`` and asserts that the import did not load
-``scipy`` (which the package imports only for ``TrialSummary`` confidence
-intervals).  A bare interpreter start is timed alongside and recorded as
+``python -c "import repro.cli"`` and asserts that the import loaded
+neither ``scipy`` (which the package imports only for ``TrialSummary``
+confidence intervals) nor ``numpy`` (which only ``run`` and ``list``
+load, through the experiment registry, once the command is known).  A bare interpreter start is timed alongside and recorded as
 ``extra_info``, so the trajectory (`scripts/bench_record.py`,
 ``BENCH_<n>.json``) shows how much of the startup is the package itself.
 """
@@ -19,7 +20,8 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 IMPORT_CLI = ("import repro.cli, sys; "
-              "assert 'scipy' not in sys.modules, 'scipy was imported'")
+              "assert 'scipy' not in sys.modules, 'scipy was imported'; "
+              "assert 'numpy' not in sys.modules, 'numpy was imported'")
 
 
 def _python(code: str) -> None:
@@ -31,7 +33,8 @@ def _python(code: str) -> None:
 
 @pytest.mark.benchmark(group="cli-startup")
 def test_bench_cli_startup(benchmark):
-    """Interpreter start plus ``import repro.cli``, without scipy."""
+    """Interpreter start plus ``import repro.cli``, without scipy or
+    numpy."""
     bare = []
     for _ in range(5):
         started = time.perf_counter()

@@ -29,7 +29,7 @@ def pytest_configure(config):
 @pytest.fixture
 def print_rows():
     """Print experiment rows as a table after the benchmark finishes."""
-    from repro.analysis.statistics import format_table
+    from repro.tables import format_table
 
     def _print(title, rows):
         print(f"\n=== {title} ===")

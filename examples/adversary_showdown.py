@@ -28,7 +28,7 @@ import random
 
 from repro import Engine, ProtocolFactory, get_protocol, run_execution
 from repro.adversaries.registry import build_adversary
-from repro.analysis.statistics import format_table
+from repro.tables import format_table
 from repro.protocols.committee import (CommitteeElectionProtocol,
                                        failure_rate)
 from repro.workloads import split

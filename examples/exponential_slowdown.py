@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.statistics import format_table
+from repro.tables import format_table
 from repro.core.talagrand import lower_bound_constants
 from repro.experiments import get_experiment
 

@@ -25,7 +25,7 @@ if _SRC not in sys.path:  # pragma: no cover - environment-dependent
     sys.path.insert(0, _SRC)
 
 from repro import cli
-from repro.analysis.statistics import format_table
+from repro.tables import format_table
 from repro.experiments import get_experiment
 from repro.results import load_run, run_directory
 

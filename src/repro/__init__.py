@@ -53,72 +53,52 @@ Quickstart::
     assert result.correct and result.all_live_decided
 """
 
-from repro.adversaries import (AdaptiveResettingAdversary, BenignAdversary,
-                               ByzantineAdversary, CrashAtDecisionAdversary,
-                               CrashSplitVoteAdversary, EquivocateStrategy,
-                               FlipValueStrategy, LookaheadAdversary,
-                               RandomSchedulerAdversary, SilencingAdversary,
-                               SilentStrategy, SplitVoteAdversary,
-                               StaticCrashAdversary)
-from repro.core import (LowerBoundConstants, ResetTolerantAgreement,
-                        ThresholdConfig, default_thresholds,
-                        fast_decide_thresholds, lower_bound_constants,
-                        lower_bound_report, max_tolerable_t,
-                        predicted_lower_bound, split_vote_analysis,
-                        talagrand_bound)
-from repro.protocols import (BenOrAgreement, BrachaAgreement,
-                             CommitteeElectionProtocol, ProtocolFactory,
-                             available_protocols, get_protocol)
-from repro.simulation import (Configuration, Engine, ExecutionResult,
-                              Message, WindowSpec, run_execution)
-from repro.verification import (InvariantChecker, VerificationReport,
-                                differential_replay, replay_schedule,
-                                run_fuzz_campaign, shrink_schedule)
+import importlib
+from typing import List
+
+# Each public name and the subpackage that defines it.  ``import repro``
+# loads none of them: a name's subpackage is imported on first access
+# (PEP 562), so a command that never touches numpy-backed modules never
+# pays for them.
+_EXPORTS = {
+    "repro.adversaries": (
+        "AdaptiveResettingAdversary", "BenignAdversary",
+        "ByzantineAdversary", "CrashAtDecisionAdversary",
+        "CrashSplitVoteAdversary", "EquivocateStrategy",
+        "FlipValueStrategy", "LookaheadAdversary",
+        "RandomSchedulerAdversary", "SilencingAdversary", "SilentStrategy",
+        "SplitVoteAdversary", "StaticCrashAdversary"),
+    "repro.core": (
+        "LowerBoundConstants", "ResetTolerantAgreement", "ThresholdConfig",
+        "default_thresholds", "fast_decide_thresholds",
+        "lower_bound_constants", "lower_bound_report", "max_tolerable_t",
+        "predicted_lower_bound", "split_vote_analysis", "talagrand_bound"),
+    "repro.protocols": (
+        "BenOrAgreement", "BrachaAgreement", "CommitteeElectionProtocol",
+        "ProtocolFactory", "available_protocols", "get_protocol"),
+    "repro.simulation": (
+        "Configuration", "ExecutionResult", "Message", "Engine",
+        "WindowSpec", "run_execution"),
+    "repro.verification": (
+        "InvariantChecker", "VerificationReport", "differential_replay",
+        "replay_schedule", "run_fuzz_campaign", "shrink_schedule"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items()
+          for name in names}
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "AdaptiveResettingAdversary",
-    "BenignAdversary",
-    "ByzantineAdversary",
-    "CrashAtDecisionAdversary",
-    "CrashSplitVoteAdversary",
-    "EquivocateStrategy",
-    "FlipValueStrategy",
-    "LookaheadAdversary",
-    "RandomSchedulerAdversary",
-    "SilencingAdversary",
-    "SilentStrategy",
-    "SplitVoteAdversary",
-    "StaticCrashAdversary",
-    "LowerBoundConstants",
-    "ResetTolerantAgreement",
-    "ThresholdConfig",
-    "default_thresholds",
-    "fast_decide_thresholds",
-    "lower_bound_constants",
-    "lower_bound_report",
-    "max_tolerable_t",
-    "predicted_lower_bound",
-    "split_vote_analysis",
-    "talagrand_bound",
-    "BenOrAgreement",
-    "BrachaAgreement",
-    "CommitteeElectionProtocol",
-    "ProtocolFactory",
-    "available_protocols",
-    "get_protocol",
-    "Configuration",
-    "ExecutionResult",
-    "Message",
-    "Engine",
-    "WindowSpec",
-    "run_execution",
-    "InvariantChecker",
-    "VerificationReport",
-    "differential_replay",
-    "replay_schedule",
-    "run_fuzz_campaign",
-    "shrink_schedule",
-    "__version__",
-]
+__all__ = [*_OWNER, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

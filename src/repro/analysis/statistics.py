@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
+
+from repro.tables import format_table
 
 
 @dataclass(frozen=True)
@@ -150,40 +152,6 @@ def empirical_probability(successes: int, trials: int) -> Tuple[float, float, fl
     margin = (z * math.sqrt(p_hat * (1 - p_hat) / trials
                             + z * z / (4 * trials * trials))) / denominator
     return p_hat, max(0.0, centre - margin), min(1.0, centre + margin)
-
-
-def format_table(rows: Sequence[dict], columns: Optional[Sequence[str]] = None
-                 ) -> str:
-    """Render a list of dict rows as a fixed-width text table.
-
-    Used by the CLI, the examples and the benchmark harness to print the
-    experiment tables documented in EXPERIMENTS.md.
-    """
-    if not rows:
-        return "(no rows)"
-    if columns is None:
-        columns = list(rows[0].keys())
-    rendered_rows = [[_format_cell(row.get(column)) for column in columns]
-                     for row in rows]
-    widths = [max(len(str(column)), *(len(row[i]) for row in rendered_rows))
-              for i, column in enumerate(columns)]
-    header = "  ".join(str(column).ljust(width)
-                       for column, width in zip(columns, widths))
-    separator = "  ".join("-" * width for width in widths)
-    body = "\n".join("  ".join(cell.ljust(width)
-                               for cell, width in zip(row, widths))
-                     for row in rendered_rows)
-    return "\n".join([header, separator, body])
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        if value != 0 and (abs(value) >= 1e5 or abs(value) < 1e-3):
-            return f"{value:.3e}"
-        return f"{value:.4g}"
-    return str(value)
 
 
 __all__ = [

@@ -19,9 +19,11 @@ Bit identity dictates the design:
 * **Randomness** comes from real ``random.Random`` replicas, derived
   exactly as ``ProtocolFactory.build`` derives them (one master stream per
   trial, one 64-bit spawn per processor in pid order).  Each stream feeds
-  nothing but its processor's coin flips, drawn on demand with one
-  ``getrandbits(1)`` call per flip — exactly how the per-trial protocols
-  advance the same streams.  A replica is built from its seed on its
+  nothing but its processor's coin flips, which the per-trial protocols
+  draw with one ``getrandbits(1)`` call each: the top bit of the stream's
+  next 32-bit word.  The engine draws them 64 at a time, as the words of
+  one ``getrandbits(2048)`` (least significant first), so each flip is
+  the one the oracle would draw.  A replica is built from its seed on its
   processor's first flip; most processors never flip one.  Split-vote adversaries likewise hold
   per-trial ``seeded_rng`` replicas and call ``Random.sample`` on the same
   pid-ordered lists the oracle samples from.
@@ -72,6 +74,9 @@ from repro.core.thresholds import resolve_thresholds
 from repro.determinism import seeded_rng
 from repro.runner.spec import TrialSpec, execute_trial
 from repro.simulation.trace import ExecutionResult
+
+COIN_BLOCK = 64
+"""Coin flips pre-drawn per stream at once: one ``getrandbits(2048)``."""
 
 PHASES = ("deliver", "tally", "decide")
 """The window phases the engine times (see :class:`BatchedWindowEngine`)."""
@@ -124,7 +129,7 @@ class BatchedWindowEngine:
     _COMPACT = ("orig", "active", "window", "max_windows", "output",
                 "max_chain", "deciding_chain", "first_decision", "sent",
                 "delivered", "resets_total", "coin_total", "est", "resync",
-                "backlog")
+                "backlog", "coins", "coin_next")
 
     def __init__(self, specs: Sequence[TrialSpec],
                  phase_timers: Optional[Dict[str, float]] = None) -> None:
@@ -180,6 +185,10 @@ class BatchedWindowEngine:
         for spec in self.specs:
             master = seeded_rng(spec.seed)
             self.rngs.append([master.getrandbits(64) for _ in range(n)])
+        # Each stream's pre-drawn flips and the index of its next unused
+        # one (COIN_BLOCK: none left).
+        self.coins = np.zeros((trials, n, COIN_BLOCK), dtype=np.int8)
+        self.coin_next = np.full((trials, n), COIN_BLOCK, dtype=np.int64)
 
         self.results: List[Optional[ExecutionResult]] = [None] * trials
         self.quarantined: List[int] = []
@@ -391,22 +400,33 @@ class BatchedWindowEngine:
         timers["decide"] += time.perf_counter() - mark
 
     def _draw_coins(self, tt: np.ndarray, pp: np.ndarray) -> np.ndarray:
-        """One coin flip per (trial, processor) pair, drawn on demand.
+        """One coin flip per distinct (trial, processor) pair.
 
         Each per-(trial, processor) stream feeds nothing but that
-        processor's coin flips, so a direct ``getrandbits(1)`` here
-        advances it exactly as the per-trial protocol object would.
+        processor's coin flips, so its next ``COIN_BLOCK`` flips can be
+        drawn ahead in one ``getrandbits(2048)``: word ``k`` of it is the
+        ``k``-th next 32-bit output, and a ``getrandbits(1)`` flip is an
+        output's top bit.  Only exhausted streams are refilled.
         """
-        rngs = self.rngs
-        flips = []
-        for trial, pid in zip(tt.tolist(), pp.tolist()):
-            row = rngs[trial]
-            rng = row[pid]
-            if type(rng) is int:
-                rng = row[pid] = random.Random(rng)
-            flips.append(rng.getrandbits(1))
+        cursor = self.coin_next[tt, pp]
+        empty = np.flatnonzero(cursor == COIN_BLOCK)
+        if empty.size:
+            et, ep = tt[empty], pp[empty]
+            rngs = self.rngs
+            blocks = []
+            for trial, pid in zip(et.tolist(), ep.tolist()):
+                row = rngs[trial]
+                rng = row[pid]
+                if type(rng) is int:
+                    rng = row[pid] = random.Random(rng)
+                blocks.append(rng.getrandbits(32 * COIN_BLOCK)
+                              .to_bytes(4 * COIN_BLOCK, "little"))
+            words = np.frombuffer(b"".join(blocks), "<u4")
+            self.coins[et, ep] = (words >> 31).reshape(-1, COIN_BLOCK)
+            cursor[empty] = 0
+        self.coin_next[tt, pp] = cursor + 1
         np.add.at(self.coin_total, tt, 1)
-        return np.array(flips, dtype=np.int8)
+        return self.coins[tt, pp, cursor]
 
 
 # ----------------------------------------------------------------------

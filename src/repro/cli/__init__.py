@@ -95,6 +95,11 @@ Subcommands::
 
 Works both as ``python -m repro ...`` from a source checkout and as the
 installed ``repro`` console script.
+
+Each subcommand is one :data:`COMMANDS` entry: its help line, its
+argument builder and its handler.  A handler imports what its command
+runs, so only ``run``, ``list`` and the readers of a registered
+experiment's runs load the experiment registry, and with it numpy.
 """
 
 from __future__ import annotations
@@ -106,20 +111,20 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.statistics import format_table
-from repro.experiments import available_experiments, get_experiment
+# Every campaign command executes through the supervising executor, so it
+# loads with the CLI: hooks installed between ``import repro.cli`` and
+# ``main()`` (profilers, the end-to-end benchmark's probe) find its runner
+# classes.  Everything else a command needs, its handler imports itself.
+import repro.runner.supervisor  # noqa: F401
 from repro.experiments.base import Experiment
-from repro.results import RunStore, latest_run, load_run
-from repro.runner.spec import build_engine, execute_trial
-from repro.search.campaign import (SEARCH_EXPERIMENT, resolve_search_params,
-                                   run_search_campaign)
-from repro.verification.fuzzer import (FUZZ_EXPERIMENT, resolve_fuzz_params,
-                                       run_fuzz_campaign)
-from repro.verification.invariants import InvariantChecker
-from repro.verification.shrink import load_schedule_artifact
+from repro.results.store import (CAMPAIGNS, FUZZ_EXPERIMENT, SEARCH_EXPERIMENT,
+                                 RunStore, latest_run, load_run,
+                                 read_manifest)
+from repro.tables import format_table
 
 DEFAULT_OUT = "results"
 
@@ -167,6 +172,8 @@ from the CLI with `--set key=value`.
 
 def render_registry_doc() -> str:
     """EXPERIMENTS.md, generated from the experiment registry."""
+    from repro.experiments.registry import available_experiments
+
     sections = [_DOC_PREAMBLE]
     for experiment in available_experiments():
         sections.append("\n".join([
@@ -235,6 +242,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
              "fault_model": info.fault_model}
             for name, info in sorted(available_protocols().items())]))
         return 0
+    from repro.experiments.registry import available_experiments
+
     rows = [{"name": experiment.name, "alias": experiment.slug,
              "title": experiment.title,
              "parallel": "yes" if experiment.parallel else "no"}
@@ -381,6 +390,9 @@ def _run_campaign(args: argparse.Namespace, name: str,
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.registry import (available_experiments,
+                                            get_experiment)
+
     if args.all:
         names = [experiment.name for experiment in available_experiments()]
     elif args.experiments:
@@ -432,17 +444,18 @@ def _resolve_run_dir(command: str, target: str, out: str):
         # than misdiagnosing it as an unknown experiment name.
         return None, _usage_error(command, ValueError(
             f"no run directory at {target!r}"))
-    try:
-        experiment = get_experiment(target)
-        name = experiment.name
-    except KeyError as error:
-        if target not in (FUZZ_EXPERIMENT, SEARCH_EXPERIMENT):
-            return None, _usage_error(command, error)
+    if target in CAMPAIGNS:
         name = target  # fuzz/search campaigns are stored runs too
+    else:
+        from repro.experiments.registry import get_experiment
+
+        try:
+            name = get_experiment(target).name
+        except KeyError as error:
+            return None, _usage_error(command, error)
     found = latest_run(out, name)
     if found is None:
-        hint = (name if name in (FUZZ_EXPERIMENT, SEARCH_EXPERIMENT)
-                else f"run {name}")
+        hint = name if name in CAMPAIGNS else f"run {name}"
         print(f"no stored runs of {name} under {out!r}; "
               f"run `python -m repro {hint}` first",
               file=sys.stderr)
@@ -455,12 +468,16 @@ def _cmd_show(args: argparse.Namespace) -> int:
     if run_dir is None:
         return code
     manifest, rows = load_run(run_dir)
-    try:
-        experiment = get_experiment(manifest["experiment"])
-    except KeyError:
-        # Not a registered experiment (e.g. a fuzz campaign): render the
-        # stored rows as-is, with no synthetic finalizer rows.
-        experiment = None
+    experiment = None
+    if manifest["experiment"] not in CAMPAIGNS:
+        from repro.experiments.registry import get_experiment
+
+        try:
+            experiment = get_experiment(manifest["experiment"])
+        except KeyError:
+            # Not a registered experiment: render the stored rows as-is,
+            # with no synthetic finalizer rows.
+            pass
     if experiment is not None and experiment.finalize is not None:
         rows = rows + experiment.finalize(rows, manifest["params"])
     status = "complete" if manifest.get("completed") else "partial"
@@ -543,7 +560,6 @@ def _show_manifest_health(manifest: Mapping[str, Any]) -> None:
 
 def _cmd_top(args: argparse.Namespace) -> int:
     """Tail a campaign's telemetry event log: ``repro top``."""
-    from repro.results.store import read_manifest
     from repro.telemetry import TELEMETRY_NAME, read_events
     from repro.telemetry.timing import render_top, top_snapshot
 
@@ -571,6 +587,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from repro.verification.fuzzer import (resolve_fuzz_params,
+                                           run_fuzz_campaign)
+
     try:
         params = resolve_fuzz_params(
             protocol=args.protocol, trials=args.trials, seed=args.seed,
@@ -611,6 +630,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from repro.search.campaign import (resolve_search_params,
+                                       run_search_campaign)
+
     try:
         params = resolve_search_params(
             protocol=args.protocol, strategy=args.strategy,
@@ -652,6 +674,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from repro.runner.spec import build_engine, execute_trial
+    from repro.verification.invariants import InvariantChecker
+    from repro.verification.shrink import load_schedule_artifact
+
     if not os.path.isfile(args.artifact):
         return _usage_error("replay", ValueError(
             f"no schedule artifact at {args.artifact!r}"))
@@ -777,6 +803,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
+def _add_out_arg(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument("--out", default=DEFAULT_OUT,
+                        help=f"{what} (default: results/)")
+
+
 def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     """The knobs shared by run/fuzz/search: store, resilience, telemetry."""
     from repro.faults import CHAOS_ENV
@@ -784,8 +815,7 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (0 = serial; default: "
                              "$REPRO_WORKERS or the CPU count)")
-    parser.add_argument("--out", default=DEFAULT_OUT,
-                        help="results-store root (default: results/)")
+    _add_out_arg(parser, "results-store root")
     parser.add_argument("--no-store", action="store_true",
                         help="print results only, persist nothing")
     parser.add_argument("--max-retries", type=int, default=2,
@@ -807,8 +837,7 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
                              "adaptive-resetting adversaries and runs "
                              "the rest per trial (bit-identical results; "
                              "fuzz specs and search candidates never "
-                             "batch; all per trial without numpy >= 2.0) "
-                             "(default: trial)")
+                             "batch) (default: trial)")
     parser.add_argument("--no-telemetry", action="store_true",
                         help="record no telemetry.jsonl event log "
                              "(results are bit-identical either way)")
@@ -816,211 +845,236 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
                         help="suppress the live progress line")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _list_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--doc", action="store_true",
+                        help="emit the generated EXPERIMENTS.md document")
+    parser.add_argument("--adversaries", action="store_true",
+                        help="list the adversary registry (and Byzantine "
+                             "strategies)")
+    parser.add_argument("--protocols", action="store_true",
+                        help="list the protocol registry")
+
+
+def _run_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("experiments", nargs="*", metavar="EXPERIMENT",
+                        help="experiment names or aliases (e.g. E2, "
+                             "feasibility)")
+    parser.add_argument("--all", action="store_true",
+                        help="run every registered experiment")
+    parser.add_argument("--quick", action="store_true",
+                        help="apply the quick (smoke-sized) overrides")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the master seed")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override one experiment parameter "
+                             "(repeatable; value is a Python literal)")
+    _add_campaign_args(parser)
+
+
+def _fuzz_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--trials", type=int, default=100,
+                        help="number of fuzzed executions (default: 100)")
+    parser.add_argument("--protocol", default="reset-tolerant",
+                        help="protocol registry name "
+                             "(default: reset-tolerant)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="campaign master seed (default: 0)")
+    parser.add_argument("--n", type=int, default=None,
+                        help="system size (default: 9 on the window "
+                             "engine, 7 on the step engine)")
+    parser.add_argument("--t", type=int, default=None,
+                        help="fault bound (default: the protocol's "
+                             "maximum for n)")
+    parser.add_argument("--max-windows", type=int, default=60,
+                        help="window cap per trial (default: 60)")
+    parser.add_argument("--max-steps", type=int, default=6000,
+                        help="step cap per trial (default: 6000)")
+    parser.add_argument("--minimize", action="store_true",
+                        help="shrink violating schedules into "
+                             "counterexample artifacts")
+    _add_campaign_args(parser)
+
+
+def _search_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--strategy", default="hill-climb",
+                        help="search strategy: hill-climb, anneal or "
+                             "evolve (default: hill-climb)")
+    parser.add_argument("--objective", default="undecided-rounds",
+                        help="objective: undecided-rounds, "
+                             "undecided-fraction, vote-margin or "
+                             "invariant-violation "
+                             "(default: undecided-rounds)")
+    parser.add_argument("--generations", type=int, default=25,
+                        help="search generations (default: 25)")
+    parser.add_argument("--population", type=int, default=8,
+                        help="candidates per generation (default: 8)")
+    parser.add_argument("--windows", type=int, default=240,
+                        help="schedule length / evaluation horizon in "
+                             "windows (default: 240)")
+    parser.add_argument("--protocol", default="reset-tolerant",
+                        help="protocol registry name "
+                             "(default: reset-tolerant)")
+    parser.add_argument("--workload", default="split",
+                        help="input workload: split, unanimous-0 or "
+                             "unanimous-1 (default: split)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="campaign master seed (default: 0)")
+    parser.add_argument("--n", type=int, default=None,
+                        help="system size (default: 12)")
+    parser.add_argument("--t", type=int, default=None,
+                        help="fault bound (default: the protocol's "
+                             "maximum for n)")
+    parser.add_argument("--no-verify", action="store_true",
+                        help="skip the per-candidate invariant check "
+                             "(faster evaluations)")
+    parser.add_argument("--target-score", type=float, default=None,
+                        help="stop once the running best reaches this "
+                             "score (budget is unchanged)")
+    _add_campaign_args(parser)
+
+
+def _replay_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("artifact",
+                        help="a schedule artifact: a fuzz counterexample "
+                             "or a search best-schedule JSON file")
+
+
+def _query_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("sql", metavar="SQL",
+                        help="the query, e.g. \"SELECT experiment, "
+                             "count(*) FROM rows GROUP BY experiment\"")
+    _add_out_arg(parser, "results-store root")
+    parser.add_argument("--format", default="table",
+                        choices=("table", "json", "csv"),
+                        help="output format (default: table)")
+
+
+def _report_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("experiment",
+                        help="experiment name or alias (fuzz/search "
+                             "campaigns work too)")
+    _add_out_arg(parser, "results-store root")
+    parser.add_argument("--format", default="text",
+                        choices=("text", "json"),
+                        help="output format (default: text)")
+    parser.add_argument("--percentiles", default="50,90,99",
+                        metavar="Q,Q,...",
+                        help="percentiles for the per-cell table "
+                             "(default: 50,90,99)")
+
+
+def _lint_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--select", default=None, metavar="CODES",
+                        help="comma-separated codes or families to keep "
+                             "(e.g. D1,P or D)")
+    parser.add_argument("--ignore", default=None, metavar="CODES",
+                        help="comma-separated codes or families to drop")
+    parser.add_argument("--format", choices=("text", "json"),
+                        default="text",
+                        help="output format (default: text)")
+    parser.add_argument("--root", default=None,
+                        help="package directory to lint (default: the "
+                             "installed repro package)")
+    parser.add_argument("--tests", default=None,
+                        help="tests directory linted under the tests/ "
+                             "prefix (default: the repository tests/)")
+    parser.add_argument("--fixture", nargs="?", const="", default=None,
+                        metavar="DIR",
+                        help="run the self-test corpus instead (default "
+                             "corpus: tests/staticcheck_fixtures/)")
+
+
+def _stored_run_args(parser: argparse.ArgumentParser) -> None:
+    """The target and store root shared by ``show`` and ``top``."""
+    parser.add_argument("target",
+                        help="a run directory, or an experiment name "
+                             "(latest stored run)")
+    _add_out_arg(parser, "results-store root searched for experiment "
+                         "names")
+
+
+def _show_args(parser: argparse.ArgumentParser) -> None:
+    _stored_run_args(parser)
+    parser.add_argument("--timing", action="store_true",
+                        help="append per-cell trial-duration percentiles "
+                             "and the slowest trial's span tree (from "
+                             "telemetry.jsonl)")
+
+
+def _top_args(parser: argparse.ArgumentParser) -> None:
+    _stored_run_args(parser)
+    parser.add_argument("--interval", type=float, default=2.0,
+                        help="seconds between refreshes (default: 2.0)")
+    parser.add_argument("--once", action="store_true",
+                        help="print one snapshot and exit (for scripts "
+                             "and CI)")
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, argument builder and handler.
+
+    The handler imports what its command runs, so a command loads only
+    its own modules.
+    """
+
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    handler: Callable[[argparse.Namespace], int]
+
+
+COMMANDS: Dict[str, Command] = {
+    "list": Command("list registered experiments (or adversaries, "
+                    "protocols)", _list_args, _cmd_list),
+    "run": Command("run experiments through the registry", _run_args,
+                   _cmd_run),
+    "fuzz": Command("fuzz adversarial schedules and re-check every trace "
+                    "with the independent invariant checker", _fuzz_args,
+                    _cmd_fuzz),
+    "search": Command("optimize admissible schedules toward a hardness "
+                      "objective (guided adversary search)", _search_args,
+                      _cmd_search),
+    "replay": Command("re-execute a saved schedule artifact and print the "
+                      "invariant verdict", _replay_args, _cmd_replay),
+    "query": Command("read-only SQLite SELECT across every stored run "
+                     "(rows/runs/spans/metrics tables, one view per "
+                     "experiment)", _query_args, _cmd_query),
+    "report": Command("percentile tables per cell plus recomputed "
+                      "finalizer rows for one experiment's stored runs",
+                      _report_args, _cmd_report),
+    "lint": Command("statically lint the repro package against the "
+                    "project's determinism/parity/registry contracts",
+                    _lint_args, _cmd_lint),
+    "show": Command("render a stored run as a table", _show_args,
+                    _cmd_show),
+    "top": Command("tail a campaign's telemetry event log: progress, "
+                   "rates, counters, busiest cells", _top_args, _cmd_top),
+}
+"""The ``repro`` subcommands, in ``repro --help`` order."""
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` argument parser: every subcommand, or only ``command``.
+
+    A parser for one subcommand is all one invocation of it parses; it
+    still names every subcommand wherever argparse prints the top-level
+    usage (an unrecognised argument, say).
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the paper's experiment tables through the "
                     "declarative experiment registry.")
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    list_parser = subparsers.add_parser(
-        "list", help="list registered experiments (or adversaries, "
-                     "protocols)")
-    list_parser.add_argument(
-        "--doc", action="store_true",
-        help="emit the generated EXPERIMENTS.md document")
-    list_parser.add_argument(
-        "--adversaries", action="store_true",
-        help="list the adversary registry (and Byzantine strategies)")
-    list_parser.add_argument(
-        "--protocols", action="store_true",
-        help="list the protocol registry")
-    list_parser.set_defaults(func=_cmd_list)
-
-    run_parser = subparsers.add_parser(
-        "run", help="run experiments through the registry")
-    run_parser.add_argument(
-        "experiments", nargs="*", metavar="EXPERIMENT",
-        help="experiment names or aliases (e.g. E2, feasibility)")
-    run_parser.add_argument("--all", action="store_true",
-                            help="run every registered experiment")
-    run_parser.add_argument("--quick", action="store_true",
-                            help="apply the quick (smoke-sized) overrides")
-    run_parser.add_argument("--seed", type=int, default=None,
-                            help="override the master seed")
-    run_parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                            help="override one experiment parameter "
-                                 "(repeatable; value is a Python literal)")
-    _add_campaign_args(run_parser)
-    run_parser.set_defaults(func=_cmd_run)
-
-    fuzz_parser = subparsers.add_parser(
-        "fuzz", help="fuzz adversarial schedules and re-check every trace "
-                     "with the independent invariant checker")
-    fuzz_parser.add_argument("--trials", type=int, default=100,
-                             help="number of fuzzed executions "
-                                  "(default: 100)")
-    fuzz_parser.add_argument("--protocol", default="reset-tolerant",
-                             help="protocol registry name "
-                                  "(default: reset-tolerant)")
-    fuzz_parser.add_argument("--seed", type=int, default=0,
-                             help="campaign master seed (default: 0)")
-    fuzz_parser.add_argument("--n", type=int, default=None,
-                             help="system size (default: 9 on the window "
-                                  "engine, 7 on the step engine)")
-    fuzz_parser.add_argument("--t", type=int, default=None,
-                             help="fault bound (default: the protocol's "
-                                  "maximum for n)")
-    fuzz_parser.add_argument("--max-windows", type=int, default=60,
-                             help="window cap per trial (default: 60)")
-    fuzz_parser.add_argument("--max-steps", type=int, default=6000,
-                             help="step cap per trial (default: 6000)")
-    fuzz_parser.add_argument("--minimize", action="store_true",
-                             help="shrink violating schedules into "
-                                  "counterexample artifacts")
-    _add_campaign_args(fuzz_parser)
-    fuzz_parser.set_defaults(func=_cmd_fuzz)
-
-    search_parser = subparsers.add_parser(
-        "search", help="optimize admissible schedules toward a hardness "
-                       "objective (guided adversary search)")
-    search_parser.add_argument("--strategy", default="hill-climb",
-                               help="search strategy: hill-climb, anneal "
-                                    "or evolve (default: hill-climb)")
-    search_parser.add_argument("--objective", default="undecided-rounds",
-                               help="objective: undecided-rounds, "
-                                    "undecided-fraction, vote-margin or "
-                                    "invariant-violation "
-                                    "(default: undecided-rounds)")
-    search_parser.add_argument("--generations", type=int, default=25,
-                               help="search generations (default: 25)")
-    search_parser.add_argument("--population", type=int, default=8,
-                               help="candidates per generation "
-                                    "(default: 8)")
-    search_parser.add_argument("--windows", type=int, default=240,
-                               help="schedule length / evaluation horizon "
-                                    "in windows (default: 240)")
-    search_parser.add_argument("--protocol", default="reset-tolerant",
-                               help="protocol registry name "
-                                    "(default: reset-tolerant)")
-    search_parser.add_argument("--workload", default="split",
-                               help="input workload: split, unanimous-0 "
-                                    "or unanimous-1 (default: split)")
-    search_parser.add_argument("--seed", type=int, default=0,
-                               help="campaign master seed (default: 0)")
-    search_parser.add_argument("--n", type=int, default=None,
-                               help="system size (default: 12)")
-    search_parser.add_argument("--t", type=int, default=None,
-                               help="fault bound (default: the protocol's "
-                                    "maximum for n)")
-    search_parser.add_argument("--no-verify", action="store_true",
-                               help="skip the per-candidate invariant "
-                                    "check (faster evaluations)")
-    search_parser.add_argument("--target-score", type=float, default=None,
-                               help="stop once the running best reaches "
-                                    "this score (budget is unchanged)")
-    _add_campaign_args(search_parser)
-    search_parser.set_defaults(func=_cmd_search)
-
-    replay_parser = subparsers.add_parser(
-        "replay", help="re-execute a saved schedule artifact and print "
-                       "the invariant verdict")
-    replay_parser.add_argument(
-        "artifact",
-        help="a schedule artifact: a fuzz counterexample or a search "
-             "best-schedule JSON file")
-    replay_parser.set_defaults(func=_cmd_replay)
-
-    query_parser = subparsers.add_parser(
-        "query", help="read-only SQLite SELECT across every stored run "
-                      "(rows/runs/spans/metrics tables, one view per "
-                      "experiment)")
-    query_parser.add_argument(
-        "sql", metavar="SQL",
-        help="the query, e.g. \"SELECT experiment, count(*) FROM rows "
-             "GROUP BY experiment\"")
-    query_parser.add_argument("--out", default=DEFAULT_OUT,
-                              help="results-store root "
-                                   "(default: results/)")
-    query_parser.add_argument("--format", default="table",
-                              choices=("table", "json", "csv"),
-                              help="output format (default: table)")
-    query_parser.set_defaults(func=_cmd_query)
-
-    report_parser = subparsers.add_parser(
-        "report", help="percentile tables per cell plus recomputed "
-                       "finalizer rows for one experiment's stored runs")
-    report_parser.add_argument(
-        "experiment",
-        help="experiment name or alias (fuzz/search campaigns work too)")
-    report_parser.add_argument("--out", default=DEFAULT_OUT,
-                               help="results-store root "
-                                    "(default: results/)")
-    report_parser.add_argument("--format", default="text",
-                               choices=("text", "json"),
-                               help="output format (default: text)")
-    report_parser.add_argument("--percentiles", default="50,90,99",
-                               metavar="Q,Q,...",
-                               help="percentiles for the per-cell table "
-                                    "(default: 50,90,99)")
-    report_parser.set_defaults(func=_cmd_report)
-
-    lint_parser = subparsers.add_parser(
-        "lint", help="statically lint the repro package against the "
-                     "project's determinism/parity/registry contracts")
-    lint_parser.add_argument("--select", default=None, metavar="CODES",
-                             help="comma-separated codes or families to "
-                                  "keep (e.g. D1,P or D)")
-    lint_parser.add_argument("--ignore", default=None, metavar="CODES",
-                             help="comma-separated codes or families to "
-                                  "drop")
-    lint_parser.add_argument("--format", choices=("text", "json"),
-                             default="text",
-                             help="output format (default: text)")
-    lint_parser.add_argument("--root", default=None,
-                             help="package directory to lint (default: "
-                                  "the installed repro package)")
-    lint_parser.add_argument("--tests", default=None,
-                             help="tests directory linted under the "
-                                  "tests/ prefix (default: the "
-                                  "repository tests/)")
-    lint_parser.add_argument("--fixture", nargs="?", const="", default=None,
-                             metavar="DIR",
-                             help="run the self-test corpus instead "
-                                  "(default corpus: "
-                                  "tests/staticcheck_fixtures/)")
-    lint_parser.set_defaults(func=_cmd_lint)
-
-    show_parser = subparsers.add_parser(
-        "show", help="render a stored run as a table")
-    show_parser.add_argument(
-        "target",
-        help="a run directory, or an experiment name (latest stored run)")
-    show_parser.add_argument("--out", default=DEFAULT_OUT,
-                             help="results-store root searched for "
-                                  "experiment names (default: results/)")
-    show_parser.add_argument("--timing", action="store_true",
-                             help="append per-cell trial-duration "
-                                  "percentiles and the slowest trial's "
-                                  "span tree (from telemetry.jsonl)")
-    show_parser.set_defaults(func=_cmd_show)
-
-    top_parser = subparsers.add_parser(
-        "top", help="tail a campaign's telemetry event log: progress, "
-                    "rates, counters, busiest cells")
-    top_parser.add_argument(
-        "target",
-        help="a run directory, or an experiment name (latest stored run)")
-    top_parser.add_argument("--out", default=DEFAULT_OUT,
-                            help="results-store root searched for "
-                                 "experiment names (default: results/)")
-    top_parser.add_argument("--interval", type=float, default=2.0,
-                            help="seconds between refreshes "
-                                 "(default: 2.0)")
-    top_parser.add_argument("--once", action="store_true",
-                            help="print one snapshot and exit (for "
-                                 "scripts and CI)")
-    top_parser.set_defaults(func=_cmd_top)
+    if command is None:
+        names, metavar = list(COMMANDS), None
+    else:
+        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
+    subparsers = parser.add_subparsers(dest="command", required=True,
+                                       metavar=metavar)
+    for name in names:
+        spec = COMMANDS[name]
+        subparser = subparsers.add_parser(name, help=spec.help)
+        spec.add_arguments(subparser)
+        subparser.set_defaults(func=spec.handler)
     return parser
 
 
@@ -1036,9 +1090,23 @@ def _usage_error(command: str, error: Exception) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the invoked subcommand is built; anything else (``--help``, a
+    # misspelt command) gets the whole parser.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    if command == "run":
+        # numpy loads before the first trial either way; ``run`` loads it
+        # here, before parsing.  CPython 3.11 frees a frame-stack chunk as
+        # soon as the stack shrinks below it, so an import's cost depends
+        # on the call depth it runs at: one frame deeper, from the
+        # handler, numpy's typing modules re-allocated a chunk every few
+        # calls (about 1,400 more page faults before the first trial
+        # under perfbench's probe, 500 under ``runpy``).
+        import repro.experiments.registry  # noqa: F401
+    args = build_parser(command).parse_args(argv)
     return args.func(args)
 
 
-__all__ = ["main", "build_parser", "render_registry_doc"]
+__all__ = ["COMMANDS", "Command", "main", "build_parser",
+           "render_registry_doc"]

@@ -17,8 +17,20 @@ Quickstart::
 """
 
 from repro.experiments.base import Cell, Experiment, Row, cell_key_id
-from repro.experiments.registry import (available_experiments,
-                                        get_experiment, register)
+
+# The registry builds every experiment definition, and those import the
+# numpy-backed statistics; fuzz and search campaigns use only ``base``, so
+# the registry loads on first use (PEP 562).
+_REGISTRY_NAMES = ("available_experiments", "get_experiment", "register")
+
+
+def __getattr__(name: str):
+    if name not in _REGISTRY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.experiments import registry
+
+    return getattr(registry, name)
+
 
 __all__ = [
     "Cell",

@@ -30,7 +30,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.results.store import records_to_rows, scan_runs
+from repro.results.store import CAMPAIGNS, records_to_rows, scan_runs
+from repro.tables import format_table
 from repro.telemetry import TELEMETRY_NAME, read_events
 
 DEFAULT_PERCENTILES = (50.0, 90.0, 99.0)
@@ -97,15 +98,17 @@ def build_report(root: str, experiment: str,
                  percentiles: Sequence[float] = DEFAULT_PERCENTILES,
                  ) -> Report:
     """Aggregate every stored run of ``experiment`` under ``root``."""
-    from repro.experiments import get_experiment
+    registered, name = None, experiment
+    if experiment not in CAMPAIGNS:
+        from repro.experiments.registry import get_experiment
 
-    try:
-        registered = get_experiment(experiment)
-        name = registered.name
-    except KeyError:
-        # Fuzz/search campaigns (and unregistered stores) report too —
-        # they just have no finalizer to recompute.
-        registered, name = None, experiment
+        try:
+            registered = get_experiment(experiment)
+            name = registered.name
+        except KeyError:
+            # Unregistered stores report too, like fuzz/search campaigns:
+            # they just have no finalizer to recompute.
+            pass
     percentiles = tuple(float(q) for q in percentiles)
     for q in percentiles:
         if not 0.0 <= q <= 100.0:
@@ -189,8 +192,6 @@ def build_report(root: str, experiment: str,
 
 def render_report_text(report: Report) -> str:
     """The report as the CLI's text rendering."""
-    from repro.analysis.statistics import format_table
-
     sections = [f"== report: {report.experiment} "
                 f"({len(report.runs)} stored run(s) under "
                 f"{report.root!r}) =="]

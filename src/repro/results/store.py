@@ -52,6 +52,13 @@ from repro.runner.health import (RunHealth, empty_health_block,
 
 MANIFEST_NAME = "manifest.json"
 ROWS_NAME = "rows.jsonl"
+FUZZ_EXPERIMENT = "fuzz"
+"""Results-store experiment name fuzz campaigns are filed under."""
+SEARCH_EXPERIMENT = "search"
+"""Results-store experiment name search campaigns are filed under."""
+CAMPAIGNS = (FUZZ_EXPERIMENT, SEARCH_EXPERIMENT)
+"""The stored campaigns that are not registered experiments; readers
+resolve these names without loading the experiment registry."""
 _DIGEST_LENGTH = 12
 
 #: Manifest-rewrite debounce: flush the row count at most once per this
@@ -509,6 +516,9 @@ def latest_run(root: str, experiment: str) -> Optional[str]:
 
 
 __all__ = [
+    "CAMPAIGNS",
+    "FUZZ_EXPERIMENT",
+    "SEARCH_EXPERIMENT",
     "MANIFEST_EVERY_ROWS",
     "MANIFEST_MIN_INTERVAL",
     "MANIFEST_NAME",

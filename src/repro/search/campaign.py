@@ -46,7 +46,7 @@ from repro.adversaries.fuzzing import (WindowSampler,
                                        fault_model_probabilities)
 from repro.experiments.base import Cell, pending_trials, run_cells
 from repro.protocols.registry import get_protocol, resolve_fault_bound
-from repro.results.store import RunStore
+from repro.results.store import SEARCH_EXPERIMENT, RunStore
 from repro.runner import TrialSpec, derive_seed
 from repro.runner.health import RunHealth
 from repro.search.mutations import Schedule, is_admissible
@@ -59,9 +59,6 @@ from repro.verification.shrink import (COUNTEREXAMPLE_DIR, replay_spec,
                                        save_schedule_artifact,
                                        schedule_to_jsonable, shrink_schedule)
 from repro.workloads.inputs import split, unanimous
-
-SEARCH_EXPERIMENT = "search"
-"""Results-store experiment name search campaigns are filed under."""
 
 BEST_ARTIFACT = "best-schedule.json"
 """File name of the best-found schedule artifact inside a run directory."""

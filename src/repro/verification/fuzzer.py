@@ -38,7 +38,7 @@ from repro.adversaries.fuzzing import (ScheduleFuzzer, StepFuzzer,
                                        fault_model_probabilities)
 from repro.experiments.base import Cell, pending_trials, run_cells
 from repro.protocols.registry import get_protocol, resolve_fault_bound
-from repro.results.store import RunStore
+from repro.results.store import FUZZ_EXPERIMENT, RunStore
 from repro.runner import STEP_ENGINE, WINDOW_ENGINE, TrialSpec, derive_seed
 from repro.runner.health import RunHealth
 from repro.simulation.trace import ExecutionResult
@@ -46,9 +46,6 @@ from repro.verification.invariants import InvariantChecker
 from repro.verification.shrink import (COUNTEREXAMPLE_DIR,
                                        save_schedule_artifact,
                                        shrink_schedule)
-
-FUZZ_EXPERIMENT = "fuzz"
-"""Results-store experiment name fuzz campaigns are filed under."""
 
 ROW_SCHEMA: Tuple[str, ...] = (
     "trial", "protocol", "engine", "n", "t", "inputs", "engine_seed",

@@ -397,3 +397,29 @@ def test_singleton_group_runs_batched(workers):
                       telemetry=telemetry) == [execute_trial(specs[0])]
     assert [event["trials"] for event in events if event["kind"] == "span"
             and event["name"] == "batch"] == [1]
+
+
+def test_bulk_coins_follow_each_stream_flip_by_flip():
+    """Coins drawn COIN_BLOCK at a time are the stream's ``getrandbits(1)``
+    flips, across refills and with streams exhausted at different times."""
+    import numpy as np
+
+    from repro.batched.engine import COIN_BLOCK, BatchedWindowEngine
+    from repro.determinism import seeded_rng
+
+    specs = _specs("reset-tolerant", "benign", 8, 1, 3, base_seed=11)
+    engine = BatchedWindowEngine(specs)
+    replicas = []
+    for spec in specs:
+        master = seeded_rng(spec.seed)
+        replicas.append([random.Random(master.getrandbits(64))
+                         for _ in range(spec.n)])
+    rng = random.Random(5)
+    pairs = [(trial, pid) for trial in range(3) for pid in range(8)]
+    for _ in range(3 * COIN_BLOCK):
+        flipping = sorted(rng.sample(pairs, rng.randint(1, len(pairs))))
+        tt = np.array([trial for trial, _ in flipping])
+        pp = np.array([pid for _, pid in flipping])
+        expected = [replicas[trial][pid].getrandbits(1)
+                    for trial, pid in flipping]
+        assert engine._draw_coins(tt, pp).tolist() == expected

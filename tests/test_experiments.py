@@ -6,7 +6,7 @@ scales.
 """
 
 
-from repro.analysis.statistics import format_table
+from repro.tables import format_table
 from repro.experiments import get_experiment
 
 

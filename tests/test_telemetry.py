@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.analysis.statistics import format_table
+from repro.tables import format_table
 from repro.experiments import get_experiment
 from repro.results import RunStore, run_directory
 from repro.results.store import read_manifest
