@@ -57,7 +57,7 @@ def test_bench_batched_backend(benchmark):
         iterations=1, rounds=3)
 
     started = time.perf_counter()
-    oracle = run_trials(specs, workers=0)
+    oracle = run_trials(specs, workers=0, backend="trial")
     trial_elapsed = time.perf_counter() - started
 
     mean = benchmark.stats.stats.mean
@@ -85,7 +85,8 @@ def test_bench_batched_reset_path(benchmark):
     benchmark.extra_info["trials"] = len(specs)
     benchmark.extra_info["trials_per_sec"] = \
         len(specs) / benchmark.stats.stats.mean
-    assert results == run_trials(specs, workers=0)  # bit identity
+    assert results == run_trials(specs, workers=0,
+                                 backend="trial")  # bit identity
 
 
 @pytest.mark.benchmark(group="batched-backend")
@@ -94,7 +95,7 @@ def test_bench_trial_backend(benchmark):
     specs = _e2_shaped_specs()
 
     benchmark.pedantic(
-        run_trials, kwargs={"specs": specs, "workers": 0},
+        run_trials, kwargs={"specs": specs, "workers": 0, "backend": "trial"},
         iterations=1, rounds=1)
 
     mean = benchmark.stats.stats.mean

@@ -5,9 +5,13 @@ floor under each command's setup time.  The benchmark times a subprocess
 ``python -c "import repro.cli"`` and asserts that the import loaded
 neither ``scipy`` (which the package imports only for ``TrialSummary``
 confidence intervals) nor ``numpy`` (which only ``run`` and ``list``
-load, through the experiment registry, once the command is known).  A bare interpreter start is timed alongside and recorded as
+load, through the experiment registry, once the command is known).  A
+bare interpreter start is timed alongside and recorded as
 ``extra_info``, so the trajectory (`scripts/bench_record.py`,
 ``BENCH_<n>.json``) shows how much of the startup is the package itself.
+``src/`` is compiled to bytecode first, as ``perfbench`` does: with
+``PYTHONDONTWRITEBYTECODE`` set and no ``__pycache__``, every timed
+import would otherwise include compiling every module.
 """
 
 import os
@@ -31,10 +35,17 @@ def _python(code: str) -> None:
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def _compile_sources() -> None:
+    """Write missing bytecode, so no timed import compiles a module."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", SRC],
+                   check=True, stdout=subprocess.DEVNULL)
+
+
 @pytest.mark.benchmark(group="cli-startup")
 def test_bench_cli_startup(benchmark):
     """Interpreter start plus ``import repro.cli``, without scipy or
     numpy."""
+    _compile_sources()
     bare = []
     for _ in range(5):
         started = time.perf_counter()

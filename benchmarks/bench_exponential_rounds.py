@@ -3,7 +3,8 @@
 Regenerates the "windows until first decision versus n" series for split
 inputs under the strongly adaptive (vote-splitting + resetting) adversary,
 together with the analytic prediction and the exponential fit, via the
-experiment registry.
+experiment registry, on the per-trial engine (``backend="trial"``, the
+path its ``BENCH_<n>.json`` points time).
 """
 
 import pytest
@@ -17,7 +18,8 @@ def test_bench_exponential_windows_vs_n(benchmark, print_rows):
     rows = benchmark.pedantic(
         experiment.run,
         kwargs={"params": {"ns": (12, 16, 20, 24), "trials": 4,
-                           "use_resets": True, "seed": 2}},
+                           "use_resets": True, "seed": 2},
+                "backend": "trial"},
         iterations=1, rounds=1)
     print_rows("E2: windows to first decision (split inputs, strongly "
                "adaptive adversary)", rows)
@@ -37,7 +39,8 @@ def test_bench_exponential_windows_without_resets(benchmark, print_rows):
     rows = benchmark.pedantic(
         experiment.run,
         kwargs={"params": {"ns": (12, 16, 20), "trials": 3,
-                           "use_resets": False, "seed": 3}},
+                           "use_resets": False, "seed": 3},
+                "backend": "trial"},
         iterations=1, rounds=1)
     print_rows("E2 (ablation): split-vote adversary without resets", rows)
     data = [row for row in rows if row["experiment"] == "E2"]

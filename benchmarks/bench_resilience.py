@@ -3,10 +3,10 @@
 The resilient execution layer (retries, watchdog, quarantine — see
 PERFORMANCE.md, "Fault tolerance & chaos testing") is on by default for
 every experiment, so its fault-free cost must stay negligible.  This
-benchmark runs the same E2 spec batch through the bare serial runner and
-through :class:`repro.runner.SupervisedRunner` under its default policy,
-records the relative overhead as ``extra_info.supervisor_overhead_pct``,
-and holds it under 5%.
+benchmark runs the same E2 spec batch, on the per-trial backend, through
+the bare serial runner and through :class:`repro.runner.SupervisedRunner`
+under its default policy, records the relative overhead as
+``extra_info.supervisor_overhead_pct``, and holds it under 5%.
 """
 
 import time
@@ -30,7 +30,7 @@ def _bare_seconds(specs, rounds=3):
     best = float("inf")
     for _ in range(rounds):
         start = time.perf_counter()
-        run_trials(specs, workers=0)
+        run_trials(specs, workers=0, backend="trial")
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -40,12 +40,12 @@ def test_bench_supervised_overhead_serial(benchmark):
     specs = _e2_specs()
 
     def supervised():
-        runner = SupervisedRunner(workers=0)
+        runner = SupervisedRunner(workers=0, backend="trial")
         return list(runner.iter_results(specs))
 
     results = benchmark.pedantic(supervised, iterations=1, rounds=3)
     # The supervisor must not change values, only wall-clock time.
-    assert results == run_trials(specs, workers=0)
+    assert results == run_trials(specs, workers=0, backend="trial")
 
     bare = _bare_seconds(specs)
     supervised_seconds = benchmark.stats.stats.min

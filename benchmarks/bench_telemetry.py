@@ -1,7 +1,8 @@
 """Benchmark the telemetry recorder's overhead on the execution path.
 
 Runs an E2-quick-shaped workload (reset-tolerant split-vote trials
-through ``repro.runner``) twice over the same specs — bare, and with a
+through ``repro.runner`` on the per-trial backend, so every trial records
+its own span) twice over the same specs — bare, and with a
 :class:`~repro.telemetry.Telemetry` recorder writing its full
 ``telemetry.jsonl`` event log — and records ``telemetry_overhead_pct``
 as ``extra_info``.  The overhead budget documented in PERFORMANCE.md is
@@ -48,13 +49,14 @@ def test_bench_telemetry_overhead(benchmark, tmp_path):
     specs = _e2_shaped_specs()
 
     started = time.perf_counter()
-    bare = run_trials(specs, workers=0)
+    bare = run_trials(specs, workers=0, backend="trial")
     bare_elapsed = time.perf_counter() - started
 
     def observed_pass():
         telemetry = Telemetry(sink=str(tmp_path / "telemetry.jsonl"))
         with telemetry.span("campaign", label="bench"):
-            results = run_trials(specs, workers=0, telemetry=telemetry)
+            results = run_trials(specs, workers=0, backend="trial",
+                                 telemetry=telemetry)
         telemetry.close()
         return results, telemetry
 

@@ -1,8 +1,9 @@
 """Vectorized batched trial execution (numpy >= 2.0, oracle-checked).
 
-This package holds the ``batched`` execution backend: many trials of one
-experiment cell run inside a single process with per-processor state laid
-out as numpy arrays over ``trials x processors``.  It vectorizes one
+This package holds the ``batched`` execution backend, the executor's
+default: many trials of one experiment cell run inside a single process
+with per-processor state laid out as numpy arrays over
+``trials x processors``.  It vectorizes one
 protocol, ``reset-tolerant``, under four window adversaries (``benign``,
 ``silencing``, ``split-vote``, ``adaptive-resetting``): the traffic of the
 E1/E2/E7/E9 experiments.  Every other spec runs per trial.  The
@@ -17,7 +18,7 @@ Import surface:
 * :mod:`~repro.batched.support` — capability gating
   (:func:`~repro.batched.support.unsupported_reason`), the one grouping
   rule (:func:`~repro.batched.support.group_specs`, which batches groups
-  of any size, one trial included) and backend name validation
+  of any size, one trial included) and the backend default
   (:func:`~repro.batched.support.resolve_backend`).
 * :class:`~repro.batched.engine.BatchedWindowEngine` — the vectorized
   engine, and :func:`~repro.batched.engine.run_group`, which

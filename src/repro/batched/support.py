@@ -17,8 +17,9 @@ each spec's own fields and the oracle's own rules:
   per-trial remainder and the fallback reasons of a spec list.  The
   executor dispatches exactly these groups and the differential harness
   checks exactly these groups.
-* :func:`resolve_backend` — validates the CLI/TrialSpec backend names
-  (``trial`` / ``batched``).
+* :func:`resolve_backend` — the backend a caller asked for: ``batched``
+  (the default, which runs exactly these groups batched and every other
+  spec per trial) or ``trial`` (the per-trial oracle for every spec).
 
 The support checks are deliberately conservative: whenever the per-trial
 oracle would *raise* for a spec (invalid thresholds, oversized silenced
@@ -146,9 +147,9 @@ def group_specs(specs: Sequence[TrialSpec]) -> BatchPlan:
 
 
 def resolve_backend(backend: Optional[str]) -> str:
-    """The backend name ``backend`` requests (``None`` means ``trial``)."""
+    """The backend name ``backend`` requests (``None`` means ``batched``)."""
     if backend is None:
-        return BACKEND_TRIAL
+        return BACKEND_BATCHED
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}")

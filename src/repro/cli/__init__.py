@@ -8,9 +8,14 @@ Subcommands::
 
     repro run {EXPERIMENT ... | --all} [--quick] [--workers N]
               [--out DIR | --no-store] [--seed N] [--set key=value ...]
-              [--max-retries N] [--trial-timeout S] [--chaos SPEC]
+              [--backend trial|batched] [--max-retries N]
+              [--trial-timeout S] [--chaos SPEC]
               [--no-telemetry] [--no-progress]
-        Run experiments through the registry.  By default every run is
+        Run experiments through the registry.  The executor runs every
+        spec group the batched engine admits on the vectorized engine
+        and the rest per trial, with bit-identical rows;
+        ``--backend trial`` forces the per-trial oracle for every spec.
+        By default every run is
         persisted to the results store under ``--out`` (``results/``), so
         rerunning the same configuration *resumes*: cells whose rows are
         already stored are skipped.  Execution goes through the
@@ -23,8 +28,8 @@ Subcommands::
         Campaigns record a per-run ``telemetry.jsonl`` span/metric event
         log and render a live progress line while running (``repro fuzz``
         and ``repro search`` too); telemetry never changes result rows.
-        On the batched backend each ``batch`` span carries the engine's
-        phase seconds and window counts.  See "Telemetry & profiling" in
+        Each ``batch`` span carries the batched engine's phase seconds
+        and window counts.  See "Telemetry & profiling" in
         PERFORMANCE.md.
 
     repro show {RUN_DIR | EXPERIMENT} [--out DIR] [--timing]
@@ -183,13 +188,19 @@ def render_registry_doc() -> str:
             "",
             f"- **Alias:** `{experiment.slug}`",
             f"- **Monte Carlo fan-out via `repro.runner`:** "
-            f"{'yes' if experiment.parallel else 'no (analytic)'}",
+            f"{'yes' if _fans_out(experiment) else 'no (analytic)'}",
             f"- **Default parameters:** {_format_params(experiment.defaults)}",
             f"- **Quick overrides:** "
             f"{_format_params(experiment.quick_overrides)}",
             f"- **Row columns:** {_format_columns(experiment.row_schema)}",
         ]))
     return "\n\n".join(sections) + "\n"
+
+
+def _fans_out(experiment: Experiment) -> bool:
+    """Whether the experiment runs trials through :mod:`repro.runner`
+    (the analytic experiments' cells hold no specs)."""
+    return any(cell.specs for cell in experiment.cells())
 
 
 def _format_params(params: Mapping[str, Any]) -> str:
@@ -246,7 +257,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
     rows = [{"name": experiment.name, "alias": experiment.slug,
              "title": experiment.title,
-             "parallel": "yes" if experiment.parallel else "no"}
+             "parallel": "yes" if _fans_out(experiment) else "no"}
             for experiment in available_experiments()]
     print(format_table(rows))
     print("\nRun one with: python -m repro run <NAME> [--quick]")
@@ -283,12 +294,17 @@ def _execution_policy(args: argparse.Namespace):
     return policy, build_injector(chaos)
 
 
-def _print_health(health) -> None:
-    """Report the recovery actions of one run (silent when clean)."""
-    if health is None or health.clean:
+def _print_health(block: Mapping[str, Any]) -> None:
+    """Report a ``run_health`` block, live or stored (silent when clean)."""
+    failures = block.get("failures", [])
+    counters = {key: value for key, value in block.items()
+                if key != "failures" and value}
+    if not counters and not failures:
         return
-    print(f"run health: {health.summary()}")
-    for entry in health.failures:
+    rendered = " ".join(f"{key}={value}"
+                        for key, value in sorted(counters.items()))
+    print(f"run health: {rendered or '-'} failures={len(failures)}")
+    for entry in failures:
         print(f"  failed trial {entry.get('tag')}: {entry.get('error')} "
               f"({entry.get('attempts')} attempts)")
 
@@ -349,12 +365,13 @@ def _campaign_timing(args: argparse.Namespace, store, label: str):
 def _run_campaign(args: argparse.Namespace, name: str,
                   params: Dict[str, Any], resilience, *, label: str,
                   title: str, unit: str, execute: Callable[..., Any],
-                  extra_work: Callable[[Any], int] = lambda result: 0):
+                  extra_work: Callable[[Any], int] = lambda result: 0,
+                  backend: Optional[str] = None):
     """Run one campaign command: store, timing, manifest, header, health.
 
     The one path ``run``, ``fuzz`` and ``search`` share.  Opens the run
-    store (unless ``--no-store``), runs ``execute(workers=, store=,
-    policy=, health=, backend=, telemetry=)`` under
+    store (unless ``--no-store``; its manifest records ``backend``),
+    runs ``execute(workers=, store=, policy=, health=, telemetry=)`` under
     :func:`_campaign_timing`, and completes the manifest — except on a
     rerun that computed nothing (every row cached, the run already
     complete, and ``extra_work(result)`` zero, e.g. no fresh
@@ -370,13 +387,12 @@ def _run_campaign(args: argparse.Namespace, name: str,
     if not args.no_store:
         store = RunStore.open(args.out, name, params, workers=args.workers,
                               fault_injector=injector, health=health,
-                              backend=args.backend)
+                              backend=backend)
         cached = store.row_count
         was_complete = bool(store.manifest.get("completed"))
     with _campaign_timing(args, store, label) as timing:
         result = execute(workers=args.workers, store=store, policy=policy,
-                         health=health, backend=args.backend,
-                         telemetry=timing.telemetry)
+                         health=health, telemetry=timing.telemetry)
     header = f"{title}{timing.wall_time:.1f}s"
     if store is not None:
         computed = store.row_count - cached
@@ -385,11 +401,12 @@ def _run_campaign(args: argparse.Namespace, name: str,
         header += (f"; {cached} cached + {computed} computed {unit} "
                    f"-> {store.path}")
     print(header + ") ==")
-    _print_health(health)
+    _print_health(health.to_jsonable())
     return result
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.batched.support import resolve_backend
     from repro.experiments.registry import (available_experiments,
                                             get_experiment)
 
@@ -405,6 +422,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         resilience = _execution_policy(args)
     except ValueError as error:
         return _usage_error("run", error)
+    backend = resolve_backend(args.backend)
     exit_code = 0
     for name in names:
         try:
@@ -420,7 +438,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             label=f"run {experiment.name}",
             title=f"== {experiment.name}: {experiment.title} (",
             unit="cells",
-            execute=partial(experiment.run, params=params))
+            execute=partial(experiment.run, params=params, backend=backend),
+            backend=backend)
         print(format_table(rows))
         print()
     return exit_code
@@ -493,7 +512,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
         note = (" (resumed under differing backends)"
                 if backend == "mixed" else "")
         print(f"backend: {backend}{note}")
-    _show_manifest_health(manifest)
+    _print_health(manifest.get("run_health") or {})
     _show_manifest_telemetry(manifest)
     print(format_table(rows))
     if args.timing:
@@ -542,20 +561,6 @@ def _show_manifest_telemetry(manifest: Mapping[str, Any]) -> None:
           + " (show --timing for the breakdown)")
 
 
-def _show_manifest_health(manifest: Mapping[str, Any]) -> None:
-    """Surface a stored run's ``run_health`` block (silent when clean)."""
-    block = manifest.get("run_health") or {}
-    failures = block.get("failures", [])
-    counters = {key: value for key, value in block.items()
-                if key != "failures" and value}
-    if not counters and not failures:
-        return
-    rendered = " ".join(f"{key}={value}"
-                        for key, value in sorted(counters.items()))
-    print(f"run health: {rendered or '-'} failures={len(failures)}")
-    for entry in failures:
-        print(f"  failed trial {entry.get('tag')}: {entry.get('error')} "
-              f"({entry.get('attempts')} attempts)")
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -829,15 +834,6 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
                              "'crash=0.2,hang=0.1,raise=0.1,seed=7' "
                              "(kinds: crash, hang, raise, poison, torn; "
                              "default: $REPRO_CHAOS)")
-    parser.add_argument("--backend", default="trial",
-                        choices=("trial", "batched"),
-                        help="execution backend: 'batched' vectorizes "
-                             "reset-tolerant trial groups under the "
-                             "benign, silencing, split-vote and "
-                             "adaptive-resetting adversaries and runs "
-                             "the rest per trial (bit-identical results; "
-                             "fuzz specs and search candidates never "
-                             "batch) (default: trial)")
     parser.add_argument("--no-telemetry", action="store_true",
                         help="record no telemetry.jsonl event log "
                              "(results are bit-identical either way)")
@@ -868,6 +864,15 @@ def _run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one experiment parameter "
                              "(repeatable; value is a Python literal)")
+    parser.add_argument("--backend", default=None,
+                        choices=("trial", "batched"),
+                        help="execution backend: 'batched' vectorizes "
+                             "reset-tolerant trial groups under the "
+                             "benign, silencing, split-vote and "
+                             "adaptive-resetting adversaries and runs "
+                             "the rest per trial; 'trial' runs every "
+                             "trial on the per-trial oracle (rows are "
+                             "bit-identical) (default: batched)")
     _add_campaign_args(parser)
 
 

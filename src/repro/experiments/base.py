@@ -99,8 +99,6 @@ class Experiment:
         finalize: optional synthesiser of extra rows (fits) computed from
             the data rows; re-applied when rendering stored runs, so
             synthetic rows are never persisted.
-        parallel: whether the experiment fans trials out through
-            :mod:`repro.runner` (False for the analytic experiments).
     """
 
     name: str
@@ -112,7 +110,6 @@ class Experiment:
     build_cells: CellBuilder
     row_schema: Tuple[str, ...]
     finalize: Optional[Finalizer] = None
-    parallel: bool = True
 
     def resolve_params(self, params: Optional[Mapping[str, Any]] = None,
                        quick: bool = False) -> Dict[str, Any]:
@@ -200,18 +197,19 @@ def run_cells(cells: Sequence[Cell], completed: Mapping[str, Row], *,
     streamed batch, each with its cell's ``reduce`` applied where the
     trial runs, and each row is built, and written to ``store`` at
     index ``start + position``, as soon as its cell's results arrive.
-    ``backend="batched"`` vectorizes supported spec groups, bit-identical
-    by contract.  A cell with a trial that failed for good yields
-    ``None``: the failure is in ``health``, and the unwritten cell is
-    retried on resume.  Recording ``health`` into the store is the
+    The default backend vectorizes every spec group the batched engine
+    admits, bit-identical by contract; ``backend="trial"`` runs every
+    spec on the per-trial oracle.  A cell with a trial that failed for
+    good yields ``None``: the failure is in ``health``, and the unwritten
+    cell is retried on resume.  Recording ``health`` into the store is the
     caller's job, once per campaign.
 
     With ``telemetry``, a cell of more than one trial is consumed inside
     a ``cell`` span (a chunk crossing cells books under the cell that
-    consumed its first spec).  On the per-trial backend a one-trial cell
-    gets none, since its ``trial`` span already carries the cell key as
-    ``tag``; on the batched backend every cell keeps its span, because a
-    batched chunk records one ``batch`` span and no ``trial`` spans.
+    consumed its first spec).  A one-trial cell that runs per trial gets
+    none, since its ``trial`` span already carries the cell key as
+    ``tag``; one whose trial batches keeps its span, because a batched
+    chunk records one ``batch`` span and no ``trial`` spans.
 
     Returns:
         One entry per cell, in order: the stored row, the fresh row, or
@@ -219,7 +217,8 @@ def run_cells(cells: Sequence[Cell], completed: Mapping[str, Row], *,
     """
     # Imported lazily: repro.batched builds on repro.runner, and the
     # executor below imports it anyway.
-    from repro.batched.support import BACKEND_BATCHED, resolve_backend
+    from repro.batched.support import (BACKEND_BATCHED, resolve_backend,
+                                       unsupported_reason)
 
     batched = resolve_backend(backend) == BACKEND_BATCHED
     pending = _pending(cells, completed, start)
@@ -230,7 +229,9 @@ def run_cells(cells: Sequence[Cell], completed: Mapping[str, Row], *,
         reducers=[cell.reduce for _, cell in pending for _ in cell.specs])
     fresh: Dict[int, Row] = {}
     for index, cell in pending:
-        if telemetry is not None and (batched or len(cell.specs) > 1):
+        if telemetry is not None and (len(cell.specs) > 1 or (
+                batched and len(cell.specs) == 1
+                and unsupported_reason(cell.specs[0]) is None)):
             with telemetry.span("cell", cell=list(cell.key)):
                 chunk = [next(stream) for _ in cell.specs]
         else:

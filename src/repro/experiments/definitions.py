@@ -715,7 +715,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                   "seed": 0},
         quick_overrides={"ns": (8,), "samples": 4, "separation_trials": 6},
         build_cells=_e3_cells,
-        parallel=False,
         row_schema=("experiment", "n", "t", "decision_set_min_distance",
                     "required_separation", "separation_holds", "tau",
                     "hybrid_best_j", "hybrid_best_worst_probability",
@@ -753,7 +752,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                   "seed": 0},
         quick_overrides={"ns": (32, 64), "trials": 25},
         build_cells=_e5_cells,
-        parallel=False,
         row_schema=("experiment", "n", "t", "committee_size",
                     "committee_rounds", "committee_layers",
                     "nonadaptive_failure_rate", "adaptive_failure_rate",
@@ -804,7 +802,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                   "seed": 0},
         quick_overrides={"cs": (0.1, 1.0 / 6.0), "ns": (50, 100)},
         build_cells=_e8_cells,
-        parallel=False,
         row_schema=("experiment", "c", "n", "alpha", "C",
                     "predicted_windows", "success_probability", "set",
                     "radius", "P[A]*(1-P[B(A,d)])", "talagrand_bound",

@@ -92,12 +92,6 @@ class RunHealth:
         block["failures"] = list(self.failures)
         return block
 
-    def summary(self) -> str:
-        """One-line rendering for the CLI run header."""
-        parts = [f"{name}={getattr(self, name)}" for name in _COUNTERS]
-        parts.append(f"failures={len(self.failures)}")
-        return " ".join(parts)
-
 
 def merge_health_block(existing: Optional[Dict[str, Any]],
                        health: RunHealth) -> Dict[str, Any]:

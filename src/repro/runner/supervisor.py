@@ -1,8 +1,8 @@
 """The trial executor: chunked dispatch under a recovery ladder.
 
 :class:`SupervisedRunner` is the one executor.  A chunk is a run of
-per-trial specs or (on the ``batched`` backend) one whole group of
-:func:`~repro.batched.support.group_specs`, and every chunk goes through
+per-trial specs or (on the default ``batched`` backend) one whole group
+of :func:`~repro.batched.support.group_specs`, and every chunk goes through
 the recovery ladder a long campaign needs to survive real (or injected)
 faults:
 
@@ -198,8 +198,10 @@ class SupervisedRunner:
             no watchdog, no chaos).
         health: the :class:`RunHealth` ledger to record recovery actions
             into (default: a fresh one, exposed as ``self.health``).
-        backend: ``trial`` or ``batched`` (see
-            :func:`~repro.batched.support.resolve_backend`).
+        backend: ``batched`` (the default: every group the batched
+            engine admits runs batched, the rest per trial) or ``trial``
+            (every spec on the per-trial oracle); see
+            :func:`~repro.batched.support.resolve_backend`.
         telemetry: an optional :class:`~repro.telemetry.Telemetry`
             recorder for worker-timed ``chunk``/``trial``/``batch`` spans,
             recovery and routing counters, and in-flight gauges.  Never

@@ -334,7 +334,6 @@ def run_search_campaign(params: Dict[str, Any],
                         store: Optional[RunStore] = None,
                         policy: Optional[Any] = None,
                         health: Optional[RunHealth] = None,
-                        backend: Optional[str] = None,
                         telemetry: Optional[Any] = None) -> SearchReport:
     """Run (or resume) a search campaign.
 
@@ -345,7 +344,7 @@ def run_search_campaign(params: Dict[str, Any],
         store: an open results store; evaluations whose rows it already
             holds are skipped (their scores feed the strategy from cache),
             and the best-schedule artifact is written into it.
-        policy, health, backend, telemetry: as for
+        policy, health, telemetry: as for
             :func:`repro.experiments.base.run_cells`; the health ledger
             is recorded into the store once, at the end.  With
             telemetry, each generation becomes a ``generation`` span and
@@ -386,8 +385,7 @@ def run_search_campaign(params: Dict[str, Any],
             rows = run_cells(cells, completed,
                              start=generation * params["population"],
                              workers=workers, store=store, policy=policy,
-                             health=health, backend=backend,
-                             telemetry=telemetry)
+                             health=health, telemetry=telemetry)
         failed = rows.count(None)
         report.failed_evaluations += failed
         report.computed_evaluations += pending - failed

@@ -246,7 +246,6 @@ def run_fuzz_campaign(params: Dict[str, Any],
                       minimize: bool = False,
                       policy: Optional[Any] = None,
                       health: Optional[RunHealth] = None,
-                      backend: Optional[str] = None,
                       telemetry: Optional[Any] = None) -> FuzzReport:
     """Run (or resume) a fuzz campaign.
 
@@ -259,7 +258,7 @@ def run_fuzz_campaign(params: Dict[str, Any],
             the minimized schedule as a counterexample artifact (requires
             a store for the artifact files; unstored campaigns record the
             minimized size only).
-        policy, health, backend, telemetry: as for
+        policy, health, telemetry: as for
             :func:`repro.experiments.base.run_cells`; the health ledger
             is recorded into the store once, at the end.
     """
@@ -271,8 +270,7 @@ def run_fuzz_campaign(params: Dict[str, Any],
     if telemetry is not None:
         telemetry.gauge("trials_total", pending)
     rows = run_cells(cells, completed, workers=workers, store=store,
-                     policy=policy, health=health, backend=backend,
-                     telemetry=telemetry)
+                     policy=policy, health=health, telemetry=telemetry)
     if store is not None:
         store.record_health(health)
     failed = rows.count(None)

@@ -1,8 +1,9 @@
 """Backend plumbing: CLI flag, manifest field, bench-gate throughput.
 
-The batched backend must be a pure go-faster switch — selectable from
-every front end (``run``/``fuzz``/``search``), recorded in the run
-manifest so resumed runs never silently mix backends, surfaced by
+The batched backend must be a pure go-faster switch — the default of
+``run``, whose ``--backend trial`` forces the per-trial oracle (``fuzz``
+and ``search`` specs never batch, so they take no flag), recorded in the
+run manifest so resumed runs never silently mix backends, surfaced by
 ``repro show``, and guarded by the bench trajectory's throughput gate.
 """
 
@@ -56,6 +57,15 @@ def test_manifest_records_backend(tmp_path, capsys):
     assert _manifest(tmp_path)["backend"] == "batched"
 
 
+def test_default_resume_of_a_trial_run_marks_mixed(tmp_path, capsys):
+    assert main(["run", "E1", "--quick", "--workers", "0",
+                 "--out", str(tmp_path), "--backend", "trial"]) == 0
+    assert main(["run", "E1", "--quick", "--workers", "0",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _manifest(tmp_path)["backend"] == "mixed"
+
+
 def test_resume_under_other_backend_marks_mixed(tmp_path, capsys):
     assert main(["run", "E1", "--quick", "--workers", "0",
                  "--out", str(tmp_path), "--backend", "batched"]) == 0
@@ -99,17 +109,30 @@ def test_store_mixed_is_sticky(tmp_path):
     assert final.manifest["backend"] == "mixed"
 
 
-# -- fuzz / search accept the backend ----------------------------------
+# -- fuzz / search never batch, so they record no backend --------------
 
-def test_fuzz_accepts_backend(capsys):
-    assert main(["fuzz", "--trials", "4", "--no-store", "--workers", "0",
-                 "--backend", "batched"]) in (0, 1)
+def test_fuzz_records_no_backend(tmp_path, capsys):
+    assert main(["fuzz", "--trials", "4", "--out", str(tmp_path),
+                 "--workers", "0"]) in (0, 1)
+    capsys.readouterr()
+    assert _manifest(tmp_path, "fuzz")["backend"] is None
 
 
-def test_search_accepts_backend(capsys):
+def test_search_records_no_backend(tmp_path, capsys):
     assert main(["search", "--generations", "1", "--population", "2",
-                 "--windows", "20", "--no-store", "--workers", "0",
-                 "--no-verify", "--backend", "batched"]) in (0, 1)
+                 "--windows", "20", "--out", str(tmp_path),
+                 "--workers", "0", "--no-verify"]) in (0, 1)
+    capsys.readouterr()
+    assert _manifest(tmp_path, "search")["backend"] is None
+
+
+def test_campaign_entry_points_take_no_backend():
+    from repro.search.campaign import run_search_campaign
+    from repro.verification.fuzzer import run_fuzz_campaign
+
+    for entry in (run_fuzz_campaign, run_search_campaign):
+        with pytest.raises(TypeError, match="backend"):
+            entry({}, backend="batched")
 
 
 # -- the bench gate -----------------------------------------------------

@@ -197,7 +197,7 @@ def test_any_batch_partition_yields_identical_results(cuts):
 # -- backend resolution -------------------------------------------------
 
 def test_resolve_backend_names():
-    assert resolve_backend(None) == "trial"
+    assert resolve_backend(None) == "batched"
     assert resolve_backend("trial") == "trial"
     assert resolve_backend("batched") == "batched"
     for unknown in ("auto", "gpu"):

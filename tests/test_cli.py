@@ -1,5 +1,6 @@
 """CLI tests: argument handling, run/show round-trips, EXPERIMENTS.md sync."""
 
+import hashlib
 import json
 import os
 import re
@@ -95,7 +96,9 @@ def test_bad_workers_environment_is_a_usage_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv", [["run", "E2", "--profile"],
-                                  ["fuzz", "--engine", "step"]])
+                                  ["fuzz", "--engine", "step"],
+                                  ["fuzz", "--backend", "batched"],
+                                  ["search", "--backend", "trial"]])
 def test_removed_flags_are_argparse_errors(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -265,7 +268,8 @@ def _only_run_dir(out_dir):
 
 def test_run_records_telemetry_and_reads_it_back(tmp_path, capsys):
     out_dir = str(tmp_path / "results")
-    assert main(["run", "E2", "--out", out_dir] + E2_TINY_ARGS) == 0
+    assert main(["run", "E2", "--backend", "trial", "--out", out_dir]
+                + E2_TINY_ARGS) == 0
     capsys.readouterr()
     run_dir = _only_run_dir(out_dir)
 
@@ -330,6 +334,54 @@ def test_show_timing_totals_batch_spans(tmp_path, capsys):
     assert "reset-tolerant" in out  # the signature column
     for column in ("deliver_ms", "tally_ms", "decide_ms"):
         assert column in out
+
+
+BATCHED_EXPERIMENTS = ["E1", "E2", "E7", "E9"]
+
+
+def _rows_digests(out_dir):
+    """sha256 of each experiment's stored ``rows.jsonl``."""
+    digests = {}
+    for name in BATCHED_EXPERIMENTS:
+        [run_id] = os.listdir(os.path.join(out_dir, name))
+        with open(os.path.join(out_dir, name, run_id, "rows.jsonl"),
+                  "rb") as handle:
+            digests[name] = hashlib.sha256(handle.read()).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def oracle_rows_digests(tmp_path_factory):
+    """The quick E1/E2/E7/E9 rows on the per-trial oracle."""
+    out_dir = str(tmp_path_factory.mktemp("oracle"))
+    assert main(["run", *BATCHED_EXPERIMENTS, "--quick", "--workers", "0",
+                 "--backend", "trial", "--out", out_dir,
+                 "--no-progress"]) == 0
+    return _rows_digests(out_dir)
+
+
+@pytest.mark.parametrize("workers", ["0", "2"])
+def test_run_batches_by_default(tmp_path, capsys, oracle_rows_digests,
+                                workers):
+    """With no ``--backend`` the executor batches every admissible group:
+    the rows are the oracle's byte for byte, the manifests say
+    ``batched`` and the event logs hold ``batch`` spans."""
+    from repro.telemetry import TELEMETRY_NAME, read_events
+
+    out_dir = str(tmp_path / "results")
+    assert main(["run", *BATCHED_EXPERIMENTS, "--quick", "--workers",
+                 workers, "--out", out_dir, "--no-progress"]) == 0
+    capsys.readouterr()
+    assert _rows_digests(out_dir) == oracle_rows_digests
+    for name in BATCHED_EXPERIMENTS:
+        [run_id] = os.listdir(os.path.join(out_dir, name))
+        run_dir = os.path.join(out_dir, name, run_id)
+        with open(os.path.join(run_dir, "manifest.json")) as handle:
+            assert json.load(handle)["backend"] == "batched"
+        spans = {event["name"] for event in
+                 read_events(os.path.join(run_dir, TELEMETRY_NAME))
+                 if event["kind"] == "span"}
+        assert "batch" in spans, (name, spans)
 
 
 def test_telemetry_flag_never_changes_rows(tmp_path, capsys):

@@ -137,7 +137,7 @@ class TestResume:
             self, tmp_path, monkeypatch):
         experiment = get_experiment("E2")
         params = _resolved("E2", E2_PARAMS)
-        reference = experiment.run(params=params, workers=0)
+        reference = experiment.run(params=params, workers=0, backend="trial")
 
         path = run_directory(str(tmp_path), "E2", params)
         killed = _KillAfter(path, "E2", params, kill_after=1)
@@ -226,7 +226,8 @@ class TestResume:
         resumed.finish(wall_time=0.1)
         whole = RunStore.open(str(tmp_path / "whole"), "E2", params,
                               workers=0)
-        experiment.run(params=params, workers=0, store=whole)
+        experiment.run(params=params, workers=0, store=whole,
+                       backend="trial")
         whole.finish(wall_time=0.1)
         assert load_run(resumed.path)[1] == load_run(whole.path)[1]
 

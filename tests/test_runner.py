@@ -66,10 +66,11 @@ class TestTrialSpec:
 
 class TestDeterminism:
     def test_identical_results_across_worker_counts(self):
+        # Per-trial chunks, so four workers really split the battery.
         specs = make_specs()
-        serial = run_trials(specs, workers=0)
-        one_worker = run_trials(specs, workers=1)
-        four_workers = run_trials(specs, workers=4)
+        serial = run_trials(specs, workers=0, backend="trial")
+        one_worker = run_trials(specs, workers=1, backend="trial")
+        four_workers = run_trials(specs, workers=4, backend="trial")
         assert serial == one_worker
         assert serial == four_workers
 

@@ -49,13 +49,15 @@ def make_specs(count=12):
 @pytest.fixture(scope="module")
 def reference():
     """The fault-free serial baseline every chaos run must reproduce."""
-    return run_trials(make_specs(), workers=0)
+    return run_trials(make_specs(), workers=0, backend="trial")
 
 
 def run_supervised(workers, chaos=None, trial_timeout=None):
+    """The battery in per-trial chunks, so faults hit single trials."""
     policy = ExecutionPolicy(retry=FAST_RETRY, trial_timeout=trial_timeout,
                              chaos=chaos)
-    runner = SupervisedRunner(workers=workers, policy=policy)
+    runner = SupervisedRunner(workers=workers, policy=policy,
+                              backend="trial")
     return list(runner.iter_results(make_specs())), runner
 
 
@@ -195,13 +197,17 @@ class TestBareRunnerChunkIsolation:
 
 
 class TestRunHealthAndMerge:
-    def test_clean_and_summary(self):
+    def test_clean_and_summary(self, capsys):
+        from repro.cli import _print_health
+
         health = RunHealth()
         assert health.clean
+        _print_health(health.to_jsonable())
+        assert capsys.readouterr().out == ""
         health.retries += 1
         assert not health.clean
-        assert "retries=1" in health.summary()
-        assert "failures=0" in health.summary()
+        _print_health(health.to_jsonable())
+        assert capsys.readouterr().out == "run health: retries=1 failures=0\n"
 
     def test_merge_accumulates_and_dedupes_by_fingerprint(self):
         spec = make_specs(1)[0]
@@ -284,7 +290,7 @@ class TestKillResumeUnderChaos:
         """The keystone, end to end: chaos + kill + resume == clean run."""
         experiment = get_experiment("E2")
         params = experiment.resolve_params(E2_PARAMS)
-        reference = experiment.run(params=params, workers=0)
+        reference = experiment.run(params=params, workers=0, backend="trial")
 
         # Pick (deterministically) a chaos seed whose crash pattern
         # really hits this parameter grid, so the scenario cannot be

@@ -252,9 +252,11 @@ class TestBatchSpans:
     def test_one_trial_cells_stay_attributed(self, backend):
         """A one-trial cell is named by its trial tag or its cell span.
 
-        E1's cells hold one trial each: the per-trial backend opens no
-        ``cell`` span (the ``trial`` span's tag is the key), while a
+        E1's cells hold one trial each: a trial that runs per trial opens
+        no ``cell`` span (the ``trial`` span's tag is the key), while a
         batched chunk has no ``trial`` spans, so its cells keep theirs.
+        On the batched backend E1's ``random``-adversary cells still run
+        per trial, so both kinds appear, each cell named exactly once.
         """
         experiment = get_experiment("E1")
         params = experiment.resolve_params(None, quick=True)
@@ -266,12 +268,13 @@ class TestBatchSpans:
         spans = [event for event in events if event["kind"] == "span"]
         keys = sorted(list(cell.key)
                       for cell in experiment.cells(params=params))
+        by_cell = [span["cell"] for span in spans if span["name"] == "cell"]
+        by_tag = [span["tag"] for span in spans if span["name"] == "trial"]
         if backend == "trial":
-            assert not [span for span in spans if span["name"] == "cell"]
-            named = [span["tag"] for span in spans if span["name"] == "trial"]
+            assert not by_cell
         else:
-            named = [span["cell"] for span in spans if span["name"] == "cell"]
-        assert sorted(named) == keys
+            assert by_cell and by_tag
+        assert sorted(by_cell + by_tag) == keys
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_batch_spans_carry_the_engine_phase_split(self, workers):
@@ -309,7 +312,7 @@ class TestObserverEffect:
             self, workers, backend):
         experiment = get_experiment("E2")
         params = experiment.resolve_params(E2_PARAMS)
-        reference = experiment.run(params=params, workers=0)
+        reference = experiment.run(params=params, workers=0, backend="trial")
 
         observed = Telemetry()
         assert experiment.run(params=params, workers=workers,
@@ -390,7 +393,7 @@ class TestKillResume:
         monkeypatch.setattr(store_module, "MANIFEST_EVERY_ROWS", 1)
         experiment = get_experiment("E2")
         params = experiment.resolve_params(E2_PARAMS)
-        reference = experiment.run(params=params, workers=0)
+        reference = experiment.run(params=params, workers=0, backend="trial")
 
         path = run_directory(str(tmp_path), "E2", params)
         first = Telemetry()
