@@ -217,20 +217,25 @@ class StepFuzzer(StepAdversary):
         if engine.reset_budget is not None:
             self._resets_left = min(self._resets_left, engine.reset_budget)
 
-    def _deliverable(self, engine: Engine) -> List:
-        if not engine.total_crashes:
-            # Only Engine.crash marks a processor crashed, and it counts.
-            return engine.pending_messages()
-        return [message for message in engine.pending_messages()
-                if not engine.processors[message.receiver].crashed]
-
     def next_step(self, engine: Engine) -> Optional[Step]:
         rng = self.rng
         live = engine.live_processors()
         if not live:
             return None
-        pending = self._deliverable(engine)
-        if pending and rng.random() < self.deliver_probability:
+        # The pending list is copied only when a delivery is drawn, except
+        # after a crash, when the messages to crashed receivers are
+        # filtered out first.
+        pending: Optional[List] = None
+        if engine.total_crashes:
+            # Only Engine.crash marks a processor crashed, and it counts.
+            pending = [message for message in engine.pending_messages()
+                       if not engine.processors[message.receiver].crashed]
+            deliverable = bool(pending)
+        else:
+            deliverable = engine.network.pending_count() > 0
+        if deliverable and rng.random() < self.deliver_probability:
+            if pending is None:
+                pending = engine.pending_messages()
             message = rng.choice(pending)
             if message.sender in self.corrupted and \
                     rng.random() < self.corrupt_probability:

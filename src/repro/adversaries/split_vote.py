@@ -90,16 +90,17 @@ class SplitVoteAdversary(WindowAdversary):
                 ones.append(proc.pid)
         return zeros, ones
 
-    def _exclusions(self, engine: Engine) -> Optional[FrozenSet[int]]:
+    def _exclusions(self, engine: Engine, zeros: List[int],
+                    ones: List[int]) -> Optional[FrozenSet[int]]:
         """Senders to hide from every receiver, or ``None`` if infeasible.
 
         The same exclusion set works for every receiver because the goal —
         keeping both value counts below the threshold — does not depend on
-        the receiver's identity.
+        the receiver's identity.  ``zeros`` and ``ones`` are the voters by
+        value (:meth:`_voters_by_value`).
         """
         threshold = self._threshold(engine)
         t = engine.t
-        zeros, ones = self._voters_by_value(engine)
         need_hide_zero = max(0, len(zeros) - (threshold - 1))
         need_hide_one = max(0, len(ones) - (threshold - 1))
         if need_hide_zero + need_hide_one > t:
@@ -108,7 +109,8 @@ class SplitVoteAdversary(WindowAdversary):
                   + self.rng.sample(ones, need_hide_one))
         return frozenset(hidden)
 
-    def _ordering_block(self, engine: Engine) -> Optional[WindowSpec]:
+    def _ordering_block(self, engine: Engine, zeros: List[int],
+                        ones: List[int]) -> Optional[FrozenSet[int]]:
         """Block by scheduling the receiving steps, if the protocol allows it.
 
         Protocols that act on the *first* ``W`` messages of the current
@@ -119,12 +121,15 @@ class SplitVoteAdversary(WindowAdversary):
         count stays below the threshold — i.e. whenever the minority side
         still has more than ``W - threshold`` voters — which requires a far
         larger coin-flip deviation to defeat than exclusion alone.
+
+        Returns:
+            The senders to deliver last (the majority voters), or ``None``
+            if ordering alone cannot block.
         """
         waiting = engine.processors[0].protocol.waiting_threshold()
         if waiting is None:
             return None
         threshold = self._threshold(engine)
-        zeros, ones = self._voters_by_value(engine)
         senders_total = sum(1 for proc in engine.processors
                             if not proc.crashed and proc.protocol.will_send())
         if len(zeros) >= len(ones):
@@ -138,23 +143,39 @@ class SplitVoteAdversary(WindowAdversary):
         if majority_in_prefix > threshold - 1 or \
                 minority_in_prefix > threshold - 1:
             return None
-        everyone = frozenset(range(engine.n))
-        return WindowSpec.uniform(engine.n, everyone,
-                                  deliver_last=frozenset(majority_pool))
+        return frozenset(majority_pool)
+
+    def _resets(self, engine: Engine, zeros: List[int],
+                ones: List[int]) -> FrozenSet[int]:
+        """Processors to reset at the end of the window (none here)."""
+        return frozenset()
 
     # ------------------------------------------------------------------
     def next_window(self, engine: Engine) -> WindowSpec:
-        ordering_spec = self._ordering_block(engine)
-        if ordering_spec is not None:
+        """Block by ordering, else by exclusion, else deliver everything.
+
+        The voters are partitioned once per window; the partition draws
+        no randomness, so every helper sees the same one.
+        """
+        zeros, ones = self._voters_by_value(engine)
+        n = engine.n
+        everyone = frozenset(range(n))
+        deliver_last = self._ordering_block(engine, zeros, ones)
+        if deliver_last is not None:
             self.blocked_windows += 1
-            return ordering_spec
-        exclusions = self._exclusions(engine)
-        if exclusions is None:
-            self.lost_control_windows += 1
-            return WindowSpec.full_delivery(engine.n)
-        self.blocked_windows += 1
-        senders = senders_excluding(engine.n, exclusions)
-        return WindowSpec.uniform(engine.n, senders)
+            senders = everyone
+        else:
+            deliver_last = frozenset()
+            exclusions = self._exclusions(engine, zeros, ones)
+            if exclusions is None:
+                self.lost_control_windows += 1
+                senders = everyone
+            else:
+                self.blocked_windows += 1
+                senders = senders_excluding(n, exclusions)
+        return WindowSpec.uniform(n, senders,
+                                  resets=self._resets(engine, zeros, ones),
+                                  deliver_last=deliver_last)
 
 
 class AdaptiveResettingAdversary(SplitVoteAdversary):
@@ -185,22 +206,16 @@ class AdaptiveResettingAdversary(SplitVoteAdversary):
         self.reset_fraction = reset_fraction
         self.total_resets_issued = 0
 
-    def _reset_targets(self, engine: Engine) -> FrozenSet[int]:
+    def _resets(self, engine: Engine, zeros: List[int],
+                ones: List[int]) -> FrozenSet[int]:
+        """Up to ``t * reset_fraction`` holders of the popular estimate."""
         budget = int(engine.t * self.reset_fraction)
         if budget <= 0:
             return frozenset()
-        zeros, ones = self._voters_by_value(engine)
         majority_pool = zeros if len(zeros) >= len(ones) else ones
         targets = majority_pool[:budget]
         self.total_resets_issued += len(targets)
         return frozenset(targets)
-
-    def next_window(self, engine: Engine) -> WindowSpec:
-        base = super().next_window(engine)
-        resets = self._reset_targets(engine)
-        return WindowSpec(senders_for=base.senders_for, resets=resets,
-                          crashes=base.crashes,
-                          deliver_last=base.deliver_last)
 
 
 __all__ = ["SplitVoteAdversary", "AdaptiveResettingAdversary"]

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.core.thresholds import ThresholdConfig, resolve_thresholds
 from repro.protocols.base import Protocol
-from repro.simulation.message import Message, broadcast
+from repro.simulation.message import Message
 
 VOTE = "VOTE"
 """Message tag used by the reset-tolerant protocol."""
@@ -80,20 +80,20 @@ class ResetTolerantAgreement(Protocol):
     # ------------------------------------------------------------------
     # Protocol hooks.
     # ------------------------------------------------------------------
-    def _compose_messages(self) -> List[Message]:
+    def _compose_payloads(self) -> List[Any]:
         if self._resyncing or self.round is None or self.estimate is None:
             # A freshly reset processor refrains from sending until it has
             # resynchronised to the common round number.
             return []
-        return broadcast(self.pid, self.n, (VOTE, self.round, self.estimate))
+        return [(VOTE, self.round, self.estimate)]
 
     def _handle_message(self, message: Message) -> None:
         payload = message.payload
-        if not (isinstance(payload, tuple) and len(payload) == 3
-                and payload[0] == VOTE):
+        if not (isinstance(payload, tuple) and len(payload) == 3):
             return
-        _, vote_round, vote_value = payload
-        if not isinstance(vote_round, int) or vote_value not in (0, 1):
+        tag, vote_round, vote_value = payload
+        if not (tag == VOTE and isinstance(vote_round, int)
+                and vote_value in (0, 1)):
             return
         if self._resyncing:
             self._handle_resync_vote(message.sender, vote_round, vote_value)

@@ -7,7 +7,9 @@ the volatile per-processor state and expose the three kinds of steps the
 execution model distinguishes (Section 2):
 
 * a *sending step* (:meth:`Protocol.send_step`) — the processor places a set
-  of messages into the message buffer.  A sending step is a *complete
+  of messages into the message buffer.  Every protocol here sends only
+  all-to-all broadcasts, so a sending step returns payloads and the network
+  delivers each one to all ``n`` processors.  A sending step is a *complete
   response to prior events*: two consecutive sending steps with no receive or
   reset in between leave the state unchanged and send nothing the second
   time.  The base class enforces this via a dirty flag.
@@ -36,9 +38,9 @@ from repro.simulation.message import Message
 class Protocol(abc.ABC):
     """Base class for per-processor agreement protocol logic.
 
-    Subclasses implement :meth:`_compose_messages` (what to send on a sending
-    step) and :meth:`_handle_message` (how to react to a delivered message),
-    and mutate their volatile state freely.  The write-once output bit is
+    Subclasses implement :meth:`_compose_payloads` (what to broadcast on a
+    sending step) and :meth:`_handle_message` (how to react to a delivered
+    message), and mutate their volatile state freely.  The write-once output bit is
     managed through :meth:`decide`, which enforces the paper's write-once
     semantics.
 
@@ -118,17 +120,17 @@ class Protocol(abc.ABC):
     # ------------------------------------------------------------------
     # The three step types.
     # ------------------------------------------------------------------
-    def send_step(self) -> List[Message]:
-        """Take a sending step and return the messages placed in the buffer.
+    def send_step(self) -> List[Any]:
+        """Take a sending step and return the payloads it broadcasts.
 
         Enforces the "complete response" semantics: if no receiving or
         resetting step has occurred since the previous sending step, the
-        state is unchanged and no messages are sent.
+        state is unchanged and nothing is sent.
         """
         if not self._pending_send:
             return []
         self._pending_send = False
-        return self._compose_messages()
+        return self._compose_payloads()
 
     def receive_step(self, message: Message) -> None:
         """Take a receiving step: consume a delivered message.
@@ -160,8 +162,15 @@ class Protocol(abc.ABC):
     # Hooks for subclasses.
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def _compose_messages(self) -> List[Message]:
-        """Return a fresh list of the messages for this sending step."""
+    def _compose_payloads(self) -> List[Any]:
+        """Return a fresh list of the payloads this sending step broadcasts.
+
+        Each payload goes to all ``n`` processors in receiver order
+        ``0..n-1``, this one included (Ben-Or and Bracha count their own
+        message toward their thresholds); see :meth:`Network.broadcast
+        <repro.simulation.network.Network.broadcast>`.  An empty list sends
+        nothing.
+        """
 
     @abc.abstractmethod
     def _handle_message(self, message: Message) -> None:

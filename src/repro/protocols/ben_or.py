@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.protocols.base import Protocol
-from repro.simulation.message import Message, broadcast
+from repro.simulation.message import Message
 
 REPORT = "REPORT"
 """Tag of first-phase (report) messages."""
@@ -68,20 +68,17 @@ class BenOrAgreement(Protocol):
     # ------------------------------------------------------------------
     # Protocol hooks.
     # ------------------------------------------------------------------
-    def _compose_messages(self) -> List[Message]:
+    def _compose_payloads(self) -> List[Any]:
         if self.phase == REPORT:
-            payload = (REPORT, self.round, self.estimate)
-        else:
-            payload = (PROPOSE, self.round, self.proposal)
-        return broadcast(self.pid, self.n, payload)
+            return [(REPORT, self.round, self.estimate)]
+        return [(PROPOSE, self.round, self.proposal)]
 
     def _handle_message(self, message: Message) -> None:
         payload = message.payload
-        if not (isinstance(payload, tuple) and len(payload) == 3
-                and payload[0] in (REPORT, PROPOSE)):
+        if not (isinstance(payload, tuple) and len(payload) == 3):
             return
         tag, msg_round, value = payload
-        if not isinstance(msg_round, int):
+        if tag not in (REPORT, PROPOSE) or not isinstance(msg_round, int):
             return
         if tag == REPORT and value not in (0, 1):
             return

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.broadcast.bracha_broadcast import ReliableBroadcastLayer
 from repro.protocols.base import Protocol
-from repro.simulation.message import Message, broadcast
+from repro.simulation.message import Message
 
 DECIDED_MARKER = "D"
 """First element of a decided-candidate phase value ``(D, v)``."""
@@ -78,15 +78,12 @@ class BrachaAgreement(Protocol):
     # ------------------------------------------------------------------
     # Protocol hooks.
     # ------------------------------------------------------------------
-    def _compose_messages(self) -> List[Message]:
+    def _compose_payloads(self) -> List[Any]:
         tag = (self.round, self.phase)
         if tag not in self._initiated and not self.decided:
             self._initiated.add(tag)
             self.rbc.broadcast(tag, self.value)
-        outgoing = []
-        for payload in self.rbc.take_outgoing():
-            outgoing.extend(broadcast(self.pid, self.n, payload))
-        return outgoing
+        return self.rbc.take_outgoing()
 
     def _handle_message(self, message: Message) -> None:
         recorded = False

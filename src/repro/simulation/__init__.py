@@ -16,7 +16,7 @@ from repro.simulation.errors import (AdversaryBudgetError,
                                      InvalidStepError, InvalidWindowError,
                                      ProtocolViolationError, SimulationError)
 from repro.simulation.events import Step, StepType
-from repro.simulation.message import Message, broadcast
+from repro.simulation.message import Message
 from repro.simulation.network import Network
 from repro.simulation.processor import Processor
 from repro.simulation.trace import ExecutionResult
@@ -37,7 +37,6 @@ __all__ = [
     "Step",
     "StepType",
     "Message",
-    "broadcast",
     "Network",
     "Processor",
     "ExecutionResult",

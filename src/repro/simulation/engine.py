@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import copy
 import random
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.simulation.configuration import Configuration
 from repro.simulation.errors import AdversaryBudgetError, InvalidStepError
@@ -183,19 +184,24 @@ class Engine:
     # event belongs to, recorded in the trace (``None`` for single steps).
     # ------------------------------------------------------------------
     def send(self, pid: int, window: Optional[int] = None) -> None:
-        """Processor ``pid`` takes a sending step."""
+        """Processor ``pid`` takes a sending step.
+
+        Each payload of the step is broadcast to every processor through
+        :meth:`Network.broadcast
+        <repro.simulation.network.Network.broadcast>`.
+        """
         proc = self.processors[pid]
         if proc.crashed:
             raise InvalidStepError(
                 f"crashed processor {pid} cannot take a sending step")
-        was_decided = proc.decided
-        messages = proc.send_step()
-        if messages:
-            messages = self.network.submit(
-                messages, chain_depth=proc.outgoing_chain_depth)
+        protocol = proc.protocol
+        undecided = protocol._output is None
+        payloads = proc.send_step()
+        messages = self.network.broadcast(
+            pid, payloads, proc.outgoing_chain_depth) if payloads else []
         if self.trace is not None:
             self.trace.record_send(pid, messages, window=window)
-        if not was_decided and proc.decided:
+        if undecided and protocol._output is not None:
             self._note_decision(proc, window)
 
     def receive(self, pid: int, messages: Sequence[Message],
@@ -210,14 +216,12 @@ class Engine:
         taken mid-batch is traced after every ``deliver`` of the batch.
         """
         proc = self.processors[pid]
-        was_decided = proc.decided
         trace = self.trace
         if trace is not None:
             for message in messages:
                 trace.record_deliver(message, window=window,
                                      corrupted=corrupted)
-        proc.receive(messages)
-        if not was_decided and proc.decided:
+        if proc.receive(messages):
             self._note_decision(proc, window)
 
     def reset(self, pid: int, window: Optional[int] = None) -> None:
@@ -312,25 +316,25 @@ class Engine:
         for pid in sorted(spec.crashes):
             self.crash(pid, window)
 
-        live = [proc.pid for proc in self.processors if not proc.crashed]
+        live = self._live_pids
         for pid in live:
             self.send(pid, window)
 
         # The adversary controls the order of receiving steps within the
-        # window; deprioritised senders are delivered last.
+        # window: each receiver hears its senders in identity order, with
+        # the deprioritised ones stably last.  Receivers that share a
+        # sender set (all of them, in a uniform window) share the order.
         take = self.network.take_window_deliveries
         senders_for = spec.senders_for
         deliver_last = spec.deliver_last
+        orders: Dict[FrozenSet[int], List[int]] = {}
         for pid in live:
-            deliveries = take(pid, senders_for[pid])
-            if deliver_last:
-                # Stable partition: deliveries arrive sorted by sender, so
-                # this equals sorting by (sender in deliver_last, sender)
-                # without the per-message key calls.
-                deliveries = (
-                    [m for m in deliveries if m.sender not in deliver_last]
-                    + [m for m in deliveries if m.sender in deliver_last])
-            self.receive(pid, deliveries, window)
+            senders = senders_for[pid]
+            order = orders.get(senders)
+            if order is None:
+                order = orders[senders] = sorted(
+                    senders, key=lambda s: (s in deliver_last, s))
+            self.receive(pid, take(pid, order), window)
 
         for pid in sorted(spec.resets):
             if not self.processors[pid].crashed:

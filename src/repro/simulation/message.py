@@ -10,9 +10,10 @@ accounting (Section 5 measures running time by message-chain length).
 
 A :class:`Message` is an immutable tuple-based record: building one is a
 single tuple allocation, and its fields read through C-level accessors.
-Nothing ever changes a message in place; :meth:`Network.submit
-<repro.simulation.network.Network.submit>` builds the stamped copy that
-travels through the buffer.
+Nothing ever changes a message in place.  Every protocol here sends only
+all-to-all broadcasts, so a sending step yields payloads, and
+:meth:`Network.broadcast <repro.simulation.network.Network.broadcast>`
+builds each stamped message once, as it enters the buffer.
 """
 
 from __future__ import annotations
@@ -71,33 +72,9 @@ class Message(_MessageFields):
 
 new_message = tuple.__new__
 """``new_message(Message, fields)`` builds a message from its five fields in
-one C call, skipping the Python-level constructor; the hot paths
-(:func:`broadcast` and :meth:`Network.submit
-<repro.simulation.network.Network.submit>`) use it."""
+one C call, skipping the Python-level constructor; the hot path
+(:meth:`Network.broadcast <repro.simulation.network.Network.broadcast>`)
+uses it."""
 
 
-def broadcast(sender: int, n: int, payload: Any,
-              include_self: bool = True) -> list:
-    """Build the list of messages a processor sends when broadcasting.
-
-    Args:
-        sender: the broadcasting processor's identity.
-        n: total number of processors.
-        payload: the common payload to send to every destination.
-        include_self: whether to include a self-addressed copy.  The paper
-            notes that self-delivery is superfluous in the acceptable-window
-            model (state can be kept locally), but the classic Ben-Or and
-            Bracha protocols count the processor's own message toward their
-            thresholds, so the default includes it.
-
-    Returns:
-        A list of :class:`Message` objects, one per destination.
-    """
-    return [
-        new_message(Message, (sender, receiver, payload, -1, 1))
-        for receiver in range(n)
-        if include_self or receiver != sender
-    ]
-
-
-__all__ = ["Message", "broadcast"]
+__all__ = ["Message"]

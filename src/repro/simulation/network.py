@@ -6,13 +6,19 @@ The network never loses or duplicates messages on its own — all scheduling
 power lives in the adversary.  It supports the operations the execution
 engine needs, window by window or step by step:
 
-* accepting a batch of messages from a sending step (stamping sequence
-  numbers and message-chain depths);
+* accepting a sending step's broadcasts (stamping sequence numbers and
+  message-chain depths);
 * listing every undelivered message in send order, or looking one up by
   sequence number;
 * removing one message once the adversary delivers it (a step);
-* removing the newest message from each allowed sender to one receiver
-  (an acceptable window: how it expresses the sets ``S_i``).
+* removing the newest message from each allowed sender to one receiver,
+  in a given sender order (an acceptable window: how it expresses the
+  sets ``S_i`` and the order of the receiving steps).
+
+Every protocol here sends only all-to-all broadcasts (in the Section 3
+algorithm each processor sends ``(r, x)`` to all processors every round),
+so :meth:`Network.broadcast` is the one way in: it stamps one message per
+receiver for each payload, in receiver order ``0..n-1``.
 
 Internally the buffer is indexed for the access patterns the engine
 actually has: a dict keyed by sequence number makes :meth:`Network.deliver`
@@ -23,15 +29,12 @@ allowed senders rather than to the number of undelivered messages.  Removal
 through the sequence index leaves ghost entries in the deques; each
 delivery trims them from both ends of its channel, and a window delivery
 skips any left in the middle.
-
-Messages are immutable: :meth:`Network.submit` builds each stamped message
-in one allocation and returns those, not the objects it was handed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Set
+from typing import Any, Deque, Dict, Iterable, List, Optional
 
 from repro.simulation.errors import InvalidStepError
 from repro.simulation.message import Message, new_message
@@ -55,53 +58,53 @@ class Network:
         # behind by out-of-order delivery and are skipped lazily.
         self._channels: List[List[Deque[Message]]] = [
             [deque() for _ in range(n)] for _ in range(n)]
+        # The same deques by sender, ``_outboxes[sender][receiver]``: the
+        # channels one broadcast appends to, in receiver order.
+        self._outboxes: List[List[Deque[Message]]] = [
+            [self._channels[receiver][sender] for receiver in range(n)]
+            for sender in range(n)]
         self._delivered_count = 0
-        self._sent_count = 0
 
     # ------------------------------------------------------------------
     # Sending.
     # ------------------------------------------------------------------
-    def submit(self, messages: Iterable[Message],
-               chain_depth: int = 1) -> List[Message]:
-        """Place messages into the buffer, stamping bookkeeping fields.
+    def broadcast(self, sender: int, payloads: Iterable[Any],
+                  chain_depth: int = 1) -> List[Message]:
+        """Send each payload from ``sender`` to every processor.
 
         Args:
-            messages: messages produced by a sending step.
+            sender: the broadcasting processor.
+            payloads: the payloads of one sending step, in send order.
             chain_depth: message-chain depth to stamp on each message
                 (``1 +`` the deepest chain the sender had received).
 
         Returns:
-            The stamped messages actually stored in the buffer: new
-            objects carrying the caller's sender, receiver and payload
-            with this network's sequence numbers and ``chain_depth``.
+            The stamped messages stored in the buffer: for each payload in
+            turn, one message per receiver ``0..n-1``, with consecutive
+            sequence numbers.
+
+        Raises:
+            InvalidStepError: if ``sender`` is not an identity in
+                ``[0, n)``.
         """
-        stored = []
         n = self.n
-        sequence = self._sequence
+        if not 0 <= sender < n:
+            raise InvalidStepError(
+                f"message from unknown processor {sender}")
         live = self._live
-        channels = self._channels
-        try:
-            for message in messages:
-                sender = message.sender
-                receiver = message.receiver
-                if not 0 <= receiver < n:
-                    raise InvalidStepError(
-                        f"message addressed to unknown processor {receiver}")
-                if not 0 <= sender < n:
-                    raise InvalidStepError(
-                        f"message from unknown processor {sender}")
-                stamped = new_message(Message, (
-                    sender, receiver, message.payload, sequence,
-                    chain_depth))
-                live[sequence] = stamped
-                sequence += 1
-                channels[receiver][sender].append(stamped)
-                stored.append(stamped)
-        finally:
-            # Messages accepted before a mid-batch validation error stay
-            # in the buffer, exactly as with per-message bookkeeping.
-            self._sent_count += sequence - self._sequence
-            self._sequence = sequence
+        outbox = self._outboxes[sender]
+        sequence = self._sequence
+        stored: List[Message] = []
+        for payload in payloads:
+            end = sequence + n
+            batch = [new_message(Message, (sender, receiver, payload,
+                                           sequence + receiver, chain_depth))
+                     for receiver in range(n)]
+            live.update(zip(range(sequence, end), batch))
+            for queue, message in zip(outbox, batch):
+                queue.append(message)
+            stored += batch
+            sequence = self._sequence = end
         return stored
 
     # ------------------------------------------------------------------
@@ -114,7 +117,7 @@ class Network:
     def all_pending(self) -> List[Message]:
         """All undelivered messages, in global send order.
 
-        No sort is needed: only :meth:`submit` inserts into ``_live``, with
+        No sort is needed: only :meth:`broadcast` inserts into ``_live``, with
         strictly increasing sequence numbers, and deleting a key keeps the
         insertion order of the rest, so the dict already iterates in send
         order (and so does its ``copy.deepcopy``).
@@ -132,8 +135,8 @@ class Network:
 
     @property
     def sent_count(self) -> int:
-        """Total messages ever submitted."""
-        return self._sent_count
+        """Total messages ever sent (sequence numbers start at 0)."""
+        return self._sequence
 
     @property
     def delivered_count(self) -> int:
@@ -167,7 +170,7 @@ class Network:
         return candidate
 
     def take_window_deliveries(self, receiver: int,
-                               senders: Set[int]) -> List[Message]:
+                               order: Iterable[int]) -> List[Message]:
         """Remove and return the freshest message from each allowed sender.
 
         Acceptable windows deliver, to each processor ``i``, *the messages
@@ -176,22 +179,29 @@ class Network:
         so this returns at most one message per allowed sender — the most
         recently sent one — leaving older undelivered messages in the buffer
         (they model the asynchrony the adversary may exploit later).
-        ``receiver`` and every sender must be identities in ``[0, n)``,
-        as :meth:`WindowSpec.validate
-        <repro.simulation.windows.WindowSpec.validate>` guarantees.
+
+        Args:
+            receiver: the receiving processor, an identity in ``[0, n)``.
+            order: the allowed senders, each once, in the order their
+                messages are delivered; every sender must be an identity
+                in ``[0, n)``, as :meth:`WindowSpec.validate
+                <repro.simulation.windows.WindowSpec.validate>` guarantees.
+
+        Returns:
+            The removed messages, in ``order``.
         """
         channels = self._channels[receiver]
-        live = self._live
+        pop_live = self._live.pop
         deliveries: List[Message] = []
-        for sender in sorted(senders):
+        for sender in order:
             queue = channels[sender]
-            # Trim ghosts so the rightmost entry is the newest live message.
-            while queue and queue[-1].sequence not in live:
-                queue.pop()
-            if queue:
-                message = queue.pop()
-                del live[message.sequence]
-                deliveries.append(message)
+            # Pop from the right until a live message turns up: the ghosts
+            # popped on the way were delivered already.
+            while queue:
+                message = pop_live(queue.pop().sequence, None)
+                if message is not None:
+                    deliveries.append(message)
+                    break
         self._delivered_count += len(deliveries)
         return deliveries
 

@@ -9,7 +9,7 @@ crash-failure setting (Section 5).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.simulation.errors import InvalidStepError
 from repro.simulation.message import Message
@@ -65,8 +65,8 @@ class Processor:
     # ------------------------------------------------------------------
     # Step execution.
     # ------------------------------------------------------------------
-    def send_step(self) -> List[Message]:
-        """Take a sending step, returning the messages to submit.
+    def send_step(self) -> List[Any]:
+        """Take a sending step, returning the payloads to broadcast.
 
         Crashed processors silently send nothing (their sending steps simply
         never get scheduled in a real execution; returning an empty list
@@ -74,11 +74,11 @@ class Processor:
         """
         if self.crashed:
             return []
-        messages = self.protocol.send_step()
-        self._messages_sent += len(messages)
-        return messages
+        payloads = self.protocol.send_step()
+        self._messages_sent += len(payloads) * self.protocol.n
+        return payloads
 
-    def receive(self, messages: Sequence[Message]) -> None:
+    def receive(self, messages: Sequence[Message]) -> bool:
         """Deliver messages in order; a single message is a batch of one.
 
         Equivalent to taking one receiving step per message: the crash
@@ -87,6 +87,9 @@ class Processor:
         message whose receipt makes the protocol decide.  If a message is
         rejected (or the protocol raises), the messages before it stay
         received, exactly as step by step.
+
+        Returns:
+            Whether the protocol decided during this batch.
 
         Raises:
             InvalidStepError: if the processor has crashed or a message is
@@ -99,7 +102,8 @@ class Processor:
         pid = protocol.pid
         handle = protocol._handle_message
         chain = self._max_received_chain
-        undecided = not protocol.decided
+        undecided = protocol._output is None
+        decided_now = False
         received = 0
         try:
             for message in messages:
@@ -110,9 +114,10 @@ class Processor:
                 if message.chain_depth > chain:
                     chain = message.chain_depth
                 handle(message)
-                if undecided and protocol.decided:
+                if undecided and protocol._output is not None:
                     self._deciding_chain_depth = chain
                     undecided = False
+                    decided_now = True
         finally:
             if received:
                 # A receiving step is what makes the next sending step
@@ -120,6 +125,7 @@ class Processor:
                 protocol._pending_send = True
                 self._messages_received += received
                 self._max_received_chain = chain
+        return decided_now
 
     def reset(self) -> None:
         """Apply a resetting failure (erase volatile protocol memory)."""

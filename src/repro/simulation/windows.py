@@ -108,7 +108,12 @@ class WindowSpec:
                 f"processors, expected {n}")
         everyone = frozenset(range(n))
         minimum = n - t
+        checked = set()
         for pid, senders in enumerate(self.senders_for):
+            # Uniform windows repeat one set n times; check it once.
+            if senders in checked:
+                continue
+            checked.add(senders)
             if len(senders) < minimum:
                 raise InvalidWindowError(
                     f"sender set for processor {pid} has size "

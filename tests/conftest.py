@@ -43,7 +43,6 @@ def buggy_protocol():
     from repro.protocols import registry as protocol_registry
     from repro.protocols.base import Protocol
     from repro.protocols.registry import ProtocolInfo
-    from repro.simulation.message import broadcast
 
     class EagerBugAgreement(Protocol):
         def __init__(self, pid, n, t, input_bit, rng=None):
@@ -51,8 +50,8 @@ def buggy_protocol():
                              rng=rng)
             self._heard = set()
 
-        def _compose_messages(self):
-            return broadcast(self.pid, self.n, ("VOTE", self.input_bit))
+        def _compose_payloads(self):
+            return [("VOTE", self.input_bit)]
 
         def _handle_message(self, message):
             self._heard.add(message.sender)

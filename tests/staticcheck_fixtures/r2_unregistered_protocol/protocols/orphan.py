@@ -2,10 +2,10 @@
 
 
 class Protocol:
-    def _compose_messages(self):
+    def _compose_payloads(self):
         raise NotImplementedError
 
 
 class OrphanAgreement(Protocol):
-    def _compose_messages(self):
+    def _compose_payloads(self):
         return []

@@ -56,7 +56,10 @@ def traffic(name, seed, rounds_after_decision=3, limit=400):
     rounds_left = rounds_after_decision
     for _ in range(limit):
         for protocol in protocols:
-            pool.extend(protocol.send_step())
+            # Each payload goes to every processor, in receiver order.
+            pool.extend(Message(protocol.pid, receiver, payload)
+                        for payload in protocol.send_step()
+                        for receiver in range(n))
         if not pool or rounds_left == 0:
             break
         rng.shuffle(pool)

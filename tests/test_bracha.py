@@ -39,11 +39,12 @@ class TestConstruction:
 
     def test_initial_send_starts_a_reliable_broadcast(self):
         protocol = BrachaAgreement(pid=0, n=7, t=2, input_bit=1)
-        messages = protocol.send_step()
-        # The INIT of the (round 1, phase 1) broadcast goes to everyone.
-        assert len(messages) == 7
-        assert all(m.payload[0] == "RBC_INIT" for m in messages)
-        assert all(m.payload[3] == 1 for m in messages)
+        payloads = protocol.send_step()
+        # One payload, broadcast to everyone: the INIT of the
+        # (round 1, phase 1) reliable broadcast.
+        assert len(payloads) == 1
+        assert payloads[0][0] == "RBC_INIT"
+        assert payloads[0][3] == 1
 
 
 class TestValidation:

@@ -5,7 +5,9 @@ import pickle
 
 import pytest
 
-from repro.simulation.message import Message, broadcast
+from repro.simulation.errors import InvalidStepError
+from repro.simulation.message import Message
+from repro.simulation.network import Network
 
 
 class TestMessage:
@@ -108,19 +110,42 @@ class TestMessageContract:
 
 
 class TestBroadcast:
-    def test_broadcast_includes_self_by_default(self):
-        messages = broadcast(2, 5, payload="hello")
-        assert len(messages) == 5
-        assert {m.receiver for m in messages} == set(range(5))
+    """A sending step's payloads enter the network through one call."""
+
+    def test_broadcast_includes_self_in_receiver_order(self):
+        messages = Network(5).broadcast(2, ["hello"])
+        assert [m.receiver for m in messages] == [0, 1, 2, 3, 4]
         assert all(m.sender == 2 for m in messages)
         assert all(m.payload == "hello" for m in messages)
 
-    def test_broadcast_excluding_self(self):
-        messages = broadcast(2, 5, payload="hello", include_self=False)
-        assert len(messages) == 4
-        assert 2 not in {m.receiver for m in messages}
+    def test_broadcast_numbers_payload_by_payload(self):
+        network = Network(3)
+        messages = network.broadcast(1, ["a", "b"])
+        assert [(m.payload, m.receiver, m.sequence) for m in messages] == [
+            ("a", 0, 0), ("a", 1, 1), ("a", 2, 2),
+            ("b", 0, 3), ("b", 1, 4), ("b", 2, 5)]
+        later = network.broadcast(0, ["c"])
+        assert [m.sequence for m in later] == [6, 7, 8]
+        assert network.sent_count == 9
+
+    def test_broadcast_stamps_chain_depth(self):
+        messages = Network(4).broadcast(3, ["x"], chain_depth=7)
+        assert [m.chain_depth for m in messages] == [7, 7, 7, 7]
+
+    def test_broadcast_of_no_payloads_sends_nothing(self):
+        network = Network(4)
+        assert network.broadcast(0, []) == []
+        assert network.sent_count == 0
+
+    @pytest.mark.parametrize("sender", [-1, 5])
+    def test_broadcast_rejects_unknown_sender(self, sender):
+        network = Network(5)
+        with pytest.raises(InvalidStepError):
+            network.broadcast(sender, ["x"])
+        assert network.sent_count == 0
+        assert network.pending_count() == 0
 
     def test_broadcast_single_processor(self):
-        messages = broadcast(0, 1, payload=1)
+        messages = Network(1).broadcast(0, [1])
         assert len(messages) == 1
         assert messages[0].receiver == 0

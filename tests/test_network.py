@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.simulation.errors import InvalidStepError
-from repro.simulation.message import Message, broadcast
+from repro.simulation.message import Message
 from repro.simulation.network import Network
 
 
@@ -20,34 +20,30 @@ def pending_to(network, receiver):
     return [m for m in network.all_pending() if m.receiver == receiver]
 
 
-class TestSubmit:
-    def test_submit_stamps_sequence_numbers(self, network):
-        stored = network.submit(broadcast(0, 4, "a"))
+class TestBroadcast:
+    def test_broadcast_stamps_sequence_numbers(self, network):
+        stored = network.broadcast(0, ["a"])
         assert [m.sequence for m in stored] == [0, 1, 2, 3]
-        stored = network.submit(broadcast(1, 4, "b"))
+        stored = network.broadcast(1, ["b"])
         assert [m.sequence for m in stored] == [4, 5, 6, 7]
 
-    def test_submit_stamps_chain_depth(self, network):
-        stored = network.submit(broadcast(0, 4, "a"), chain_depth=3)
+    def test_broadcast_stamps_chain_depth(self, network):
+        stored = network.broadcast(0, ["a"], chain_depth=3)
         assert all(m.chain_depth == 3 for m in stored)
 
-    def test_submit_rejects_unknown_receiver(self, network):
+    def test_broadcast_rejects_unknown_sender(self, network):
         with pytest.raises(InvalidStepError):
-            network.submit([Message(sender=0, receiver=9, payload="x")])
-
-    def test_submit_rejects_unknown_sender(self, network):
-        with pytest.raises(InvalidStepError):
-            network.submit([Message(sender=9, receiver=0, payload="x")])
+            network.broadcast(9, ["x"])
 
     def test_sent_count(self, network):
-        network.submit(broadcast(0, 4, "a"))
-        network.submit(broadcast(1, 4, "b"))
+        network.broadcast(0, ["a"])
+        network.broadcast(1, ["b"])
         assert network.sent_count == 8
 
 
 class TestPendingAndDelivery:
     def test_deliver_removes_message(self, network):
-        network.submit(broadcast(0, 4, "a"))
+        network.broadcast(0, ["a"])
         message = pending_to(network, 3)[0]
         delivered = network.deliver(message)
         assert delivered.payload == "a"
@@ -60,22 +56,21 @@ class TestPendingAndDelivery:
             network.deliver(phantom)
 
     def test_pending_count(self, network):
-        network.submit(broadcast(0, 4, "a"))
+        network.broadcast(0, ["a"])
         assert network.pending_count() == 4
         network.deliver(pending_to(network, 0)[0])
         assert network.pending_count() == 3
 
     def test_all_pending_in_send_order(self, network):
-        network.submit(broadcast(0, 4, "a"))
-        network.submit(broadcast(1, 4, "b"))
+        network.broadcast(0, ["a"])
+        network.broadcast(1, ["b"])
         sequences = [m.sequence for m in network.all_pending()]
         assert sequences == sorted(sequences)
 
     def test_deliver_trims_ghosts_from_both_channel_ends(self, network):
         """A step delivery leaves no delivered message in its channel's
         deque at either end, only the live ones between."""
-        for payload in ("a", "b", "c", "d"):
-            network.submit([Message(sender=0, receiver=1, payload=payload)])
+        network.broadcast(0, ["a", "b", "c", "d"])
         first, second, third, fourth = pending_to(network, 1)
         network.deliver(second)  # a middle ghost stays until exposed
         network.deliver(fourth)
@@ -109,27 +104,47 @@ class TestPendingAndDelivery:
 
 class TestWindowDeliveries:
     def test_take_window_deliveries_only_allowed_senders(self, network):
-        network.submit(broadcast(0, 4, "a"))
-        network.submit(broadcast(1, 4, "b"))
-        network.submit(broadcast(2, 4, "c"))
-        deliveries = network.take_window_deliveries(3, senders={0, 2})
+        network.broadcast(0, ["a"])
+        network.broadcast(1, ["b"])
+        network.broadcast(2, ["c"])
+        deliveries = network.take_window_deliveries(3, [0, 2])
         assert {m.sender for m in deliveries} == {0, 2}
         # Messages from sender 1 stay in the buffer.
         remaining = pending_to(network, 3)
         assert {m.sender for m in remaining} == {1}
 
     def test_take_window_deliveries_newest_per_sender(self, network):
-        network.submit(broadcast(0, 4, "old"))
-        network.submit(broadcast(0, 4, "new"))
-        deliveries = network.take_window_deliveries(1, senders={0})
+        network.broadcast(0, ["old"])
+        network.broadcast(0, ["new"])
+        deliveries = network.take_window_deliveries(1, [0])
         assert len(deliveries) == 1
         assert deliveries[0].payload == "new"
         # The stale message is still pending (it was superseded, not lost).
         assert [m.payload for m in pending_to(network, 1)] == ["old"]
 
     def test_take_window_deliveries_empty_when_no_match(self, network):
-        deliveries = network.take_window_deliveries(0, senders={1, 2})
+        deliveries = network.take_window_deliveries(0, [1, 2])
         assert deliveries == []
+
+    def test_take_window_deliveries_follows_the_given_order(self, network):
+        for sender in range(4):
+            network.broadcast(sender, [sender])
+        deliveries = network.take_window_deliveries(2, [3, 0, 2])
+        assert [m.sender for m in deliveries] == [3, 0, 2]
+        assert network.delivered_count == 3
+
+    def test_take_window_deliveries_skips_middle_ghosts(self, network):
+        """A step delivery can leave a delivered message inside a
+        channel; a window delivery pops past it to the newest live one."""
+        network.broadcast(0, ["a", "b", "c", "d"])
+        first, second, third, fourth = pending_to(network, 1)
+        network.deliver(second)
+        network.deliver(third)
+        assert len(network._channels[1][0]) == 4
+        assert network.take_window_deliveries(1, [0]) == [fourth]
+        assert network.take_window_deliveries(1, [0]) == [first]
+        assert not network._channels[1][0]
+        assert network.take_window_deliveries(1, [0]) == []
 
 
 class ReferenceNetwork:
@@ -148,15 +163,18 @@ class ReferenceNetwork:
         self.delivered_count = 0
         self.sent_count = 0
 
-    def submit(self, messages, chain_depth=1):
+    def broadcast(self, sender, payloads, chain_depth=1):
+        if not 0 <= sender < self.n:
+            raise InvalidStepError("unknown sender")
         stored = []
-        for message in messages:
-            stamped = Message(message.sender, message.receiver,
-                              message.payload, self._sequence, chain_depth)
-            self._sequence += 1
-            self.sent_count += 1
-            self._pending.setdefault(message.receiver, []).append(stamped)
-            stored.append(stamped)
+        for payload in payloads:
+            for receiver in range(self.n):
+                stamped = Message(sender, receiver, payload, self._sequence,
+                                  chain_depth)
+                self._sequence += 1
+                self.sent_count += 1
+                self._pending.setdefault(receiver, []).append(stamped)
+                stored.append(stamped)
         return stored
 
     def pending_count(self):
@@ -181,15 +199,15 @@ class ReferenceNetwork:
                 return candidate
         raise InvalidStepError("not pending")
 
-    def take_window_deliveries(self, receiver, senders):
+    def take_window_deliveries(self, receiver, order):
         queue = self._pending.get(receiver, [])
         newest = {}
         for message in queue:
-            if message.sender in senders:
+            if message.sender in order:
                 current = newest.get(message.sender)
                 if current is None or message.sequence > current.sequence:
                     newest[message.sender] = message
-        deliveries = sorted(newest.values(), key=lambda m: m.sender)
+        deliveries = [newest[sender] for sender in order if sender in newest]
         for message in deliveries:
             self.deliver(message)
         return deliveries
@@ -215,21 +233,15 @@ class TestDifferentialAgainstReference:
                 # keep send order and carry on like the original.
                 network = copy.deepcopy(network)
                 assert network.all_pending() == reference.all_pending()
-            op = rng.choice(["submit", "submit", "submit", "deliver",
+            op = rng.choice(["broadcast", "broadcast", "broadcast", "deliver",
                              "window", "window", "find"])
-            if op == "submit":
+            if op == "broadcast":
                 sender = rng.randrange(self.N)
                 depth = rng.randint(1, 5)
-                batch = broadcast(sender, self.N,
-                                  ("VOTE", rng.randint(1, 4),
-                                   rng.getrandbits(1)))
-                got = network.submit(batch, chain_depth=depth)
-                # The reference needs its own copies: the optimized network
-                # stamps in place.
-                expected = reference.submit(
-                    [Message(m.sender, m.receiver, m.payload)
-                     for m in got], chain_depth=depth)
-                assert got == expected
+                payloads = [("VOTE", rng.randint(1, 4), rng.getrandbits(1))
+                            for _ in range(rng.choice((0, 1, 1, 2)))]
+                assert network.broadcast(sender, payloads, depth) == \
+                    reference.broadcast(sender, payloads, depth)
             elif op == "deliver":
                 pending = reference.all_pending()
                 if pending:
@@ -238,10 +250,10 @@ class TestDifferentialAgainstReference:
                         reference.deliver(target)
             elif op == "window":
                 receiver = rng.randrange(self.N)
-                senders = {pid for pid in range(self.N)
-                           if rng.getrandbits(1)}
-                assert network.take_window_deliveries(receiver, senders) \
-                    == reference.take_window_deliveries(receiver, senders)
+                order = [pid for pid in range(self.N) if rng.getrandbits(1)]
+                rng.shuffle(order)
+                assert network.take_window_deliveries(receiver, order) \
+                    == reference.take_window_deliveries(receiver, order)
             else:
                 # Sequences past the newest one were never sent.
                 sequence = rng.randrange(network.sent_count + 2)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.protocols.base import Protocol
 from repro.simulation.errors import InvalidStepError
-from repro.simulation.message import Message, broadcast
+from repro.simulation.message import Message
 from repro.simulation.processor import Processor
 
 
@@ -16,8 +16,8 @@ class CountingProtocol(Protocol):
         self.quota = quota
         self.received = 0
 
-    def _compose_messages(self):
-        return broadcast(self.pid, self.n, ("PING", self.input_bit))
+    def _compose_payloads(self):
+        return [("PING", self.input_bit)]
 
     def _handle_message(self, message):
         self.received += 1
@@ -41,8 +41,9 @@ class TestBasics:
         assert not processor.decided
 
     def test_send_step_counts_messages(self, processor):
-        messages = processor.send_step()
-        assert len(messages) == 3
+        payloads = processor.send_step()
+        assert payloads == [("PING", 1)]
+        # One payload is broadcast to all three processors.
         assert processor.messages_sent == 3
 
     def test_receive_wrong_recipient_raises(self, processor):

@@ -20,7 +20,7 @@ from repro.protocols.registry import get_protocol
 from repro.simulation.configuration import Configuration
 from repro.simulation.engine import Engine
 from repro.simulation.errors import InvalidWindowError
-from repro.simulation.message import Message, broadcast
+from repro.simulation.message import Message
 from repro.simulation.network import Network
 from repro.simulation.windows import WindowSpec
 from repro.verification.shrink import (schedule_from_jsonable,
@@ -250,7 +250,7 @@ def test_network_conserves_messages(channel_pairs, seed):
     network = Network(n)
     rng = random.Random(seed)
     for sender, receiver in channel_pairs:
-        network.submit(broadcast(sender, n, payload=("m", sender, receiver)))
+        network.broadcast(sender, [("m", sender, receiver)])
     # Deliver a random subset of pending messages.
     pending = network.all_pending()
     rng.shuffle(pending)

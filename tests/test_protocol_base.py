@@ -6,7 +6,7 @@ import pytest
 
 from repro.protocols.base import Protocol, ProtocolFactory
 from repro.simulation.errors import ProtocolViolationError
-from repro.simulation.message import Message, broadcast
+from repro.simulation.message import Message
 
 
 class EchoProtocol(Protocol):
@@ -19,8 +19,8 @@ class EchoProtocol(Protocol):
         super().__init__(pid, n, t, input_bit, rng)
         self.seen = []
 
-    def _compose_messages(self):
-        return broadcast(self.pid, self.n, ("ECHO", self.input_bit))
+    def _compose_payloads(self):
+        return [("ECHO", self.input_bit)]
 
     def _handle_message(self, message):
         self.seen.append(message.payload)
@@ -75,7 +75,7 @@ class TestSendingSemantics:
     def test_send_step_is_complete_response(self):
         protocol = EchoProtocol(pid=0, n=3, t=1, input_bit=1)
         first = protocol.send_step()
-        assert len(first) == 3
+        assert first == [("ECHO", 1)]
         # A second sending step with no intervening receive/reset is a no-op.
         assert protocol.send_step() == []
 
@@ -83,13 +83,13 @@ class TestSendingSemantics:
         protocol = EchoProtocol(pid=0, n=3, t=1, input_bit=1)
         protocol.send_step()
         protocol.receive_step(Message(sender=1, receiver=0, payload="x"))
-        assert len(protocol.send_step()) == 3
+        assert protocol.send_step() == [("ECHO", 1)]
 
     def test_reset_reenables_sending(self):
         protocol = EchoProtocol(pid=0, n=3, t=1, input_bit=1)
         protocol.send_step()
         protocol.reset()
-        assert len(protocol.send_step()) == 3
+        assert protocol.send_step() == [("ECHO", 1)]
 
 
 class TestResetSemantics:
