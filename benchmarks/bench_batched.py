@@ -14,19 +14,26 @@ still looks plausible.
 The batched benchmark also records ``speedup_vs_trial`` against a
 single timed pass of the per-trial path over the same specs, and asserts
 the results are identical — the bit-identity contract, measured where it
-is cheapest to check.
+is cheapest to check.  E2's n=30 split-vote cell, too long for the
+oracle, asserts a digest of its results instead.
 """
 
+import hashlib
 import random
 import time
 
 import pytest
 
 from repro.core.thresholds import max_tolerable_t
+from repro.experiments import get_experiment
 from repro.runner import TrialSpec, run_trials
 
 TRIALS = 512
 N = 13
+
+#: sha256 of ``repr`` of the n=30 split-vote cell's results, as the
+#: batched engine gave them before it advanced blocked windows in bulk.
+N30_DIGEST = "aa6c173ad466f6d3a98d451ac6d98cbc393098f9fbcc66390821353e16b91dbc"
 
 
 def _e2_shaped_specs(count: int = TRIALS, n: int = N,
@@ -101,3 +108,25 @@ def test_bench_trial_backend(benchmark):
     mean = benchmark.stats.stats.mean
     benchmark.extra_info["trials"] = len(specs)
     benchmark.extra_info["trials_per_sec"] = len(specs) / mean
+
+
+@pytest.mark.benchmark(group="batched-backend")
+def test_bench_split_vote_n30(benchmark):
+    """E2's paper-scale cell: n=30, 40 split and 40 unanimous trials
+    under plain split-vote, serially on the batched backend.  The split
+    trials run for up to 69,419 windows, nearly all of them blocked."""
+    cells = get_experiment("E2").cells(
+        {"ns": (30,), "trials": 40, "use_resets": False}, quick=False)
+    specs = [spec for cell in cells for spec in cell.specs]
+
+    results = benchmark.pedantic(
+        run_trials,
+        kwargs={"specs": specs, "workers": 0, "backend": "batched"},
+        iterations=1, rounds=3)
+
+    benchmark.extra_info["trials"] = len(specs)
+    benchmark.extra_info["trials_per_sec"] = \
+        len(specs) / benchmark.stats.stats.mean
+    benchmark.extra_info["max_windows"] = max(
+        result.windows_elapsed for result in results)
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == N30_DIGEST

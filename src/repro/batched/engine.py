@@ -54,6 +54,22 @@ through the per-trial oracle, so quarantine affects speed, never values.
 Default thresholds never quarantine on the registered workloads; the
 ``T1 > n - 2t`` shape in the engine tests does.
 
+**Blocked runs advance in bulk.**  While split-vote's ordering block
+holds (at a threshold of at most ``min(T2, T3)``), every processor fires
+on fewer than ``T3`` matching votes, flips a fresh coin and decides
+nothing, and the adversary draws no randomness: a window's only input is
+its processors' next coins.  So before each window the engine advances
+every trial in that state (with ``T1`` voters, no backlog and one
+``max_chain``) through its whole run of blocked windows at once, reading
+the flips already pre-drawn in the coin buffer: each window adds one to
+``window`` and ``max_chain``, ``n`` to ``coin_total`` and ``n`` per voter
+to ``sent`` and ``delivered``.  Without resets one pass tests up to
+``COIN_BLOCK`` windows; ``adaptive-resetting`` also carries its reset
+set (the first ``budget`` pids of the majority pool) window by window.
+A run stops after the first window whose coins break the block, or one
+window short of the trial's cap; the next window runs in closed form as
+above.
+
 The engine stops per trial exactly like ``Engine.run`` with a window cap:
 the stop predicate (``stop_when``) is evaluated *before* each window, and a
 trial also stops once ``window_index`` reaches its ``max_windows``.  When the
@@ -90,7 +106,8 @@ def run_group(specs: Sequence[TrialSpec]
     per-trial oracle, so every position holds a result.  ``stats`` holds
     the fields of the batch's telemetry span: this batch's engine seconds
     per :data:`PHASES` entry (``deliver_s``...), the ``windows`` the
-    engine ran and the number of trials it ``quarantined``.
+    engine ran, the trial-windows it advanced in bulk
+    (``skipped_windows``) and the number of trials it ``quarantined``.
     """
     engine = BatchedWindowEngine(specs)
     # The timer dict may be a long-lived one that a profiling hook
@@ -101,6 +118,7 @@ def run_group(specs: Sequence[TrialSpec]
         f"{name}_s": engine.phase_timers[name] - before[name]
         for name in PHASES}
     stats["windows"] = engine.windows
+    stats["skipped_windows"] = engine.skipped_windows
     stats["quarantined"] = len(quarantined)
     for index in quarantined:
         results[index] = execute_trial(specs[index])
@@ -193,6 +211,7 @@ class BatchedWindowEngine:
         self.results: List[Optional[ExecutionResult]] = [None] * trials
         self.quarantined: List[int] = []
         self.windows = 0
+        self.skipped_windows = 0
 
         adversary = first.adversary
         if adversary == "benign":
@@ -202,6 +221,10 @@ class BatchedWindowEngine:
         else:
             self.driver = _SplitVoteDriver(
                 self, adaptive=(adversary == "adaptive-resetting"))
+        # Only split-vote blocks, and only a threshold at most
+        # min(T2, T3) makes a blocked window flip every coin.
+        self.skips = isinstance(self.driver, _SplitVoteDriver) and bool(
+            (self.driver.threshold <= min(self.t2, self.t3)).any())
 
     # ------------------------------------------------------------------
     # Main loop.
@@ -218,6 +241,8 @@ class BatchedWindowEngine:
                 break
             if remaining * 2 <= self.active.shape[0]:
                 self._compact()
+            if self.skips:
+                self._skip_blocked()
             senders, deliver_last, resets = self.driver.next_window(self)
             outside = self.active & ~self._fast_ready(senders)
             if outside.any():
@@ -411,27 +436,199 @@ class BatchedWindowEngine:
         cursor = self.coin_next[tt, pp]
         empty = np.flatnonzero(cursor == COIN_BLOCK)
         if empty.size:
-            et, ep = tt[empty], pp[empty]
-            rngs = self.rngs
-            blocks = []
-            for trial, pid in zip(et.tolist(), ep.tolist()):
-                row = rngs[trial]
-                rng = row[pid]
-                if type(rng) is int:
-                    rng = row[pid] = random.Random(rng)
-                blocks.append(rng.getrandbits(32 * COIN_BLOCK)
-                              .to_bytes(4 * COIN_BLOCK, "little"))
-            words = np.frombuffer(b"".join(blocks), "<u4")
-            self.coins[et, ep] = (words >> 31).reshape(-1, COIN_BLOCK)
+            self._refill(tt[empty], pp[empty])
             cursor[empty] = 0
         self.coin_next[tt, pp] = cursor + 1
         np.add.at(self.coin_total, tt, 1)
         return self.coins[tt, pp, cursor]
 
+    def _refill(self, tt: np.ndarray, pp: np.ndarray) -> None:
+        """Draw the next ``COIN_BLOCK`` flips of each given stream.
+
+        Only call on streams whose pre-drawn flips are all used.
+        """
+        rngs = self.rngs
+        blocks = []
+        for trial, pid in zip(tt.tolist(), pp.tolist()):
+            row = rngs[trial]
+            rng = row[pid]
+            if type(rng) is int:
+                rng = row[pid] = random.Random(rng)
+            blocks.append(rng.getrandbits(32 * COIN_BLOCK)
+                          .to_bytes(4 * COIN_BLOCK, "little"))
+        words = np.frombuffer(b"".join(blocks), "<u4")
+        self.coins[tt, pp] = (words >> 31).reshape(-1, COIN_BLOCK)
+        self.coin_next[tt, pp] = 0
+
+    # ------------------------------------------------------------------
+    # Blocked runs in bulk (see the module docstring).
+    # ------------------------------------------------------------------
+    def _skip_blocked(self) -> None:
+        """Advance every admitted trial through its run of blocked windows.
+
+        A trial is admitted when the ordering block holds for its next
+        window, its threshold is at most ``min(T2, T3)`` (so a blocked
+        window flips every coin and decides nothing), it has at least
+        ``T1`` synchronised voters, no backlog, one ``max_chain`` for
+        every processor, and at least two windows left before its cap.
+        Each admitted trial stops after the first window whose coins
+        break the block, or one window short of its cap, so the window
+        after the skip is always one ``_run_window`` may run.
+        """
+        driver = self.driver
+        room = self.max_windows - self.window - 1
+        est = self.est
+        num_zeros = (est == 0).sum(axis=1)
+        num_ones = (est == 1).sum(axis=1)
+        voters = (~self.resync).sum(axis=1)
+        admit = (self.active & (room > 0) & (voters >= self.t1)
+                 & (driver.threshold <= min(self.t2, self.t3))
+                 & _blocked(num_zeros, num_ones, voters, self.t1,
+                            driver.threshold)
+                 & ~self.backlog.any(axis=1)
+                 & (self.max_chain == self.max_chain[:, :1]).all(axis=1))
+        if not admit.any():
+            return
+        rows = np.flatnonzero(admit)
+        # Without resets no processor ever resyncs: n voters a window.
+        plain = driver.budget[rows] == 0
+        if plain.any():
+            self._skip_plain(rows[plain], room[rows[plain]])
+        if not plain.all():
+            self._skip_resetting(rows[~plain], room[rows[~plain]])
+
+    def _skip_plain(self, rows: np.ndarray, limit: np.ndarray) -> None:
+        """Blocked runs without resets, ``COIN_BLOCK`` windows a pass.
+
+        A window's state is the previous window's ``n`` coins, so one
+        pass counts the ones at every pre-drawn position of each stream
+        and takes the windows up to the first position whose coins
+        break the block (or that reaches ``limit``).  Trials that reach
+        the end of their pre-drawn flips still blocked refill and go on.
+        """
+        n, t1 = self.n, self.t1
+        threshold = self.driver.threshold[rows][:, None]
+        position = np.arange(COIN_BLOCK)
+        while rows.size:
+            cursor = self.coin_next[rows, 0]
+            empty = cursor == COIN_BLOCK
+            if empty.any():
+                self._refill_rows(rows[empty])
+                cursor[empty] = 0
+            ones = self.coins[rows].sum(axis=1)
+            taken = position - cursor[:, None] + 1
+            stop = (taken > 0) & (
+                (taken >= limit[:, None])
+                | ~_blocked(n - ones, ones, n, t1, threshold))
+            stops = stop.any(axis=1)
+            last = np.where(stops, stop.argmax(axis=1), COIN_BLOCK - 1)
+            windows = last - cursor + 1
+            self._advance(rows, windows, n * n * windows,
+                          np.zeros_like(windows))
+            self.est[rows] = self.coins[rows, :, last]
+            self.coin_next[rows] = (last + 1)[:, None]
+            going = ~stops
+            rows, limit, threshold = (rows[going], limit[going]
+                                      - windows[going], threshold[going])
+
+    def _skip_resetting(self, rows: np.ndarray, limit: np.ndarray) -> None:
+        """Blocked runs with resets, one window a step for all ``rows``.
+
+        Each window resets the first ``budget`` pids of the majority pool
+        among the synchronised voters (``_SplitVoteDriver.next_window``'s
+        rule); they sit out the next window with ``est = -1``, so the
+        state a window leaves is its coins with the reset pids masked.
+        """
+        n, t1 = self.n, self.t1
+        driver = self.driver
+        budget = driver.budget[rows][:, None]
+        threshold = driver.threshold[rows]
+        est = self.est[rows]
+        num_zeros = (est == 0).sum(axis=1)
+        num_ones = (est == 1).sum(axis=1)
+        voters = (~self.resync[rows]).sum(axis=1)
+        cursor = self.coin_next[rows, 0]
+        taken = np.zeros(rows.size, dtype=np.int64)
+        votes = np.zeros_like(taken)
+        resets = np.zeros_like(taken)
+        while rows.size:
+            empty = cursor == COIN_BLOCK
+            if empty.any():
+                self._refill_rows(rows[empty])
+                cursor[empty] = 0
+            pool = est == (num_ones > num_zeros)[:, None]
+            reset = pool & (np.cumsum(pool, axis=1) <= budget)
+            coins = self.coins[rows, :, cursor]
+            est = np.where(reset, np.int8(-1), coins)
+            cursor += 1
+            taken += 1
+            votes += voters
+            count = reset.sum(axis=1)
+            resets += count
+            voters = n - count
+            num_ones = (est == 1).sum(axis=1)
+            num_zeros = voters - num_ones
+            going = ((taken < limit) & (voters >= t1)
+                     & _blocked(num_zeros, num_ones, voters, t1, threshold))
+            if going.all():
+                continue
+            done = ~going
+            out = rows[done]
+            self._advance(out, taken[done], n * votes[done], resets[done])
+            self.est[out] = est[done]
+            self.resync[out] = est[done] < 0
+            self.coin_next[out] = cursor[done][:, None]
+            (rows, limit, budget, threshold, est, num_zeros, num_ones,
+             voters, cursor, taken, votes, resets) = (
+                array[going] for array in (
+                    rows, limit, budget, threshold, est, num_zeros,
+                    num_ones, voters, cursor, taken, votes, resets))
+
+    def _refill_rows(self, rows: np.ndarray) -> None:
+        """Refill every stream of the given trials (their flips ran out).
+
+        A trial's processors all flip in the same windows, so its
+        streams run out together.
+        """
+        n = self.n
+        self._refill(np.repeat(rows, n), np.tile(np.arange(n), rows.size))
+
+    def _advance(self, rows: np.ndarray, windows: np.ndarray,
+                 messages: np.ndarray, resets: np.ndarray) -> None:
+        """Book ``windows`` blocked windows per trial: each fires and
+        flips every processor and adds one chain step; ``messages`` are
+        the sends (each delivered) and ``resets`` the resets."""
+        self.window[rows] += windows
+        self.max_chain[rows] += windows[:, None].astype(np.int32)
+        self.coin_total[rows] += self.n * windows
+        self.sent[rows] += messages
+        self.delivered[rows] += messages
+        self.resets_total[rows] += resets
+        self.skipped_windows += int(windows.sum())
+
 
 # ----------------------------------------------------------------------
 # Adversary drivers.
 # ----------------------------------------------------------------------
+def _blocked(num_zeros: np.ndarray, num_ones: np.ndarray,
+             voters: np.ndarray, t1: int,
+             threshold: np.ndarray) -> np.ndarray:
+    """Whether split-vote's ordering block holds for a window.
+
+    With the majority-value voters delivered last, the first ``T1`` of
+    the ``voters`` votes hold every minority vote and the rest from the
+    majority; the block holds while each value stays below
+    ``threshold`` there.  The one predicate of
+    ``_SplitVoteDriver.next_window`` and of the engine's bulk skip.
+    """
+    majority = np.maximum(num_zeros, num_ones)
+    minority = num_zeros + num_ones - majority
+    majority_in_prefix = np.maximum(0, t1 - (voters - majority))
+    minority_in_prefix = np.minimum(minority, t1)
+    return (majority_in_prefix < threshold) \
+        & (minority_in_prefix < threshold)
+
+
 class _BenignDriver:
     """Full delivery, no faults."""
 
@@ -476,15 +673,15 @@ class _SplitVoteDriver:
         self.adaptive = adaptive
         self.rngs = [seeded_rng(spec.adversary_kwargs["seed"])
                      for spec in eng.specs]
-        self.block_threshold = np.array(
-            [-1 if spec.adversary_kwargs.get("block_threshold") is None
+        # The vote count each receiver is kept below (default T3).
+        self.threshold = np.array(
+            [eng.t3 if spec.adversary_kwargs.get("block_threshold") is None
              else spec.adversary_kwargs["block_threshold"]
              for spec in eng.specs], dtype=np.int64)
-        self.budget = None
-        if adaptive:
-            self.budget = np.array(
-                [int(eng.t * spec.adversary_kwargs.get("reset_fraction", 1.0))
-                 for spec in eng.specs], dtype=np.int64)
+        # Resets per window (none without adaptive resetting).
+        self.budget = np.array(
+            [int(eng.t * spec.adversary_kwargs.get("reset_fraction", 1.0))
+             if adaptive else 0 for spec in eng.specs], dtype=np.int64)
 
     def next_window(self, eng: BatchedWindowEngine):
         estimate = eng.est
@@ -492,20 +689,12 @@ class _SplitVoteDriver:
         ones_mask = estimate == 1
         num_zeros = zeros_mask.sum(axis=1, dtype=np.int64)
         num_ones = ones_mask.sum(axis=1, dtype=np.int64)
-        threshold = np.where(self.block_threshold >= 0, self.block_threshold,
-                             eng.t3)
-        waiting = eng.t1
+        threshold = self.threshold
         senders_total = (~eng.resync).sum(axis=1, dtype=np.int64)
-        majority_is_zero = num_zeros >= num_ones
-        majority_count = np.where(majority_is_zero, num_zeros, num_ones)
-        minority_count = num_zeros + num_ones - majority_count
-        majority_pool = np.where(majority_is_zero[:, None], zeros_mask,
-                                 ones_mask)
-        majority_in_prefix = np.maximum(
-            0, waiting - (senders_total - majority_count))
-        minority_in_prefix = np.minimum(minority_count, waiting)
-        blocked = (majority_in_prefix <= threshold - 1) \
-            & (minority_in_prefix <= threshold - 1)
+        majority_pool = np.where((num_zeros >= num_ones)[:, None],
+                                 zeros_mask, ones_mask)
+        blocked = _blocked(num_zeros, num_ones, senders_total, eng.t1,
+                           threshold)
 
         smask = np.ones(estimate.shape, dtype=bool)
         deliver_last = np.zeros(estimate.shape, dtype=bool)
@@ -535,9 +724,8 @@ class _SplitVoteDriver:
     def gather(self, keep: np.ndarray) -> None:
         keep_list = [int(i) for i in keep]
         self.rngs = [self.rngs[i] for i in keep_list]
-        self.block_threshold = self.block_threshold[keep]
-        if self.budget is not None:
-            self.budget = self.budget[keep]
+        self.threshold = self.threshold[keep]
+        self.budget = self.budget[keep]
 
 
 __all__ = ["BatchedWindowEngine", "PHASES", "run_group"]

@@ -74,7 +74,6 @@ class ResetTolerantAgreement(Protocol):
         self.round: Optional[int] = 1
         self.estimate: Optional[int] = input_bit
         self._votes: Dict[int, Dict[int, int]] = defaultdict(dict)
-        self._processed_rounds: set = set()
         self._resyncing = False
 
     # ------------------------------------------------------------------
@@ -100,7 +99,7 @@ class ResetTolerantAgreement(Protocol):
             return
         current_round = self.round
         assert current_round is not None
-        if vote_round < current_round or vote_round in self._processed_rounds:
+        if vote_round < current_round:
             return
         votes = self._votes[vote_round]
         votes[message.sender] = vote_value
@@ -111,7 +110,6 @@ class ResetTolerantAgreement(Protocol):
         self.round = None
         self.estimate = None
         self._votes = defaultdict(dict)
-        self._processed_rounds = set()
         self._resyncing = True
 
     # ------------------------------------------------------------------
@@ -134,7 +132,6 @@ class ResetTolerantAgreement(Protocol):
             self.estimate = majority_value
         else:
             self.estimate = self.coin_flip()
-        self._processed_rounds.add(finished_round)
         del self._votes[finished_round]
         self.round = finished_round + 1
         # Votes buffered for the new round may already satisfy the

@@ -138,7 +138,7 @@ class _Chunk(NamedTuple):
 
 class BatchOutcome(NamedTuple):
     """A batched chunk's results plus its own timing: ``stats`` holds the
-    engine's seconds per window phase, its window count and the members
+    engine's seconds per window phase, its window counts and the members
     it ``quarantined`` (re-run on the oracle mid-batch), keyed by their
     ``batch`` span field names."""
 
@@ -318,7 +318,8 @@ class SupervisedRunner:
 
         A batched chunk becomes one ``batch`` span carrying the engine's
         phase seconds (``deliver_s``, ``tally_s``, ``decide_s``) and its
-        counts (``windows``, and the trials it ``quarantined``).  A
+        counts (``windows``, ``skipped_windows`` and the trials it
+        ``quarantined``).  A
         multi-trial per-trial chunk becomes a ``chunk`` span (worker
         busy-time) parenting one ``trial`` span per spec; a singleton
         records just the trial span.  Spans nest under whatever span the

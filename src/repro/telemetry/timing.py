@@ -80,7 +80,7 @@ _BATCH_MS = (("dur", "total_ms"), ("deliver_s", "deliver_ms"),
 """Seconds-valued ``batch`` span fields and the millisecond columns
 :func:`batch_timing_rows` totals them into."""
 
-_BATCH_COUNTS = ("windows", "quarantined")
+_BATCH_COUNTS = ("windows", "skipped_windows", "quarantined")
 """Count-valued ``batch`` span fields :func:`batch_timing_rows` totals."""
 
 
@@ -92,8 +92,9 @@ def batch_timing_rows(events: Sequence[Dict[str, Any]]
     records one ``batch`` span and no ``trial`` spans.  Besides the
     wall time, each row totals the engine's window phases the spans
     carry (``deliver_s``, ``tally_s``, ``decide_s``) and its counts
-    (``windows``, and the trials ``quarantined`` to the per-trial oracle
-    because they left the closed form).  A column no span of the
+    (``windows``, the trial-windows advanced in bulk as
+    ``skipped_windows``, and the trials ``quarantined`` to the per-trial
+    oracle because they left the closed form).  A column no span of the
     signature carries (a run recorded before batch spans held it) stays
     ``None``, not a measured zero.
     """

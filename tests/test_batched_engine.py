@@ -168,7 +168,7 @@ def test_quarantined_indices_have_no_result():
         assert results[index] is None
     grouped, stats = engine.run_group(specs)
     assert set(stats) == {f"{name}_s" for name in engine.PHASES} | {
-        "windows", "quarantined"}
+        "windows", "skipped_windows", "quarantined"}
     assert stats["quarantined"] == len(quarantined)
     assert stats["windows"] > 0
     assert grouped == [execute_trial(spec) for spec in specs]

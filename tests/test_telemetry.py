@@ -173,7 +173,8 @@ class TestTimingReductions:
 
     def test_batch_timing_rows_total_the_phase_split(self):
         phases = {"deliver_s": 0.006, "tally_s": 0.002, "decide_s": 0.001,
-                  "windows": 40, "quarantined": 3}
+                  "windows": 40, "skipped_windows": 500,
+                  "quarantined": 3}
         events = self._events() + [
             self._span(4, 0, "batch", 0.0, 0.010, trials=3,
                        signature=["reset-tolerant", 12], **phases),
@@ -186,7 +187,8 @@ class TestTimingReductions:
         assert row["deliver_ms"] == pytest.approx(12.0)
         assert row["tally_ms"] == pytest.approx(4.0)
         assert row["decide_ms"] == pytest.approx(2.0)
-        assert (row["windows"], row["quarantined"]) == (80, 6)
+        assert (row["windows"], row["skipped_windows"],
+                row["quarantined"]) == (80, 1000, 6)
 
     def test_batch_timing_rows_leave_unrecorded_phases_blank(self):
         """A batch span without the phase split (an older run) totals its
@@ -198,9 +200,10 @@ class TestTimingReductions:
         [row] = batch_timing_rows(events)
         assert row["total_ms"] == pytest.approx(10.0)
         assert (row["deliver_ms"], row["tally_ms"], row["decide_ms"],
-                row["windows"], row["quarantined"]) == (None,) * 5
+                row["windows"], row["skipped_windows"],
+                row["quarantined"]) == (None,) * 6
         body = format_table([row]).splitlines()[-1]
-        assert body.split()[-5:] == ["-"] * 5
+        assert body.split()[-6:] == ["-"] * 6
 
     def test_slowest_trial_chain_walks_to_the_root(self):
         chain = slowest_trial_chain(self._events())
@@ -297,6 +300,8 @@ class TestBatchSpans:
             assert sum(phases) <= batch["dur"]
             assert batch["windows"] > 0
         assert sum(batch["deliver_s"] for batch in batches) > 0.0
+        # E2's split trials spend most windows blocked, advanced in bulk.
+        assert sum(batch["skipped_windows"] for batch in batches) > 0
         # E2 resets every window; each one still runs in closed form.
         assert sum(batch["quarantined"] for batch in batches) == 0
         assert telemetry.counters["trials_batched"] == sum(
